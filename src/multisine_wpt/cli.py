@@ -2,8 +2,9 @@
 
 Configuration is a plain ``key = value`` text file ('#' starts a comment).
 Keys carry explicit units in their names; unknown keys and malformed
-values are reported by name.  Exit codes: 0 success, 2 configuration
-error, 3 solver failure, 4 simulation non-convergence.
+values are reported by name.  Exit codes: 0 success, 2 configuration or
+input error (unreadable or malformed waveform/channel files, mismatched
+shapes), 3 solver failure, 4 simulation non-convergence.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ from .scaling import ScalingScenario, closed_form, monte_carlo
 
 class ConfigError(Exception):
     pass
+
+
+class InputError(Exception):
+    """A waveform or channel file that is missing, malformed or mismatched."""
 
 
 def _parse_strategies(raw: str) -> list[str]:
@@ -259,15 +264,27 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _load_input(loader, path):
+    """Read a waveform or channel text file; any failure is an input error."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as e:
+        raise InputError(f"{path}: {e}") from None
+
+
 def cmd_evaluate(args) -> int:
     cfg = validate_config(parse_config_file(args.config)) if args.config \
         else validate_config(default_config())
     _apply_overrides(cfg, args)
-    waveform = load_waveform_text(args.waveform)
+    waveform = _load_input(load_waveform_text, args.waveform)
     if args.channel:
-        channel = load_channel_text(args.channel)
+        channel = _load_input(load_channel_text, args.channel)
     else:
         channel = _channel(cfg, waveform.grid, stream=0)
+    if channel.n_rectennas != 1 or \
+            channel.require_single_rectenna().shape != waveform.amplitudes.shape:
+        raise InputError(f"channel shape {channel.h.shape} differs from "
+                         f"waveform shape {waveform.amplitudes.shape}")
     params = _params(cfg)
     z = zdc_analytic(waveform, channel, params)
     i_out = iout_fixed_point(z, params)
@@ -281,7 +298,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_papr(args) -> int:
-    waveform = load_waveform_text(args.waveform)
+    waveform = _load_input(load_waveform_text, args.waveform)
     for ant in range(waveform.n_antennas):
         if np.any(waveform.amplitudes[:, ant] > 0):
             print(f"papr_antenna_{ant} = "
@@ -606,6 +623,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except InputError as e:
+        print(f"input error: {e}", file=sys.stderr)
         return 2
     except (GPSolverError, ValueError) as e:
         print(f"solver error: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ monomial lower bound at an anchor point (tight at the anchor).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +73,6 @@ class Posynomial:
         self.coefficients = coefficients
         self.exponents = exponents
 
-    @classmethod
-    def from_monomials(cls, monomials: list[Monomial]) -> "Posynomial":
-        coeffs = np.array([m.coefficient for m in monomials])
-        expos = np.vstack([m.exponents for m in monomials])
-        return cls(coeffs, expos)
-
     @property
     def n_terms(self) -> int:
         return self.coefficients.size
@@ -86,10 +80,6 @@ class Posynomial:
     @property
     def n_vars(self) -> int:
         return self.exponents.shape[1]
-
-    @property
-    def monomials(self) -> list[Monomial]:
-        return [Monomial(c, e) for c, e in zip(self.coefficients, self.exponents)]
 
     def term_values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -3,11 +3,15 @@
 Closed-form strategies (`ss`, `up`, `ass`, `mf`, `upmf`, `max_papr`) place
 amplitudes directly; the `optimize*` family iterates AM-GM condensation of
 the DC objective followed by an inner geometric-program solve (successive
-convex approximation).  Each run's iterates can only improve, and the
-ascent is restarted from every closed-form baseline (single-tone corners
-are fixed points of the iteration, so one start cannot see both kinds of
-optima); keeping the best endpoint makes the optimized waveform dominate
-every baseline by construction.
+convex approximation).  The joint, decoupled and PAPR designs condense
+z_dc from the value and gradient of the rectenna's DC kernel, so its
+posynomial is never enumerated (that enumeration is a test oracle); the
+multi-rectenna design still condenses its enumerated signomial.  Each
+run's iterates can only improve, and the ascent is restarted from every
+closed-form baseline (single-tone corners are fixed points of the
+iteration, so one start cannot see both kinds of optima); keeping the best
+endpoint makes the optimized waveform dominate every baseline by
+construction.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from .gp import (GPSolverError, GPStandardForm, Monomial, Posynomial,
                  condense, floor_constraints, maximize_monomial_under_power,
                  positivity_floor, power_constraint,
                  single_condensation_fraction, solve_gp)
-from .rectenna import (RectennaParams, Waveform, _posynomial_from_amplitudes,
-                       papr, papr_sample_times, weighted_sum_signomial,
-                       zdc_analytic, zdc_posynomial)
+from .rectenna import (DCKernel, RectennaParams, Waveform, papr,
+                       papr_sample_times, weighted_sum_signomial,
+                       zdc_analytic)
 
 _TINY = 1e-300
 
@@ -171,7 +175,42 @@ def baseline_waveform(name: str, channel: ChannelRealization, power: float,
 # SCA core
 # ---------------------------------------------------------------------------
 
-def _kkt_residual_power_only(posy: Posynomial, s: np.ndarray,
+class _AlignedDC:
+    """z_dc over the flattened amplitudes at the aligned phases.
+
+    Received tone n is r_n = sum_m |h_nm| s_nm (variable j = n*M + m), so
+    the amplitude gradient and Hessian follow from the tone-domain kernel
+    by the chain rule through the (N, N*M) map J.
+    """
+
+    def __init__(self, gains: np.ndarray, params: RectennaParams):
+        n, m = gains.shape
+        self.jac = np.zeros((n, n * m))
+        self.jac[np.repeat(np.arange(n), m), np.arange(n * m)] = gains.ravel()
+        self.kernel = DCKernel(params)
+
+    def value(self, s: np.ndarray) -> float:
+        return self.kernel.value(self.jac @ s)
+
+    def value_grad_hess(self, s: np.ndarray, want_hess: bool = False):
+        z, g, h = self.kernel.value_grad_hess(self.jac @ s, want_hess)
+        hess = self.jac.T @ h @ self.jac if want_hess else None
+        return z, self.jac.T @ g, hess
+
+
+def _condensed_monomial(obj: _AlignedDC, s: np.ndarray) -> Monomial:
+    """Best monomial lower bound of z_dc at the anchor s (AM-GM).
+
+    Its exponents are the gradient of log z in log s,
+    b_j = s_j dz/ds_j / z, and its coefficient is z(s) / prod s_j^b_j: the
+    condensation of the enumerated posynomial, without enumerating it.
+    """
+    z, grad, _ = obj.value_grad_hess(s)
+    b = s * grad / z
+    return Monomial(float(np.exp(np.log(z) - b @ np.log(s))), b)
+
+
+def _kkt_residual_power_only(obj: _AlignedDC, s: np.ndarray,
                              power: float, floor: float) -> float:
     """Log-domain projected-gradient norm of max log z s.t. power <= P.
 
@@ -180,11 +219,10 @@ def _kkt_residual_power_only(posy: Posynomial, s: np.ndarray,
     Floored coordinates only count when they push upward (their bound
     multiplier absorbs the downward part).
     """
-    vals = posy.term_values(s)
-    total = vals.sum()
-    if total <= 0:
+    z, grad, _ = obj.value_grad_hess(s)
+    if z <= 0:
         return np.inf
-    b = (vals / total) @ posy.exponents
+    b = s * grad / z
     c = s ** 2 / power
     nu = float(b @ c) / float(c @ c)
     r = b - nu * c
@@ -212,32 +250,32 @@ def _floored(amplitudes: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(amplitudes, floor)
 
 
-def _kkt_polish_power_only(posy: Posynomial, s: np.ndarray, power: float,
+def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray, power: float,
                            floor: float) -> np.ndarray:
     """Newton refinement of the stationarity system at the SCA endpoint.
 
     The condensation loop converges only linearly, and badly-conditioned
     instances can stall above the wanted stationarity residual; a few
     Newton steps on [grad log z = nu * grad power, power = budget] over the
-    coordinates above the floor finish the job.  Falls back to the input
+    coordinates above the floor finish the job.  The Jacobian of the
+    log-gradient b in log variables is diag(s) H diag(s) / z + diag(b)
+    - b b^T, with H the amplitude Hessian of z.  Falls back to the input
     point whenever the refinement does not verifiably improve it.
     """
     free = s > floor * (1.0 + 1e-9)
     if not np.any(free):
         return s
     n_free = int(np.count_nonzero(free))
-    a_free = posy.exponents[:, free]
     best = s
-    z_start = posy.evaluate(s)
+    z_start = obj.value(s)
     s_work = s.copy()
     y = np.log(s_work[free])
     nu = None
     for _ in range(30):
-        vals = posy.term_values(s_work)
-        z = vals.sum()
-        gamma = vals / z
-        b = gamma @ a_free
-        c = s_work[free] ** 2 / power
+        z, grad, hess = obj.value_grad_hess(s_work, want_hess=True)
+        s_free = s_work[free]
+        b = s_free * grad[free] / z
+        c = s_free ** 2 / power
         if nu is None:
             nu = float(b @ c) / float(c @ c)
         res = np.concatenate([b - nu * c,
@@ -245,8 +283,8 @@ def _kkt_polish_power_only(posy: Posynomial, s: np.ndarray, power: float,
                                / (2.0 * power)]])
         if np.max(np.abs(res)) <= 1e-13:
             break
-        ag = a_free * gamma[:, None]
-        hess_b = a_free.T @ ag - np.outer(b, b)
+        hess_b = (np.outer(s_free, s_free) * hess[np.ix_(free, free)] / z
+                  + np.diag(b) - np.outer(b, b))
         jac = np.zeros((n_free + 1, n_free + 1))
         jac[:n_free, :n_free] = hess_b - np.diag(2.0 * nu * c)
         jac[:n_free, n_free] = -c
@@ -266,14 +304,14 @@ def _kkt_polish_power_only(posy: Posynomial, s: np.ndarray, power: float,
     if scale_sq > 0:
         s_work[free] *= np.sqrt(scale_sq)
     if np.all(np.isfinite(s_work)) and np.all(s_work > 0):
-        old = _kkt_residual_power_only(posy, best, power, floor)
-        new = _kkt_residual_power_only(posy, s_work, power, floor)
-        if new < old and posy.evaluate(s_work) >= z_start * (1.0 - 1e-9):
+        old = _kkt_residual_power_only(obj, best, power, floor)
+        new = _kkt_residual_power_only(obj, s_work, power, floor)
+        if new < old and obj.value(s_work) >= z_start * (1.0 - 1e-9):
             best = s_work
     return best
 
 
-def _sca_power_only(posy: Posynomial, seed: np.ndarray, power: float,
+def _sca_power_only(obj: _AlignedDC, seed: np.ndarray, power: float,
                     options: OptimizerOptions):
     """Condense-and-reallocate loop when power is the only constraint.
 
@@ -282,12 +320,12 @@ def _sca_power_only(posy: Posynomial, seed: np.ndarray, power: float,
     """
     floor = positivity_floor(power)
     s = _floored(seed, floor)
-    history = [posy.evaluate(s)]
+    history = [obj.value(s)]
     converged = False
     for _ in range(options.max_iterations):
-        mono = condense(posy, s)
+        mono = _condensed_monomial(obj, s)
         s_new = maximize_monomial_under_power(mono, power, floor)
-        z_new = posy.evaluate(s_new)
+        z_new = obj.value(s_new)
         if z_new < history[-1]:
             converged = True  # numerically stationary; keep the better point
             break
@@ -296,16 +334,16 @@ def _sca_power_only(posy: Posynomial, seed: np.ndarray, power: float,
         if abs(history[-1] - history[-2]) < options.eps * max(history[-1], _TINY):
             converged = True
             break
-    polished = _kkt_polish_power_only(posy, s, power, floor)
-    z_polished = posy.evaluate(polished)
+    polished = _kkt_polish_power_only(obj, s, power, floor)
+    z_polished = obj.value(polished)
     if z_polished >= history[-1] * (1.0 - 1e-12):  # within monotonicity slack
         s = polished
         history.append(z_polished)
-    kkt = _kkt_residual_power_only(posy, s, power, floor)
+    kkt = _kkt_residual_power_only(obj, s, power, floor)
     return s, np.asarray(history), converged, kkt
 
 
-def _best_power_only_run(posy: Posynomial, seeds: list[np.ndarray],
+def _best_power_only_run(obj: _AlignedDC, seeds: list[np.ndarray],
                          power: float, options: OptimizerOptions):
     """Monotone ascent from every seed; keep the best endpoint.
 
@@ -316,10 +354,27 @@ def _best_power_only_run(posy: Posynomial, seeds: list[np.ndarray],
     """
     best = None
     for seed in seeds:
-        run = _sca_power_only(posy, seed, power, options)
+        run = _sca_power_only(obj, seed, power, options)
         if best is None or run[1][-1] > best[1][-1]:
             best = run
     return best
+
+
+def _dominant_result(waveform: Waveform, seeds: list[Waveform],
+                     channel: ChannelRealization, params: RectennaParams):
+    """(waveform, z_dc): the endpoint, or a closed-form seed that beats it.
+
+    Both are scored with `zdc_analytic`, the evaluation path external
+    checks use.  Rounding can place a refined endpoint an ulp below an
+    exact seed; keeping the seed then makes the design dominate every seed
+    exactly.
+    """
+    best_z = zdc_analytic(waveform, channel, params)
+    for w in seeds:
+        z = zdc_analytic(w, channel, params)
+        if z > best_z:
+            waveform, best_z = w, z
+    return waveform, best_z
 
 
 def optimize(channel: ChannelRealization, power: float,
@@ -331,21 +386,15 @@ def optimize(channel: ChannelRealization, power: float,
     monotone condensation loop restarted from each closed-form baseline.
     """
     h = channel.require_single_rectenna()
-    posy = zdc_posynomial(channel, params)
+    obj = _AlignedDC(np.abs(h), params)
     seed_waveforms = [w for _, w in _seed_candidates(channel, power, grid,
                                                      options)]
     s, history, converged, kkt = _best_power_only_run(
-        posy, [w.amplitudes.ravel() for w in seed_waveforms], power, options)
+        obj, [w.amplitudes.ravel() for w in seed_waveforms], power, options)
     waveform = Waveform(s.reshape(h.shape), optimal_phases(channel), grid,
                         power_budget=power)
-    # report through the same evaluation path external checks use, and keep
-    # an exact seed if rounding placed the refined endpoint an ulp below it
-    best_z = zdc_analytic(waveform, channel, params)
-    for w in seed_waveforms:
-        z = zdc_analytic(w, channel, params)
-        if z > best_z:
-            waveform, best_z = w, z
-    history[-1] = best_z
+    waveform, history[-1] = _dominant_result(waveform, seed_waveforms,
+                                             channel, params)
     return SCATrace(history, waveform, converged, kkt_residual=kkt)
 
 
@@ -362,7 +411,7 @@ def optimize_decoupled(channel: ChannelRealization, power: float,
     norms = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
     if not np.any(norms > 0):
         raise ValueError("channel is identically zero")
-    posy = _posynomial_from_amplitudes(norms[:, None], params)
+    obj = _AlignedDC(norms[:, None], params)
 
     # effective single-antenna seeds: project each baseline onto tone powers
     candidates = []
@@ -376,13 +425,16 @@ def optimize_decoupled(channel: ChannelRealization, power: float,
     candidates.append(one_tone)
 
     s_tone, history, converged, kkt = _best_power_only_run(
-        posy, candidates, power, options)
+        obj, candidates, power, options)
     spatial = np.full(h.shape, 1.0 / np.sqrt(h.shape[1]))
     live = norms > 0
     spatial[live, :] = np.abs(h[live, :]) / norms[live, None]
     waveform = Waveform(s_tone[:, None] * spatial, optimal_phases(channel),
                         grid, power_budget=power)
-    history[-1] = zdc_analytic(waveform, channel, params)
+    seed_waveforms = [w for _, w in _seed_candidates(channel, power, grid,
+                                                     options)]
+    waveform, history[-1] = _dominant_result(waveform, seed_waveforms,
+                                             channel, params)
     return SCATrace(history, waveform, converged, kkt_residual=kkt)
 
 
@@ -450,7 +502,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     h = channel.require_single_rectenna()
     n, m = h.shape
     n_vars = n * m
-    posy = zdc_posynomial(channel, params)
+    obj = _AlignedDC(np.abs(h), params)
     floor = positivity_floor(power)
     phi_star = optimal_phases(channel)
     t_q = papr_sample_times(grid, options.papr_oversampling)
@@ -481,7 +533,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         scored = []
         for name, w in _seed_candidates(channel, power, grid, options):
             s = _floored(w.amplitudes.ravel(), floor)
-            scored.append((posy.evaluate(s), worst_papr(
+            scored.append((obj.value(s), worst_papr(
                 s, options.papr_oversampling), s))
         safe = _floored(ass(channel, power, grid).amplitudes.ravel(), floor)
         seeds = [s for _, p, s in scored if p <= limit * (1.0 - 1e-9)]
@@ -498,7 +550,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         return seeds
 
     def run(anchor: np.ndarray, limit: float):
-        history = [posy.evaluate(anchor)]
+        history = [obj.value(anchor)]
         converged = False
         for _ in range(options.max_iterations):
             cons = list(base_cons)
@@ -509,10 +561,10 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                         continue
                     denom = half_eta + f2 if f2 is not None else half_eta
                     cons.append(single_condensation_fraction(f1, denom, anchor))
-            objective = condense(posy, anchor).inverse()
+            objective = _condensed_monomial(obj, anchor).inverse()
             problem = GPStandardForm(objective, cons, n_vars)
             report = solve_gp(problem, anchor)
-            z_new = posy.evaluate(report.x)
+            z_new = obj.value(report.x)
             if z_new < history[-1]:
                 converged = True
                 break
@@ -533,7 +585,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                 # feasible set has (numerically) no interior around this
                 # seed, e.g. the single-tone corner at eta = 2; keep the
                 # seed itself as this run's result
-                out = (seed, np.array([posy.evaluate(seed)]), True)
+                out = (seed, np.array([obj.value(seed)]), True)
             if best is None or out[1][-1] > best[1][-1]:
                 best = out
         s, history, converged = best

@@ -7,10 +7,11 @@ operating point, makes the rectified DC current monotonically related to
 
 where ``y(t)`` is the RF signal at the rectenna input and the ``k_i`` are
 positive constants of the diode.  Everything the optimizers need lives
-here: the analytic per-order DC terms, a brute-force time-averaging oracle
-for them, the fixed-point recovery of the DC output current, PAPR, and the
-posynomial/signomial views of z_dc used by the geometric-programming
-machinery.
+here: the DC kernel giving z_dc and its gradient and Hessian in the
+received tones (the designers condense z_dc from its gradient), a
+brute-force time-averaging oracle for it, the fixed-point recovery of the
+DC output current, PAPR, the enumerated posynomial view of z_dc (kept as
+a test oracle) and the signomial view of the multi-rectenna sum.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .channel import ChannelRealization, FrequencyGrid
-from .gp import Monomial, Posynomial, Signomial
+from .gp import Posynomial, Signomial
 
 _POWER_FEAS_RTOL = 1e-9
 
@@ -141,33 +142,84 @@ def received_tone_coefficients(waveform: Waveform,
     return np.einsum("nm,nm->n", h, w)
 
 
-def _dc_moments_from_tones(r: np.ndarray, truncation_order: int) -> dict[int, float]:
-    """Exact DC component of y(t)^i for even i, from the tone coefficients.
+class DCKernel:
+    """z_dc as a function of the received tone coefficients r.
 
     The equal-sum index constraints (n0+n1 = n2+n3, ...) collapse into
     norms of repeated self-convolutions of r: the order-4 sum equals
     sum_sigma |(r*r)_sigma|^2 and the order-6 sum equals
     sum_sigma |(r*r*r)_sigma|^2, which sidesteps the O(N^3)/O(N^5) tuple
-    enumeration kept in the posynomial view.
+    enumeration kept in the posynomial view.  For real r (aligned phases)
+    the gradient and Hessian follow from correlations of the same
+    convolutions, which is all the AM-GM condensation of the designers
+    needs.  The Taylor constants are computed once, at construction.
     """
-    moments = {2: 0.5 * float(np.sum(np.abs(r) ** 2))}
-    if truncation_order >= 4:
-        c2 = np.convolve(r, r)
-        moments[4] = _DC_PREFACTOR[4] * float(np.sum(np.abs(c2) ** 2))
-    if truncation_order >= 6:
-        c3 = np.convolve(c2, r)
-        moments[6] = _DC_PREFACTOR[6] * float(np.sum(np.abs(c3) ** 2))
-    return moments
+
+    def __init__(self, params: RectennaParams):
+        r_ant = params.diode.r_ant
+        self.truncation_order = params.truncation_order
+        self._k = {i: k * r_ant ** (i / 2)
+                   for i, k in zip(params.orders, params.k)}
+        self._w = {i: k * _DC_PREFACTOR[i] for i, k in self._k.items()}
+
+    def _term(self, order: int, conv: np.ndarray) -> float:
+        return self._k[order] * (_DC_PREFACTOR[order]
+                                 * float(np.sum(np.abs(conv) ** 2)))
+
+    def value(self, r: np.ndarray) -> float:
+        """z_dc for complex (or real) tone coefficients r."""
+        z = self._term(2, r)
+        if self.truncation_order >= 4:
+            c2 = np.convolve(r, r)
+            z += self._term(4, c2)
+        if self.truncation_order >= 6:
+            z += self._term(6, np.convolve(c2, r))
+        return z
+
+    def value_grad_hess(self, r: np.ndarray, want_hess: bool = False):
+        """(z, dz/dr, d2z/dr2 or None) for real tone coefficients r.
+
+        With c2 = r*r and c3 = c2*r, the order-4 sum |c2|^2 has gradient
+        4 (c2 corr r) and Hessian 8 T(r corr r) + 4 H(c2); the order-6 sum
+        |c3|^2 has gradient 6 (c3 corr c2) and Hessian
+        18 T(c2 corr c2) + 12 H(c3 corr r).  T builds the Toeplitz matrix
+        of a lag sequence (entry n, p at lag n - p) and H the Hankel
+        matrix of a sequence (entry n, p at index n + p).
+        """
+        r = np.asarray(r, dtype=float)
+        n = r.size
+        w = self._w
+        z = self._term(2, r)
+        grad = 2.0 * w[2] * r
+        hess = None
+        if want_hess:
+            idx = np.arange(n)
+            lag, hankel = np.subtract.outer(idx, idx), np.add.outer(idx, idx)
+            hess = 2.0 * w[2] * np.eye(n)
+        if self.truncation_order >= 4:
+            c2 = np.convolve(r, r)
+            z += self._term(4, c2)
+            grad += 4.0 * w[4] * np.correlate(c2, r, "valid")
+            if want_hess:
+                auto = np.correlate(r, r, "full")
+                hess += w[4] * (8.0 * auto[n - 1 + lag] + 4.0 * c2[hankel])
+        if self.truncation_order >= 6:
+            c3 = np.convolve(c2, r)
+            z += self._term(6, c3)
+            grad += 6.0 * w[6] * np.correlate(c3, c2, "valid")
+            if want_hess:
+                auto = np.correlate(c2, c2, "full")
+                cross = np.correlate(c3, r, "valid")
+                hess += w[6] * (18.0 * auto[2 * n - 2 + lag]
+                                + 12.0 * cross[hankel])
+        return z, grad, hess
 
 
 def zdc_analytic(waveform: Waveform, channel: ChannelRealization,
                  params: RectennaParams) -> float:
     """Rectified-DC surrogate z_dc for a waveform over a channel."""
     r = received_tone_coefficients(waveform, channel)
-    moments = _dc_moments_from_tones(r, params.truncation_order)
-    r_ant = params.diode.r_ant
-    return float(sum(k * r_ant ** (i / 2) * moments[i]
-                     for i, k in zip(params.orders, params.k)))
+    return DCKernel(params).value(r)
 
 
 def received_signal(waveform: Waveform, channel: ChannelRealization,
@@ -290,15 +342,20 @@ def quartic_tuple_count(n_tones: int) -> int:
     return n_tones * (2 * n_tones ** 2 + 1) // 3
 
 
-def _posynomial_from_amplitudes(amps: np.ndarray,
-                                params: RectennaParams) -> Posynomial:
-    """z_dc as an explicit posynomial in the amplitudes, phases aligned.
+def zdc_posynomial(channel: ChannelRealization,
+                   params: RectennaParams) -> Posynomial:
+    """z_dc(S, Phi*) as an explicit posynomial over the N*M amplitudes.
 
-    One monomial per (tone-tuple, antenna-tuple) pair, so term counts match
-    the index-set cardinalities: N*M^2 at order 2, N(2N^2+1)/3 * M^4 at
-    order 4 and correspondingly more at order 6.  Terms whose channel
-    amplitude product vanishes are dropped (the variable never contributes).
+    With the phase-aligned choice Phi* every cosine in the DC terms equals
+    one, leaving positive coefficients only.  Variable j = n*M + m is the
+    amplitude of tone n on antenna m.  One monomial per (tone-tuple,
+    antenna-tuple) pair, so term counts match the index-set cardinalities:
+    N*M^2 at order 2, N(2N^2+1)/3 * M^4 at order 4 and correspondingly
+    more at order 6.  Terms whose channel amplitude product vanishes are
+    dropped (the variable never contributes).  The designers condense
+    z_dc from `DCKernel` instead; this enumeration is the test oracle.
     """
+    amps = np.abs(channel.require_single_rectenna())
     n, m = amps.shape
     r_ant = params.diode.r_ant
     k = dict(zip(params.orders, params.k))
@@ -329,18 +386,6 @@ def _posynomial_from_amplitudes(amps: np.ndarray,
     if not coeffs:
         raise ValueError("channel has no usable gain (all amplitudes zero)")
     return Posynomial(np.array(coeffs), np.vstack(rows))
-
-
-def zdc_posynomial(channel: ChannelRealization,
-                   params: RectennaParams) -> Posynomial:
-    """z_dc(S, Phi*) as a posynomial over the N*M amplitudes.
-
-    With the phase-aligned choice Phi* every cosine in the DC terms equals
-    one, leaving positive coefficients only.  Variable j = n*M + m is the
-    amplitude of tone n on antenna m.
-    """
-    h = channel.require_single_rectenna()
-    return _posynomial_from_amplitudes(np.abs(h), params)
 
 
 def weighted_sum_signomial(channels, weights, params: RectennaParams,

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from multisine_wpt.channel import load_channel_text
+from multisine_wpt.channel import (FrequencyGrid, flat_channel,
+                                   load_channel_text, save_channel_text)
 from multisine_wpt.cli import (ConfigError, default_config, main,
                                parse_config_file, validate_config)
+from multisine_wpt.optimizer import up
 from multisine_wpt.rectenna import (RectennaParams, load_waveform_text,
-                                    zdc_analytic)
+                                    save_waveform_text, zdc_analytic)
 
 
 def _write(tmp_path, name, text):
@@ -97,6 +99,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     ok = _write(tmp_path, "ok.cfg", "strategies = up\n")
     assert main(["scaling", ok, "--trials", "0"]) == 2
     assert main(["preset", "does-not-exist"]) == 2
+    capsys.readouterr()
+    # input files: missing, malformed, or a channel of the wrong shape
+    wave = str(tmp_path / "w.txt")
+    save_waveform_text(wave, up(FrequencyGrid(3, 48e6, 1e6), 2, 1e-5))
+    chan = str(tmp_path / "c.txt")
+    save_channel_text(chan, flat_channel(1.0, 0.0, 3, 1))
+    junk = _write(tmp_path, "junk.txt", "# waveform 3 2 oops\n")
+    missing = str(tmp_path / "missing.txt")
+    for argv in (["evaluate", missing], ["evaluate", junk],
+                 ["evaluate", wave, "--channel", junk],
+                 ["evaluate", wave, "--channel", missing],
+                 ["evaluate", wave, "--channel", chan],
+                 ["papr", missing], ["papr", junk]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("input error: "), argv
+    assert main(["simulate", missing]) == 2
 
 
 def test_evaluate_and_papr_roundtrip(tmp_path):

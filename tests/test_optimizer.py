@@ -111,6 +111,33 @@ def test_optimize_monotone_dominant_and_stationary():
             assert trace.zdc >= zdc_analytic(base, h, P4)
 
 
+def test_optimize_order_six_dominant_and_stationary():
+    grid = _grid(8)
+    params = RectennaParams(DiodeParams(), 6)
+    for seed in range(3):
+        h = iid_frequency_channel(8, 2, seed=300 + seed)
+        trace = optimize(h, POWER, params, grid, TIGHT)
+        assert trace.kkt_residual <= 1e-5
+        assert trace.waveform.transmit_power <= POWER * (1 + 1e-9)
+        for name in ("up", "ass", "mf", "upmf"):
+            base = baseline_waveform(name, h, POWER, grid)
+            assert trace.zdc >= zdc_analytic(base, h, params)
+
+
+def test_joint_and_decoupled_dominate_exactly():
+    # channels on which rounding once left the decoupled design an ulp
+    # below `ass`
+    grid = _grid(8)
+    for seed in (16, 43, 47, 58):
+        h = iid_frequency_channel(8, 2, seed=seed)
+        for design in (optimize, optimize_decoupled):
+            trace = design(h, POWER, P4, grid)
+            assert trace.zdc == zdc_analytic(trace.waveform, h, P4)
+            for name in ("up", "ass", "mf", "upmf"):
+                base = baseline_waveform(name, h, POWER, grid)
+                assert trace.zdc >= zdc_analytic(base, h, P4), (seed, name)
+
+
 def test_decoupled_equals_joint_for_single_antenna():
     grid = _grid(4)
     h = iid_frequency_channel(4, 1, seed=3)

@@ -5,9 +5,10 @@ import pytest
 
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
-from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
-                                    iout_fixed_point, load_waveform_text,
-                                    papr, quartic_tuple_count, quartic_tuples,
+from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
+                                    Waveform, iout_fixed_point,
+                                    load_waveform_text, papr,
+                                    quartic_tuple_count, quartic_tuples,
                                     received_tone_coefficients,
                                     save_waveform_text, sextic_tuples,
                                     synthesize_transmit, taylor_coefficients,
@@ -227,6 +228,43 @@ def test_posynomial_evaluates_to_zdc():
             w = Waveform(s, -np.angle(h.h), _grid(3))
             assert np.isclose(posy.evaluate(s.ravel()),
                               zdc_analytic(w, h, params), rtol=1e-12)
+
+
+def test_dc_kernel_matches_enumerated_posynomial():
+    """Value, log-gradient and log-Hessian of z_dc in the amplitudes, from
+    the tone-domain kernel by the chain rule, against the posynomial."""
+    rng = np.random.default_rng(17)
+    for order in (2, 4, 6):
+        params = RectennaParams(DIODE, order)
+        kernel = DCKernel(params)
+        for n in range(1, 6):
+            for m in (1, 2):
+                h = iid_frequency_channel(n, m, seed=100 * order + 10 * n + m)
+                gains = np.abs(h.h)
+                posy = zdc_posynomial(h, params)
+                s = rng.uniform(0.1, 1.0, (n, m)) * 1e-3
+                z, g, hess = kernel.value_grad_hess(np.sum(gains * s, axis=1),
+                                                    want_hess=True)
+                w = Waveform(s, -np.angle(h.h), _grid(n))
+                assert np.isclose(kernel.value(received_tone_coefficients(
+                    w, h)), z, rtol=1e-13, atol=0.0)
+                vals = posy.term_values(s.ravel())
+                gamma = vals / vals.sum()
+                expos = posy.exponents
+                b_ref = gamma @ expos
+                hess_ref = expos.T @ (expos * gamma[:, None]) \
+                    - np.outer(b_ref, b_ref)
+                x = s.ravel()
+                grad_s = (gains * g[:, None]).ravel()
+                hess_s = np.einsum("nm,np,pq->nmpq", gains, hess,
+                                   gains).reshape(n * m, n * m)
+                b = x * grad_s / z
+                hess_b = np.outer(x, x) * hess_s / z + np.diag(b) \
+                    - np.outer(b, b)
+                np.testing.assert_allclose(z, vals.sum(), rtol=1e-12, atol=0)
+                np.testing.assert_allclose(b, b_ref, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(hess_b, hess_ref, rtol=0,
+                                           atol=1e-12 * order)
 
 
 def test_aligned_phases_maximize_zdc():
