@@ -8,7 +8,7 @@ multipath model or drawn i.i.d. per tone ("frequencies far apart" regime).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

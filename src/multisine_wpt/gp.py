@@ -1,4 +1,4 @@
-"""Posynomial/signomial algebra and a self-contained geometric-program solver.
+"""Posynomial algebra and a self-contained geometric-program solver.
 
 A monomial is ``c * x1^a1 * ... * xV^aV`` with ``c > 0`` over strictly
 positive variables; a posynomial is a sum of monomials.  Geometric programs
@@ -8,9 +8,10 @@ constraints turn into log-sum-exp functions.  The solver below is a plain
 primal barrier method with damped Newton centering, which is plenty for the
 small, well-conditioned programs produced by the waveform optimizers.
 
-The arithmetic-geometric mean condensation `condense` is the workhorse of
-the successive-approximation loops: it replaces a posynomial by its best
-monomial lower bound at an anchor point (tight at the anchor).
+The arithmetic-geometric mean condensation `condense` replaces a
+posynomial by its best monomial lower bound at an anchor point (tight at
+the anchor); the PAPR-constrained design uses it to turn each sampled peak
+constraint into a posynomial one.
 """
 
 from __future__ import annotations
@@ -103,20 +104,6 @@ class Posynomial:
         if c <= 0:
             raise ValueError("scale factor must be positive")
         return Posynomial(self.coefficients * c, self.exponents.copy())
-
-
-@dataclass(frozen=True)
-class Signomial:
-    """Difference of posynomials: value = positive - negative."""
-
-    positive: Posynomial
-    negative: Posynomial | None = None
-
-    def evaluate(self, x: np.ndarray) -> float:
-        v = self.positive.evaluate(x)
-        if self.negative is not None:
-            v -= self.negative.evaluate(x)
-        return v
 
 
 def condense(f: Posynomial, anchor: np.ndarray) -> Monomial:
@@ -393,26 +380,6 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
 def positivity_floor(power_budget: float) -> float:
     """Amplitude floor standing in for exact zeros in the log domain."""
     return 1e-12 * np.sqrt(2.0 * power_budget)
-
-
-def maximize_monomial_under_power(objective: Monomial, power_budget: float,
-                                  floor: float | None = None) -> np.ndarray:
-    """argmax of a monomial under (1/2)*sum s_j^2 <= power_budget.
-
-    Closed form: active variables get s_j^2 = 2P a_j / sum(a); variables
-    with zero exponent sit at the positivity floor.  Exponents must be
-    nonnegative and not all zero.
-    """
-    a = objective.exponents
-    if np.any(a < 0):
-        raise ValueError("exponents must be nonnegative")
-    total = a.sum()
-    if total <= 0:
-        raise ValueError("at least one exponent must be positive")
-    if floor is None:
-        floor = positivity_floor(power_budget)
-    s = np.sqrt(2.0 * power_budget * a / total)
-    return np.maximum(s, floor)
 
 
 def floor_constraints(n_vars: int, floor: float) -> list[Posynomial]:

@@ -1,17 +1,18 @@
-"""Waveform design strategies, from closed-form baselines to SCA loops.
+"""Waveform design strategies, from closed-form baselines to iterative designs.
 
 Closed-form strategies (`ss`, `up`, `ass`, `mf`, `upmf`, `max_papr`) place
-amplitudes directly; the `optimize*` family iterates AM-GM condensation of
-the DC objective followed by an inner geometric-program solve (successive
-convex approximation).  The joint, decoupled and PAPR designs condense
-z_dc from the value and gradient of the rectenna's DC kernel, so its
-posynomial is never enumerated (that enumeration is a test oracle); the
-multi-rectenna design still condenses its enumerated signomial.  Each
-run's iterates can only improve, and the ascent is restarted from every
-closed-form baseline (single-tone corners are fixed points of the
-iteration, so one start cannot see both kinds of optima); keeping the best
-endpoint makes the optimized waveform dominate every baseline by
-construction.
+amplitudes directly.  The joint, decoupled and multi-rectenna designs share
+one minorize-maximize (MM) ascent over the complex weights: z_dc, and any
+nonnegatively weighted sum of it over rectennas, is convex in the weights,
+so its linearization at the current point is a global lower bound, and
+maximizing that bound over the power ball gives the closed-form, monotone
+update w <- sqrt(2P) grad / ||grad||.  Single-tone corners are fixed points
+of the update, so the ascent is restarted from every closed-form baseline
+and the best endpoint is kept; a baseline that still beats it is returned
+instead, so every design dominates its seeds by construction.  Only the
+PAPR-constrained design needs the geometric-program solver: it condenses
+z_dc from the rectenna's DC kernel and each sampled peak constraint by
+AM-GM and solves the resulting GP per iteration.
 """
 
 from __future__ import annotations
@@ -22,19 +23,17 @@ import numpy as np
 
 from .channel import ChannelRealization, FrequencyGrid
 from .gp import (GPSolverError, GPStandardForm, Monomial, Posynomial,
-                 condense, floor_constraints, maximize_monomial_under_power,
-                 positivity_floor, power_constraint,
+                 floor_constraints, positivity_floor, power_constraint,
                  single_condensation_fraction, solve_gp)
 from .rectenna import (DCKernel, RectennaParams, Waveform, papr,
-                       papr_sample_times, weighted_sum_signomial,
-                       zdc_analytic)
+                       papr_sample_times, zdc_analytic)
 
 _TINY = 1e-300
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs shared by all successive-approximation loops."""
+    """Knobs shared by all iterative designs."""
 
     eps: float = 1e-6                # relative z_dc change declaring convergence
     max_iterations: int = 100
@@ -172,8 +171,75 @@ def baseline_waveform(name: str, channel: ChannelRealization, power: float,
 
 
 # ---------------------------------------------------------------------------
-# SCA core
+# minorize-maximize ascent
 # ---------------------------------------------------------------------------
+
+class _WeightedDC:
+    """z(w) = sum_u v_u z_dc(h_u . w) over complex weights w of shape (N, M).
+
+    Rectenna u receives tone n as r_un = sum_m h_unm w_nm, so the kernel's
+    gradient 2 dz/d conj(r) maps back to the weights through conj(h_u).
+    """
+
+    def __init__(self, hs: list[np.ndarray], weights, params: RectennaParams):
+        self.terms = list(zip(weights, hs))
+        self.kernel = DCKernel(params)
+
+    def value_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
+        """(z, 2 dz/d conj(w)), the ascent direction in the weights."""
+        z, grad = 0.0, np.zeros(w.shape, dtype=complex)
+        for v, h in self.terms:
+            z_u, g_u, _ = self.kernel.value_grad_hess(
+                np.einsum("nm,nm->n", h, w))
+            z += v * z_u
+            grad += v * np.conj(h) * g_u[:, None]
+        return z, grad
+
+
+def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
+               options: OptimizerOptions):
+    """Monotone MM ascent from the weights w: (w, z history, converged).
+
+    z is convex, so z(x) >= z(w) + Re<grad, x - w> for every x, and that
+    bound is maximized over the ball ||x||^2 <= 2P by x = sqrt(2P) grad /
+    ||grad||: z cannot fall.  A step that lowers z anyway (rounding at a
+    stationary point) is rejected and ends the run; `converged` tells
+    whether the last step, taken or not, passed the |dz| < eps*z test.
+    """
+    radius = np.sqrt(2.0 * power)
+    z, grad = obj.value_grad(w)
+    history = [z]
+    converged = False
+    for _ in range(options.max_iterations):
+        w_new = radius * grad / np.linalg.norm(grad)
+        z_new, grad_new = obj.value_grad(w_new)
+        converged = bool(abs(z_new - z) < options.eps * max(z_new, _TINY))
+        if z_new < z:
+            break
+        w, z, grad = w_new, z_new, grad_new
+        history.append(z)
+        if converged:
+            break
+    return w, np.asarray(history), converged
+
+
+def _ascents(obj: _WeightedDC, seeds: list[np.ndarray], power: float,
+             options: OptimizerOptions) -> list:
+    """One MM run from each seed with z > 0.
+
+    z(0) = 0 and convexity give Re<grad, w> >= z(w), so a positive start
+    keeps the gradient nonzero for the whole run.
+    """
+    seeds = [w for w in seeds if obj.value_grad(w)[0] > 0]
+    if not seeds:
+        raise ValueError("no seed reaches a rectenna: the channel is zero")
+    return [_mm_ascent(obj, w, power, options) for w in seeds]
+
+
+def _best_run(runs: list):
+    """The run ending at the highest z; ties go to the earlier seed."""
+    return max(runs, key=lambda run: run[1][-1])
+
 
 class _AlignedDC:
     """z_dc over the flattened amplitudes at the aligned phases.
@@ -198,76 +264,61 @@ class _AlignedDC:
         return z, self.jac.T @ g, hess
 
 
-def _condensed_monomial(obj: _AlignedDC, s: np.ndarray) -> Monomial:
-    """Best monomial lower bound of z_dc at the anchor s (AM-GM).
-
-    Its exponents are the gradient of log z in log s,
-    b_j = s_j dz/ds_j / z, and its coefficient is z(s) / prod s_j^b_j: the
-    condensation of the enumerated posynomial, without enumerating it.
-    """
-    z, grad, _ = obj.value_grad_hess(s)
-    b = s * grad / z
-    return Monomial(float(np.exp(np.log(z) - b @ np.log(s))), b)
-
-
 def _kkt_residual_power_only(obj: _AlignedDC, s: np.ndarray,
-                             power: float, floor: float) -> float:
+                             power: float) -> float:
     """Log-domain projected-gradient norm of max log z s.t. power <= P.
 
     b_j is the gradient of log z in log variables and s_j^2/P the gradient
-    of the active power constraint; at a KKT point they are parallel.
-    Floored coordinates only count when they push upward (their bound
-    multiplier absorbs the downward part).
+    of the active power constraint; at a KKT point they are parallel.  Both
+    vanish at a zero amplitude, which therefore adds no residual.
     """
     z, grad, _ = obj.value_grad_hess(s)
-    if z <= 0:
-        return np.inf
     b = s * grad / z
     c = s ** 2 / power
     nu = float(b @ c) / float(c @ c)
-    r = b - nu * c
-    floored = s <= floor * (1.0 + 1e-9)
-    r = np.where(floored, np.maximum(r, 0.0), r)
-    return float(np.max(np.abs(r)))
+    return float(np.max(np.abs(b - nu * c)))
 
 
-def _seed_candidates(channel, power, grid, options):
+def _seed_candidates(channel, power, grid, options) -> list[Waveform]:
     names = (["mf", "upmf", "ass", "up"] if options.initialization == "best"
              else [options.initialization])
     out = []
     for name in names:
         try:
-            w = baseline_waveform(name, channel, power, grid)
+            out.append(baseline_waveform(name, channel, power, grid))
         except ValueError:
             continue
-        out.append((name, w))
     if not out:
         raise ValueError("no usable seed strategy for this channel")
     return out
 
 
-def _floored(amplitudes: np.ndarray, floor: float) -> np.ndarray:
-    return np.maximum(amplitudes, floor)
+# Smallest log-gradient share b_j of a coordinate the KKT polish moves.  The
+# log-Jacobian's row j scales with b_j, so rounding adds about eps/b_j to
+# that coordinate's Newton log-step.  The step length is capped at 0.5 over
+# the largest log-step; a coordinate with b_j near eps (an ascent stopped at
+# its iteration cap leaves some at 1e-26) lets that noise set the cap, and
+# the polished point turns into rounding noise.  At b_j >= 1e-14 the noise
+# stays below 0.02, and a held coordinate can lift z by only about b_j.
+_POLISH_MIN_SHARE = 1e-14
 
 
-def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray, power: float,
-                           floor: float) -> np.ndarray:
-    """Newton refinement of the stationarity system at the SCA endpoint.
+def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray,
+                           power: float) -> np.ndarray:
+    """Newton refinement of the stationarity system at the ascent endpoint.
 
-    The condensation loop converges only linearly, and badly-conditioned
-    instances can stall above the wanted stationarity residual; a few
-    Newton steps on [grad log z = nu * grad power, power = budget] over the
-    coordinates above the floor finish the job.  The Jacobian of the
-    log-gradient b in log variables is diag(s) H diag(s) / z + diag(b)
-    - b b^T, with H the amplitude Hessian of z.  Falls back to the input
-    point whenever the refinement does not verifiably improve it.
+    The MM ascent converges only linearly, and badly-conditioned instances
+    can stop above the wanted stationarity residual; a few Newton steps on
+    [grad log z = nu * grad power, power = budget] over the coordinates
+    with a log-gradient share above `_POLISH_MIN_SHARE` finish the job.
+    The Jacobian of the log-gradient b in log variables is
+    diag(s) H diag(s) / z + diag(b) - b b^T, with H the amplitude Hessian
+    of z.  Falls back to the input point whenever the refinement does not
+    verifiably improve it.
     """
-    free = s > floor * (1.0 + 1e-9)
-    if not np.any(free):
-        return s
+    z_start, grad, _ = obj.value_grad_hess(s)
+    free = s * grad > _POLISH_MIN_SHARE * z_start
     n_free = int(np.count_nonzero(free))
-    best = s
-    z_start = obj.value(s)
     s_work = s.copy()
     y = np.log(s_work[free])
     nu = None
@@ -303,75 +354,46 @@ def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray, power: float,
     scale_sq = (2.0 * power - fixed_power) / np.sum(s_work[free] ** 2)
     if scale_sq > 0:
         s_work[free] *= np.sqrt(scale_sq)
-    if np.all(np.isfinite(s_work)) and np.all(s_work > 0):
-        old = _kkt_residual_power_only(obj, best, power, floor)
-        new = _kkt_residual_power_only(obj, s_work, power, floor)
-        if new < old and obj.value(s_work) >= z_start * (1.0 - 1e-9):
-            best = s_work
-    return best
+    if np.all(np.isfinite(s_work)) \
+            and _kkt_residual_power_only(obj, s_work, power) \
+            < _kkt_residual_power_only(obj, s, power) \
+            and obj.value(s_work) >= z_start * (1.0 - 1e-9):
+        return s_work
+    return s
 
 
-def _sca_power_only(obj: _AlignedDC, seed: np.ndarray, power: float,
-                    options: OptimizerOptions):
-    """Condense-and-reallocate loop when power is the only constraint.
+def _polished(obj: _AlignedDC, s: np.ndarray, history: np.ndarray,
+              converged: bool, power: float):
+    """(s, history, converged) of an ascent run after the KKT polish.
 
-    The inner GP collapses to the closed-form monomial maximization, so
-    each iteration is exact and the ascent is monotone by AM-GM.
+    The polished point is kept when z stays within rounding of the
+    endpoint, so the history stays monotone.
     """
-    floor = positivity_floor(power)
-    s = _floored(seed, floor)
-    history = [obj.value(s)]
-    converged = False
-    for _ in range(options.max_iterations):
-        mono = _condensed_monomial(obj, s)
-        s_new = maximize_monomial_under_power(mono, power, floor)
-        z_new = obj.value(s_new)
-        if z_new < history[-1]:
-            converged = True  # numerically stationary; keep the better point
-            break
-        s = s_new
-        history.append(z_new)
-        if abs(history[-1] - history[-2]) < options.eps * max(history[-1], _TINY):
-            converged = True
-            break
-    polished = _kkt_polish_power_only(obj, s, power, floor)
+    polished = _kkt_polish_power_only(obj, s, power)
     z_polished = obj.value(polished)
-    if z_polished >= history[-1] * (1.0 - 1e-12):  # within monotonicity slack
-        s = polished
-        history.append(z_polished)
-    kkt = _kkt_residual_power_only(obj, s, power, floor)
-    return s, np.asarray(history), converged, kkt
-
-
-def _best_power_only_run(obj: _AlignedDC, seeds: list[np.ndarray],
-                         power: float, options: OptimizerOptions):
-    """Monotone ascent from every seed; keep the best endpoint.
-
-    Single-tone corners are fixed points of the condensation map, so a run
-    started there cannot discover a better interior allocation; restarting
-    from each closed-form baseline covers both kinds of optima while
-    keeping every individual trace nondecreasing.
-    """
-    best = None
-    for seed in seeds:
-        run = _sca_power_only(obj, seed, power, options)
-        if best is None or run[1][-1] > best[1][-1]:
-            best = run
-    return best
+    if z_polished >= history[-1] * (1.0 - 1e-12):
+        return polished, np.append(history, z_polished), converged
+    return s, history, converged
 
 
 def _dominant_result(waveform: Waveform, seeds: list[Waveform],
-                     channel: ChannelRealization, params: RectennaParams):
-    """(waveform, z_dc): the endpoint, or a closed-form seed that beats it.
+                     hs: list[np.ndarray], weights, params: RectennaParams):
+    """(waveform, z): the endpoint, or a closed-form seed that beats it.
 
-    Both are scored with `zdc_analytic`, the evaluation path external
-    checks use.  Rounding can place a refined endpoint an ulp below an
-    exact seed; keeping the seed then makes the design dominate every seed
-    exactly.
+    z is the weighted sum over rectennas of `zdc_analytic`, the evaluation
+    path external checks use.  Rounding can place a refined endpoint an
+    ulp below an exact seed; keeping the seed then makes the design
+    dominate every seed exactly.
     """
-    best_z = zdc_analytic(waveform, channel, params)
+    channels = [ChannelRealization(h) for h in hs]
+
+    def score(w):
+        return sum(v * zdc_analytic(w, ch, params)
+                   for v, ch in zip(weights, channels))
+
+    best_z = score(waveform)
     for w in seeds:
-        z = zdc_analytic(w, channel, params)
+        z = score(w)
         if z > best_z:
             waveform, best_z = w, z
     return waveform, best_z
@@ -382,26 +404,32 @@ def optimize(channel: ChannelRealization, power: float,
              options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
     """Joint space-frequency amplitude design at the aligned phases.
 
-    Phases are fixed at their closed-form optimum; amplitudes follow the
-    monotone condensation loop restarted from each closed-form baseline.
+    The MM ascent starts from each closed-form baseline's amplitudes at the
+    aligned phases, which every update keeps (the received tones stay real
+    and positive); a Newton polish of the amplitudes' stationarity
+    conditions then finishes the linearly converging ascent.
     """
     h = channel.require_single_rectenna()
+    phases = optimal_phases(channel)
+    seeds = _seed_candidates(channel, power, grid, options)
+    runs = _ascents(_WeightedDC([h], [1.0], params),
+                    [seed.amplitudes * np.exp(1j * phases) for seed in seeds],
+                    power, options)
     obj = _AlignedDC(np.abs(h), params)
-    seed_waveforms = [w for _, w in _seed_candidates(channel, power, grid,
-                                                     options)]
-    s, history, converged, kkt = _best_power_only_run(
-        obj, [w.amplitudes.ravel() for w in seed_waveforms], power, options)
-    waveform = Waveform(s.reshape(h.shape), optimal_phases(channel), grid,
-                        power_budget=power)
-    waveform, history[-1] = _dominant_result(waveform, seed_waveforms,
-                                             channel, params)
-    return SCATrace(history, waveform, converged, kkt_residual=kkt)
+    s, history, converged = _best_run(
+        [_polished(obj, np.abs(w).ravel(), history, converged, power)
+         for w, history, converged in runs])
+    waveform = Waveform(s.reshape(h.shape), phases, grid, power_budget=power)
+    waveform, history[-1] = _dominant_result(waveform, seeds, [h], [1.0],
+                                             params)
+    return SCATrace(history, waveform, converged,
+                    kkt_residual=_kkt_residual_power_only(obj, s, power))
 
 
 def optimize_decoupled(channel: ChannelRealization, power: float,
                        params: RectennaParams, grid: FrequencyGrid,
                        options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
-    """Per-tone matched beamforming, then an N-variable amplitude design.
+    """Per-tone matched beamforming, then `optimize` on the effective channel.
 
     The matched spatial weights turn the array into a single effective
     antenna with per-tone gain ||h_n||, shrinking the variable count from
@@ -409,38 +437,33 @@ def optimize_decoupled(channel: ChannelRealization, power: float,
     """
     h = channel.require_single_rectenna()
     norms = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
-    if not np.any(norms > 0):
-        raise ValueError("channel is identically zero")
-    obj = _AlignedDC(norms[:, None], params)
-
-    # effective single-antenna seeds: project each baseline onto tone powers
-    candidates = []
-    n = grid.n_tones
-    uniform = np.full(n, np.sqrt(2.0 * power / n))
-    candidates.append(uniform)
-    if np.all(norms > 0):
-        candidates.append(np.sqrt(2.0 * power) * norms / np.sqrt(np.sum(norms ** 2)))
-    one_tone = np.zeros(n)
-    one_tone[int(np.argmax(norms))] = np.sqrt(2.0 * power)
-    candidates.append(one_tone)
-
-    s_tone, history, converged, kkt = _best_power_only_run(
-        obj, candidates, power, options)
+    trace = optimize(ChannelRealization(norms), power, params, grid, options)
     spatial = np.full(h.shape, 1.0 / np.sqrt(h.shape[1]))
     live = norms > 0
     spatial[live, :] = np.abs(h[live, :]) / norms[live, None]
-    waveform = Waveform(s_tone[:, None] * spatial, optimal_phases(channel),
-                        grid, power_budget=power)
-    seed_waveforms = [w for _, w in _seed_candidates(channel, power, grid,
-                                                     options)]
-    waveform, history[-1] = _dominant_result(waveform, seed_waveforms,
-                                             channel, params)
-    return SCATrace(history, waveform, converged, kkt_residual=kkt)
+    waveform = Waveform(trace.waveform.amplitudes * spatial,
+                        optimal_phases(channel), grid, power_budget=power)
+    trace.waveform, trace.zdc_history[-1] = _dominant_result(
+        waveform, _seed_candidates(channel, power, grid, options), [h], [1.0],
+        params)
+    return trace
 
 
 # ---------------------------------------------------------------------------
 # PAPR-constrained design
 # ---------------------------------------------------------------------------
+
+def _condensed_monomial(obj: _AlignedDC, s: np.ndarray) -> Monomial:
+    """Best monomial lower bound of z_dc at the anchor s (AM-GM).
+
+    Its exponents are the gradient of log z in log s,
+    b_j = s_j dz/ds_j / z, and its coefficient is z(s) / prod s_j^b_j: the
+    condensation of the enumerated posynomial, without enumerating it.
+    """
+    z, grad, _ = obj.value_grad_hess(s)
+    b = s * grad / z
+    return Monomial(float(np.exp(np.log(z) - b @ np.log(s))), b)
+
 
 def _papr_signomial_pieces(amps_phase_cos: np.ndarray, antenna: int,
                            n_tones: int, n_antennas: int):
@@ -531,11 +554,11 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         its allocation shape while meeting the limit.
         """
         scored = []
-        for name, w in _seed_candidates(channel, power, grid, options):
-            s = _floored(w.amplitudes.ravel(), floor)
+        for w in _seed_candidates(channel, power, grid, options):
+            s = np.maximum(w.amplitudes.ravel(), floor)
             scored.append((obj.value(s), worst_papr(
                 s, options.papr_oversampling), s))
-        safe = _floored(ass(channel, power, grid).amplitudes.ravel(), floor)
+        safe = np.maximum(ass(channel, power, grid).amplitudes.ravel(), floor)
         seeds = [s for _, p, s in scored if p <= limit * (1.0 - 1e-9)]
         if not seeds:
             seeds = [safe]
@@ -662,103 +685,27 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
                    options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
     """Weighted-sum DC maximization across several rectennas.
 
-    Phases follow the per-tone dominant singular vectors of the stacked
-    weighted channels (no optimality claim); amplitudes come from an SCA on
-    the signomial objective with its positive part condensed.
+    The MM ascent designs amplitudes and phases jointly over the complex
+    weights, starting from `ass_multi` and from each rectenna's own
+    closed-form seeds, so the U = 1 case sees the same starts as the
+    single-rectenna design.
     """
     hs = _as_channel_list(channels)
     weights = np.asarray(weights, dtype=float)
     if weights.size != len(hs):
         raise ValueError("one weight per rectenna required")
-    n, m = hs[0].shape
-    n_vars = n * m
-
-    if len(hs) == 1:
-        phases = -np.angle(hs[0])
-    else:
-        stacks = _stacked_weighted_channels(hs, weights)
-        phases = np.vstack([_dominant_right_vector(s)[1] for s in stacks])
-        phases = np.angle(phases)
-    sig = weighted_sum_signomial(hs, weights, params, phases)
-    f1, f2 = sig.positive, sig.negative
-    floor = positivity_floor(power)
-
-    # widen s-variable posynomials with a trailing t0 column
-    def widen(p: Posynomial) -> Posynomial:
-        return Posynomial(p.coefficients,
-                          np.hstack([p.exponents, np.zeros((p.n_terms, 1))]))
-
-    # candidate starts: uniform, the single-tone corner, weighted-mean
-    # matching, and each rectenna's own matched-filter shapes, so the U = 1
-    # case sees the same basins as the single-rectenna optimizer
-    candidates = [np.full(n_vars, np.sqrt(2.0 * power / n_vars))]
-    corner = None
-    try:
-        corner = _floored(ass_multi(hs, weights, power, grid).amplitudes.ravel(),
-                          floor)
-    except ValueError:
-        pass
-    mean_amp = np.mean([np.abs(h) for h in hs], axis=0)
-    if np.any(mean_amp > 0):
-        candidates.append(np.sqrt(2.0 * power) * mean_amp.ravel()
-                          / np.sqrt(np.sum(mean_amp ** 2)))
+    if np.any(weights < 0) or not np.any(weights > 0):
+        raise ValueError("weights must be nonnegative, not all zero")
+    seeds = [ass_multi(hs, weights, power, grid)]
     for h_u in hs:
-        ch_u = ChannelRealization(h_u)
-        for builder in (mf, upmf):
-            try:
-                candidates.append(builder(ch_u, power, grid).amplitudes.ravel())
-            except ValueError:
-                pass
-    seeds = [_floored(c, floor) for c in candidates]
-    seeds = [s for s in seeds if sig.evaluate(s) > 0]
-    if not seeds and (corner is None or sig.evaluate(corner) <= 0):
-        raise GPSolverError("no starting point with positive weighted DC sum")
-    # run the SCA only from the most promising few, plus the corner, which
-    # is cheap to refine and covers linear-regime optima
-    seeds.sort(key=sig.evaluate, reverse=True)
-    seeds = seeds[:3]
-    if corner is not None and sig.evaluate(corner) > 0 \
-            and not any(np.array_equal(corner, s) for s in seeds):
-        seeds.append(corner)
-
-    power_con = widen(power_constraint(np.arange(n_vars), n_vars, power))
-    floors = [widen(c) for c in floor_constraints(n_vars, floor)]
-    t0_exp = np.zeros(n_vars + 1)
-    t0_exp[-1] = 1.0
-    objective = Monomial(1.0, -t0_exp)
-
-    def run(anchor: np.ndarray):
-        history = [sig.evaluate(anchor)]
-        converged = False
-        for _ in range(options.max_iterations):
-            bound = condense(f1, anchor).inverse()
-            bound = Monomial(bound.coefficient, np.append(bound.exponents, 0.0))
-            t0_term = Posynomial(np.array([1.0]), t0_exp[None, :])
-            lhs = t0_term + widen(f2) if f2 is not None else t0_term
-            cons = [power_con, lhs * bound] + floors
-            problem = GPStandardForm(objective, cons, n_vars + 1)
-            x0 = np.append(anchor, max(history[-1], _TINY) * (1.0 - 1e-6))
-            report = solve_gp(problem, x0)
-            s_new = report.x[:-1]
-            z_new = sig.evaluate(s_new)
-            if z_new < history[-1]:
-                converged = True
-                break
-            anchor = s_new
-            history.append(z_new)
-            if abs(history[-1] - history[-2]) < options.eps * max(abs(history[-1]), _TINY):
-                converged = True
-                break
-        return anchor, np.asarray(history), converged
-
-    best = None
-    for seed in seeds:
-        out = run(seed)
-        if best is None or out[1][-1] > best[1][-1]:
-            best = out
-    anchor, history, converged = best
-    waveform = Waveform(anchor.reshape(n, m), phases, grid,
-                        power_budget=power)
+        seeds += _seed_candidates(ChannelRealization(h_u), power, grid,
+                                  options)
+    w, history, converged = _best_run(_ascents(
+        _WeightedDC(hs, weights, params), [seed.weights for seed in seeds],
+        power, options))
+    waveform = Waveform(np.abs(w), np.angle(w), grid, power_budget=power)
+    waveform, history[-1] = _dominant_result(waveform, seeds, hs, weights,
+                                             params)
     return SCATrace(history, waveform, converged)
 
 

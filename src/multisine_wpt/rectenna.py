@@ -7,11 +7,10 @@ operating point, makes the rectified DC current monotonically related to
 
 where ``y(t)`` is the RF signal at the rectenna input and the ``k_i`` are
 positive constants of the diode.  Everything the optimizers need lives
-here: the DC kernel giving z_dc and its gradient and Hessian in the
-received tones (the designers condense z_dc from its gradient), a
-brute-force time-averaging oracle for it, the fixed-point recovery of the
-DC output current, PAPR, the enumerated posynomial view of z_dc (kept as
-a test oracle) and the signomial view of the multi-rectenna sum.
+here: the DC kernel giving z_dc and its gradient in the received tones
+(and, for aligned real tones, its Hessian), a brute-force time-averaging
+oracle for it, the fixed-point recovery of the DC output current, PAPR,
+and the enumerated posynomial view of z_dc (kept as a test oracle).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .channel import ChannelRealization, FrequencyGrid
-from .gp import Posynomial, Signomial
+from .gp import Posynomial
 
 _POWER_FEAS_RTOL = 1e-9
 
@@ -149,10 +148,9 @@ class DCKernel:
     norms of repeated self-convolutions of r: the order-4 sum equals
     sum_sigma |(r*r)_sigma|^2 and the order-6 sum equals
     sum_sigma |(r*r*r)_sigma|^2, which sidesteps the O(N^3)/O(N^5) tuple
-    enumeration kept in the posynomial view.  For real r (aligned phases)
-    the gradient and Hessian follow from correlations of the same
-    convolutions, which is all the AM-GM condensation of the designers
-    needs.  The Taylor constants are computed once, at construction.
+    enumeration kept in the posynomial view.  The gradient, and for real r
+    (aligned phases) the Hessian, follow from correlations of the same
+    convolutions.  The Taylor constants are computed once, at construction.
     """
 
     def __init__(self, params: RectennaParams):
@@ -177,16 +175,19 @@ class DCKernel:
         return z
 
     def value_grad_hess(self, r: np.ndarray, want_hess: bool = False):
-        """(z, dz/dr, d2z/dr2 or None) for real tone coefficients r.
+        """(z, gradient, Hessian or None) of z_dc in the tone coefficients r.
 
         With c2 = r*r and c3 = c2*r, the order-4 sum |c2|^2 has gradient
         4 (c2 corr r) and Hessian 8 T(r corr r) + 4 H(c2); the order-6 sum
         |c3|^2 has gradient 6 (c3 corr c2) and Hessian
         18 T(c2 corr c2) + 12 H(c3 corr r).  T builds the Toeplitz matrix
         of a lag sequence (entry n, p at lag n - p) and H the Hankel
-        matrix of a sequence (entry n, p at index n + p).
+        matrix of a sequence (entry n, p at index n + p).  `np.correlate`
+        conjugates its second argument, so for complex r the gradient is
+        2 dz/d conj(r) = dz/d Re r + j dz/d Im r; the Hessian is for real r
+        only.
         """
-        r = np.asarray(r, dtype=float)
+        r = np.asarray(r)
         n = r.size
         w = self._w
         z = self._term(2, r)
@@ -307,7 +308,7 @@ def papr(waveform: Waveform, antenna: int, oversampling: int = 8) -> float:
 
 
 # ---------------------------------------------------------------------------
-# index-set enumeration and the posynomial/signomial views
+# index-set enumeration and the posynomial view
 # ---------------------------------------------------------------------------
 
 def quartic_tuples(n_tones: int):
@@ -352,8 +353,8 @@ def zdc_posynomial(channel: ChannelRealization,
     antenna-tuple) pair, so term counts match the index-set cardinalities:
     N*M^2 at order 2, N(2N^2+1)/3 * M^4 at order 4 and correspondingly
     more at order 6.  Terms whose channel amplitude product vanishes are
-    dropped (the variable never contributes).  The designers condense
-    z_dc from `DCKernel` instead; this enumeration is the test oracle.
+    dropped (the variable never contributes).  The designers use
+    `DCKernel` instead; this enumeration is the test oracle.
     """
     amps = np.abs(channel.require_single_rectenna())
     n, m = amps.shape
@@ -386,76 +387,6 @@ def zdc_posynomial(channel: ChannelRealization,
     if not coeffs:
         raise ValueError("channel has no usable gain (all amplitudes zero)")
     return Posynomial(np.array(coeffs), np.vstack(rows))
-
-
-def weighted_sum_signomial(channels, weights, params: RectennaParams,
-                           phases: np.ndarray) -> Signomial:
-    """Weighted multi-rectenna DC sum as a signomial at fixed phases.
-
-    For a phase matrix that cannot align every rectenna simultaneously the
-    cosines take either sign; positive-coefficient terms land in f1 and
-    negative ones in f2 (value = f1 - f2).  Variables are indexed as in
-    `zdc_posynomial`.
-    """
-    channels = [c.require_single_rectenna() if isinstance(c, ChannelRealization)
-                else np.asarray(c, dtype=complex) for c in channels]
-    weights = np.asarray(weights, dtype=float)
-    if weights.size != len(channels):
-        raise ValueError("one weight per rectenna required")
-    if np.any(weights < 0) or not np.any(weights > 0):
-        raise ValueError("weights must be nonnegative, not all zero")
-    n, m = channels[0].shape
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (n, m):
-        raise ValueError("phase matrix must be (N, M)")
-    r_ant = params.diode.r_ant
-    k = dict(zip(params.orders, params.k))
-
-    pos_c: list[float] = []
-    pos_e: list[np.ndarray] = []
-    neg_c: list[float] = []
-    neg_e: list[np.ndarray] = []
-
-    def add(weight, order, tone_idx, ant_idx, amps, psi):
-        c = weight * k[order] * r_ant ** (order / 2) * _DC_PREFACTOR[order]
-        e = np.zeros(n * m)
-        arg = 0.0
-        half = order // 2
-        for j, (nj, mj) in enumerate(zip(tone_idx, ant_idx)):
-            c *= amps[nj, mj]
-            e[nj * m + mj] += 1.0
-            arg += psi[nj, mj] if j < half else -psi[nj, mj]
-        c *= math.cos(arg)
-        if c > 0.0:
-            pos_c.append(c)
-            pos_e.append(e)
-        elif c < 0.0:
-            neg_c.append(-c)
-            neg_e.append(e)
-
-    for h_u, v_u in zip(channels, weights):
-        if v_u == 0.0:
-            continue
-        amps = np.abs(h_u)
-        psi = phases + np.angle(h_u)
-        for tone in range(n):
-            for ants in product(range(m), repeat=2):
-                add(v_u, 2, (tone, tone), ants, amps, psi)
-        if params.truncation_order >= 4:
-            for tones in quartic_tuples(n):
-                for ants in product(range(m), repeat=4):
-                    add(v_u, 4, tones, ants, amps, psi)
-        if params.truncation_order >= 6:
-            for tones in sextic_tuples(n):
-                for ants in product(range(m), repeat=6):
-                    add(v_u, 6, tones, ants, amps, psi)
-
-    if not pos_c:
-        raise ValueError("weighted DC sum has no positive part at these phases")
-    positive = Posynomial(np.array(pos_c), np.vstack(pos_e))
-    negative = (Posynomial(np.array(neg_c), np.vstack(neg_e))
-                if neg_c else None)
-    return Signomial(positive, negative)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from multisine_wpt.channel import (ArrayConfig, ChannelRealization,
-                                   FrequencyGrid, PowerDelayProfile, TapSet,
-                                   flat_channel, frequency_response,
-                                   generate_taps, iid_frequency_channel,
-                                   load_channel_text, multipath_channel,
-                                   sample_tap_gains, save_channel_text)
+from multisine_wpt.channel import (ArrayConfig, FrequencyGrid,
+                                   PowerDelayProfile, TapSet, flat_channel,
+                                   frequency_response, generate_taps,
+                                   iid_frequency_channel, load_channel_text,
+                                   multipath_channel, sample_tap_gains,
+                                   save_channel_text)
 
 
 def test_profile_validation():

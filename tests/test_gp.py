@@ -3,9 +3,9 @@ import pytest
 
 from multisine_wpt.gp import (GPSolverError, GPStandardForm, Monomial,
                               Posynomial, condense, dump_gp,
-                              floor_constraints, maximize_monomial_under_power,
-                              positivity_floor, power_constraint,
-                              single_condensation_fraction, solve_gp)
+                              floor_constraints, positivity_floor,
+                              power_constraint, single_condensation_fraction,
+                              solve_gp)
 
 
 def _random_posynomial(rng, n_terms, n_vars, max_exp=3):
@@ -66,17 +66,6 @@ def test_condense_rejects_nonpositive_anchor():
         condense(f, np.array([0.0]))
 
 
-def test_maximize_monomial_closed_forms():
-    p = 1.0
-    point = maximize_monomial_under_power(Monomial(1.0, np.array([2.0, 2.0])), p)
-    assert np.allclose(point, [1.0, 1.0], rtol=1e-14)
-    point = maximize_monomial_under_power(Monomial(1.0, np.array([4.0, 0.0])), p)
-    assert np.isclose(point[0], np.sqrt(2 * p), rtol=1e-14)
-    assert point[1] == positivity_floor(p)
-    with pytest.raises(ValueError):
-        maximize_monomial_under_power(Monomial(1.0, np.zeros(2)), p)
-
-
 def test_solve_gp_product_split():
     # maximize s0^2 s1^2 under (s0^2+s1^2)/2 <= P: equal split, value P^2
     p = 2.5
@@ -102,8 +91,6 @@ def test_solve_gp_matches_waterlevel_closed_form():
                           np.full(4, 0.1))
         expected = np.sqrt(2 * p * b / b.sum())
         assert np.allclose(report.x, expected, rtol=1e-7)
-        closed = maximize_monomial_under_power(Monomial(1.0, b), p)
-        assert np.allclose(report.x, closed, rtol=1e-8)
 
 
 def test_solve_gp_with_floor_constraints_and_infeasible_start():

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from multisine_wpt import cli
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
-from multisine_wpt.optimizer import (OptimizerOptions, ass, ass_multi,
+from multisine_wpt.optimizer import (OptimizerOptions, _AlignedDC, _ascents,
+                                     _kkt_polish_power_only, _seed_candidates,
+                                     _WeightedDC, ass, ass_multi,
                                      baseline_waveform, max_papr, mf,
                                      optimal_phases, optimize,
                                      optimize_decoupled, optimize_multi,
                                      optimize_papr, ss, toy_n2, up, upmf)
-from multisine_wpt.rectenna import (DiodeParams, RectennaParams, papr,
-                                    received_tone_coefficients, zdc_analytic)
+from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
+                                    papr, received_tone_coefficients,
+                                    zdc_analytic)
 
 P4 = RectennaParams()
 POWER = 1e-5
@@ -95,6 +99,51 @@ def test_toy_matches_sca_over_sweep():
         _, z_star = toy_n2(1.0, a1, 1e-4, P4)
         trace = optimize(ch, 1e-4, P4, grid, TIGHT)
         assert abs(trace.zdc - z_star) <= 1e-6 * z_star
+
+
+def test_weighted_objective_matches_weighted_zdc_sum():
+    rng = np.random.default_rng(15)
+    ch = iid_frequency_channel(3, 2, n_rectennas=2, seed=16)
+    hs = [ch.rectenna(0).h, ch.rectenna(1).h]
+    weights = [0.7, 1.8]
+    for params in (P4, RectennaParams(DiodeParams(), 6)):
+        obj = _WeightedDC(hs, weights, params)
+        for _ in range(5):
+            w = Waveform(rng.uniform(0.1, 1.0, (3, 2)) * 1e-3,
+                         rng.uniform(-np.pi, np.pi, (3, 2)), _grid(3))
+            z, grad = obj.value_grad(w.weights)
+            direct = sum(v * zdc_analytic(w, ChannelRealization(h), params)
+                         for v, h in zip(weights, hs))
+            assert np.isclose(z, direct, rtol=1e-12)
+            # the gradient gives the directional derivative Re<grad, d>
+            d = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+            t = 1e-9
+            slope = (obj.value_grad(w.weights + t * d)[0]
+                     - obj.value_grad(w.weights - t * d)[0]) / (2 * t)
+            assert np.isclose(slope, np.real(np.vdot(grad, d)), rtol=1e-6)
+
+
+def test_kkt_polish_deterministic_at_iteration_cap():
+    # a 16-tone multipath channel on which the decoupled design's ascents
+    # stop at their cap with log-gradient shares down to 1e-26; the polished
+    # point must not depend on rounding in the endpoint
+    cfg = cli.validate_config(dict(cli.default_config(), n_tones=16,
+                                   n_antennas=2, carrier_multiple=256, seed=0))
+    grid = cli._grid(cfg)
+    h = cli._channel(cfg, grid, 43).h
+    eff = ChannelRealization(np.sqrt(np.sum(np.abs(h) ** 2, axis=1)))
+    opts = OptimizerOptions(eps=1e-8, max_iterations=100)
+    seeds = [w.weights for w in _seed_candidates(eff, POWER, grid, opts)]
+    obj = _AlignedDC(np.abs(eff.h), P4)
+    rng = np.random.default_rng(0)
+    for w, _, _ in _ascents(_WeightedDC([eff.h], [1.0], P4), seeds, POWER,
+                            opts):
+        s = np.abs(w).ravel()
+        z = obj.value(_kkt_polish_power_only(obj, s, POWER))
+        for _ in range(5):
+            s_pert = s * (1 + 1e-15 * rng.standard_normal(s.size))
+            z_pert = obj.value(_kkt_polish_power_only(obj, s_pert, POWER))
+            assert abs(z_pert - z) <= 1e-12 * z
 
 
 def test_optimize_monotone_dominant_and_stationary():
@@ -213,6 +262,28 @@ def test_multi_monotone_and_weight_scaling():
     assert abs(tr2.zdc - 3 * tr.zdc) <= 1e-6 * 3 * tr.zdc
     assert np.allclose(tr2.waveform.amplitudes, tr.waveform.amplitudes,
                        rtol=1e-4, atol=1e-9)
+
+
+def test_multi_dominates_every_seed_exactly():
+    opts = OptimizerOptions(eps=1e-8, max_iterations=80)
+    weights = [1.0, 1.0]
+    for seed in range(12):
+        n, m = (3, 1) if seed % 2 == 0 else (4, 2)
+        grid = _grid(n)
+        ch = iid_frequency_channel(n, m, n_rectennas=2, seed=seed)
+        chans = [ch.rectenna(0), ch.rectenna(1)]
+
+        def weighted(w):
+            return sum(v * zdc_analytic(w, c, P4)
+                       for v, c in zip(weights, chans))
+
+        trace = optimize_multi(ch, weights, POWER, P4, grid, opts)
+        assert trace.zdc == weighted(trace.waveform)
+        assert trace.zdc >= weighted(ass_multi(ch, weights, POWER, grid))
+        for c in chans:
+            for name in ("up", "ass", "mf", "upmf"):
+                base = baseline_waveform(name, c, POWER, grid)
+                assert trace.zdc >= weighted(base), (seed, name)
 
 
 def test_ass_multi_single_rectenna_exact_reduction():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
-                                   flat_channel, iid_frequency_channel)
+from multisine_wpt.channel import (FrequencyGrid, flat_channel,
+                                   iid_frequency_channel)
 from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
                                     Waveform, iout_fixed_point,
                                     load_waveform_text, papr,
@@ -12,8 +12,8 @@ from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
                                     received_tone_coefficients,
                                     save_waveform_text, sextic_tuples,
                                     synthesize_transmit, taylor_coefficients,
-                                    weighted_sum_signomial, zdc_analytic,
-                                    zdc_posynomial, zdc_time_average)
+                                    zdc_analytic, zdc_posynomial,
+                                    zdc_time_average)
 
 DIODE = DiodeParams()
 P4 = RectennaParams(DIODE, 4)
@@ -267,6 +267,27 @@ def test_dc_kernel_matches_enumerated_posynomial():
                                            atol=1e-12 * order)
 
 
+def test_dc_kernel_complex_gradient_matches_central_differences():
+    """For complex r the kernel's gradient is dz/d Re r + j dz/d Im r."""
+    rng = np.random.default_rng(18)
+    for order in (2, 4, 6):
+        kernel = DCKernel(RectennaParams(DIODE, order))
+        for n in (1, 3, 6):
+            r = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 1e-2
+            z, g, _ = kernel.value_grad_hess(r)
+            assert z == kernel.value(r)
+            step = 1e-6 * np.max(np.abs(r))
+            fd = np.empty(n, dtype=complex)
+            for k in range(n):
+                e = np.zeros(n)
+                e[k] = step
+                fd[k] = ((kernel.value(r + e) - kernel.value(r - e))
+                         + 1j * (kernel.value(r + 1j * e)
+                                 - kernel.value(r - 1j * e))) / (2 * step)
+            np.testing.assert_allclose(g, fd, rtol=0,
+                                       atol=1e-7 * np.max(np.abs(g)))
+
+
 def test_aligned_phases_maximize_zdc():
     rng = np.random.default_rng(11)
     h = iid_frequency_channel(4, 2, seed=12)
@@ -276,35 +297,6 @@ def test_aligned_phases_maximize_zdc():
         phi = rng.uniform(-np.pi, np.pi, (4, 2))
         z = zdc_analytic(Waveform(s, phi, _grid(4)), h, P4)
         assert z <= best + 1e-12 * best
-
-
-def test_signomial_reduces_to_posynomial_when_aligned():
-    h = iid_frequency_channel(3, 2, seed=13)
-    sig = weighted_sum_signomial([h], [1.0], P4, -np.angle(h.h))
-    assert sig.negative is None
-    posy = zdc_posynomial(h, P4)
-    rng = np.random.default_rng(14)
-    for _ in range(5):
-        x = rng.uniform(0.1, 1.0, 6) * 1e-3
-        assert np.isclose(sig.evaluate(x), posy.evaluate(x), rtol=1e-12)
-
-
-def test_signomial_matches_weighted_zdc_sum():
-    rng = np.random.default_rng(15)
-    ch = iid_frequency_channel(3, 2, n_rectennas=2, seed=16)
-    hs = [ch.rectenna(0), ch.rectenna(1)]
-    weights = [0.7, 1.8]
-    phases = rng.uniform(-np.pi, np.pi, (3, 2))
-    sig = weighted_sum_signomial(hs, weights, P4, phases)
-    for _ in range(5):
-        s = rng.uniform(0.1, 1.0, (3, 2)) * 1e-3
-        w = Waveform(s, phases, _grid(3))
-        direct = sum(v * zdc_analytic(w, h, P4) for v, h in zip(weights, hs))
-        assert np.isclose(sig.evaluate(s.ravel()), direct, rtol=1e-12)
-    # linearity in the weights
-    sig2 = weighted_sum_signomial(hs, [2 * v for v in weights], P4, phases)
-    x = rng.uniform(0.1, 1.0, 6) * 1e-3
-    assert np.isclose(sig2.evaluate(x), 2 * sig.evaluate(x), rtol=1e-12)
 
 
 def test_waveform_power_budget_enforced():
