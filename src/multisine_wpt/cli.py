@@ -346,6 +346,42 @@ def _simulate_trial(payload) -> list[np.ndarray]:
     return rows
 
 
+def _circuit(cfg: dict) -> CircuitParams:
+    return CircuitParams(_params(cfg).diode, cfg["c_out_f"],
+                         cfg["r_load_ohm"])
+
+
+def _ensemble_p_dc(per_trial: list, cfg: dict, grid: FrequencyGrid,
+                   circuit: CircuitParams) -> np.ndarray:
+    """P_dc per (strategy, trial) from one rectifier run over all rows.
+
+    `per_trial[t][k]` holds the received tones of strategy k in trial t;
+    a time step costs about the same for one row as for a hundred, so
+    every strategy shares the batch.
+    """
+    tone_rows = np.array([tones[k] for k in range(len(cfg["strategies"]))
+                          for tones in per_trial])
+    p_dc, steady = simulate_ensemble(tone_rows, grid, circuit,
+                                     cfg["sim_steady_tol"],
+                                     cfg["sim_max_periods"])
+    if not steady:
+        raise SteadyStateError(
+            f"strategies {', '.join(cfg['strategies'])}: period cap or "
+            "Newton cap hit")
+    return p_dc.reshape(len(cfg["strategies"]), len(per_trial))
+
+
+def _steady_trace(waveform: Waveform, channel: ChannelRealization,
+                  circuit: CircuitParams, cfg: dict, strategy: str):
+    trace = simulate(waveform, channel, circuit, cfg["sim_steady_tol"],
+                     cfg["sim_max_periods"])
+    if not trace.steady:
+        raise SteadyStateError(
+            f"strategy {strategy} trace: period cap hit or "
+            f"{trace.newton_cap_hits} step(s) at the Newton cap")
+    return trace
+
+
 def cmd_simulate(args) -> int:
     cfg = validate_config(parse_config_file(args.config))
     _apply_overrides(cfg, args)
@@ -357,19 +393,12 @@ def cmd_simulate(args) -> int:
     else:
         per_trial = [_simulate_trial(p) for p in payloads]
     grid = _grid(cfg)
-    circuit = CircuitParams(_params(cfg).diode, cfg["c_out_f"],
-                            cfg["r_load_ohm"])
-    rows = []
-    for k, strategy in enumerate(cfg["strategies"]):
-        tone_rows = np.array([per_trial[t][k] for t in range(trials)])
-        p_dc, steady = simulate_ensemble(tone_rows, grid, circuit,
-                                         cfg["sim_steady_tol"],
-                                         cfg["sim_max_periods"])
-        if not steady:
-            raise SteadyStateError(f"strategy {strategy}: period cap hit")
-        rows.append((strategy, trials, float(np.mean(p_dc)),
-                     float(np.std(p_dc, ddof=1) / math.sqrt(trials))
-                     if trials > 1 else 0.0))
+    circuit = _circuit(cfg)
+    p_dc = _ensemble_p_dc(per_trial, cfg, grid, circuit)
+    rows = [(strategy, trials, float(np.mean(p)),
+             float(np.std(p, ddof=1) / math.sqrt(trials)) if trials > 1
+             else 0.0)
+            for strategy, p in zip(cfg["strategies"], p_dc)]
     out = args.out or "out"
     _write_csv(os.path.join(out, "simulate.csv"),
                "rectifier ensemble: mean harvested DC power per strategy",
@@ -377,8 +406,8 @@ def cmd_simulate(args) -> int:
     if args.trace:
         channel = _channel(cfg, grid, stream=0)
         waveform, _ = build_waveform(cfg["strategies"][0], cfg, channel, grid)
-        trace = simulate(waveform, channel, circuit, cfg["sim_steady_tol"],
-                         cfg["sim_max_periods"])
+        trace = _steady_trace(waveform, channel, circuit, cfg,
+                              cfg["strategies"][0])
         export_trace_csv(trace, os.path.join(out, "trace.csv"),
                          cfg["trace_decimation"])
     print(f"wrote simulate.csv to {out}/")
@@ -502,22 +531,15 @@ def _preset_fig9_like(out: str, seed: int, trials: int) -> None:
     cfg.update(seed=seed, trials=min(trials, 50),
                strategies=["up", "ass", "mf", "opt"],
                sca_eps=1e-7, sca_max_iterations=60)
-    circuit = CircuitParams(_params(cfg).diode, cfg["c_out_f"],
-                            cfg["r_load_ohm"])
+    circuit = _circuit(cfg)
     rows = []
     for n in (1, 2, 4, 8, 16):
         cfg["n_tones"] = n
         grid = _grid(cfg)
         per_trial = [_simulate_trial((cfg, t)) for t in range(cfg["trials"])]
-        for k, strategy in enumerate(cfg["strategies"]):
-            tone_rows = np.array([per_trial[t][k]
-                                  for t in range(cfg["trials"])])
-            p_dc, steady = simulate_ensemble(tone_rows, grid, circuit,
-                                             cfg["sim_steady_tol"],
-                                             cfg["sim_max_periods"])
-            if not steady:
-                raise SteadyStateError(f"strategy {strategy}: period cap hit")
-            rows.append((n, strategy, cfg["trials"], float(np.mean(p_dc))))
+        p_dc = _ensemble_p_dc(per_trial, cfg, grid, circuit)
+        rows.extend((n, strategy, cfg["trials"], float(np.mean(p)))
+                    for strategy, p in zip(cfg["strategies"], p_dc))
     _write_csv(os.path.join(out, "fig9-like.csv"),
                "preset fig9-like: mean rectified DC power vs tone count, "
                "10 MHz band (parallels: figure 9)",
@@ -529,12 +551,10 @@ def _preset_fig8_trace(out: str, seed: int, trials: int) -> None:
     cfg.update(n_tones=16, seed=seed, sca_eps=1e-7, sca_max_iterations=60)
     grid = _grid(cfg)
     channel = _channel(cfg, grid, stream=0)
-    circuit = CircuitParams(_params(cfg).diode, cfg["c_out_f"],
-                            cfg["r_load_ohm"])
+    circuit = _circuit(cfg)
     for strategy in ("up", "opt"):
         waveform, _ = build_waveform(strategy, cfg, channel, grid)
-        trace = simulate(waveform, channel, circuit, cfg["sim_steady_tol"],
-                         cfg["sim_max_periods"])
+        trace = _steady_trace(waveform, channel, circuit, cfg, strategy)
         export_trace_csv(
             trace, os.path.join(out, f"fig8-trace-{strategy}.csv"),
             header_comment=f"preset fig8-trace [{strategy}]: steady-state "
@@ -620,6 +640,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ConfigError("--workers must be >= 1")
+        if workers > 1 and args.fn is not cmd_simulate:
+            raise ConfigError(f"--workers {workers}: only 'simulate' runs "
+                              "in parallel; use --workers 1")
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -4,7 +4,8 @@ import pytest
 from multisine_wpt.channel import FrequencyGrid, flat_channel, \
     iid_frequency_channel
 from multisine_wpt.circuit import (CircuitParams, SteadyStateError,
-                                   _advance_period, dc_operating_point,
+                                   _advance_period, _run_to_steady,
+                                   dc_operating_point,
                                    export_trace_csv, harvested_dc_power,
                                    simulate, simulate_ensemble)
 from multisine_wpt.optimizer import ss, up
@@ -35,9 +36,8 @@ def test_initial_charge_decays():
     steps = int(12 * rc / dt)
     v = np.array([1e-4])
     tones = np.zeros((1, 1), dtype=complex)
-    v, _, _, _ = _advance_period(v, tones, np.array([0.0]), 0.0, dt, steps,
-                                 CIRCUIT, np.sqrt(CIRCUIT.diode.r_ant),
-                                 collect=False)
+    v = _advance_period(v, tones, np.array([0.0]), dt, steps, CIRCUIT,
+                        np.sqrt(CIRCUIT.diode.r_ant), collect=False)[0]
     assert abs(v[0]) < 1e-9
 
 
@@ -115,6 +115,68 @@ def test_ensemble_matches_single_runs():
     p_single = harvested_dc_power(simulate(w, h, CIRCUIT))
     assert np.isclose(p_batch[0], p_single, rtol=1e-9)
     assert p_batch[1] < p_batch[0]
+    # one batch over the rows of several strategies, as the CLI runs them,
+    # against each strategy's own run
+    channels = [iid_frequency_channel(2, 1, seed=s) for s in range(3)]
+    per_strategy = [np.array([received_tone_coefficients(wave(grid, 1, 1e-5),
+                                                         ch)
+                              for ch in channels]) for wave in (up, ss)]
+    p_all, steady = simulate_ensemble(np.vstack(per_strategy), grid, CIRCUIT)
+    assert steady
+    for rows, p_joint in zip(per_strategy, np.split(p_all, 2)):
+        p_own, steady = simulate_ensemble(rows, grid, CIRCUIT)
+        assert steady
+        np.testing.assert_allclose(p_joint, p_own, rtol=1e-9, atol=0)
+
+
+def test_shooting_matches_long_plain_iteration():
+    # RC = 16 us against a 0.5 us period: the plain period iteration crawls
+    circuit = CircuitParams(c_out=10e-9)
+    grid = FrequencyGrid(2, 8e6, 2e6)
+    h = iid_frequency_channel(2, 1, seed=5)
+    tones = np.array([received_tone_coefficients(wave(grid, 1, 1e-5), h)
+                      for wave in (up, ss)])
+    dt = grid.period / 64
+    sqrt_rant = np.sqrt(circuit.diode.r_ant)
+    v = np.zeros(2)
+    means = []
+    plain_periods = None
+    for period in range(3000):
+        v, mean = _advance_period(v, tones, grid.omegas, dt, 64, circuit,
+                                  sqrt_rant, collect=False)[:2]
+        means.append(mean)
+        if period == 0:
+            continue
+        change = np.abs(mean - means[-2])
+        if plain_periods is None and np.all(change <= 1e-6 * np.abs(mean)):
+            plain_periods = period + 1  # the steady test of `simulate`
+        if np.all(change <= 1e-15 * np.abs(mean)):
+            break
+    else:
+        pytest.fail("plain iteration did not settle")
+    shot_means, steady, cap_hits, _, _, _ = _run_to_steady(
+        tones, grid, circuit, 1e-6, 300, dt, collect_last=False)
+    assert steady and cap_hits == 0
+    assert 3 * shot_means.shape[1] <= plain_periods
+    np.testing.assert_allclose(shot_means[:, -1], means[-1], rtol=1e-9, atol=0)
+
+
+def test_newton_cap_hit_is_counted_and_refused():
+    # a 30 V tone sampled 8 times a period moves v_out by more than the 60
+    # clipped 0.2 V Newton steps a time step allows
+    grid = FrequencyGrid(1, 1e6, 1e6)
+    amp = 30.0 / np.sqrt(CIRCUIT.diode.r_ant)
+    w = Waveform(np.array([[amp]]), np.zeros((1, 1)), grid)
+    h = flat_channel(1.0, 0.0, 1, 1)
+    trace = simulate(w, h, CIRCUIT, dt=grid.period / 8, max_periods=20)
+    assert trace.newton_cap_hits > 0
+    assert not trace.steady
+    with pytest.raises(SteadyStateError, match="Newton cap"):
+        harvested_dc_power(trace)
+    _, steady = simulate_ensemble(received_tone_coefficients(w, h)[None, :],
+                                  grid, CIRCUIT, max_periods=20,
+                                  dt=grid.period / 8)
+    assert not steady
 
 
 def test_period_cap_flagged_and_power_refused():

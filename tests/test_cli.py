@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from multisine_wpt import cli
 from multisine_wpt.channel import (FrequencyGrid, flat_channel,
                                    load_channel_text, save_channel_text)
+from multisine_wpt.circuit import SimTrace
 from multisine_wpt.cli import (ConfigError, default_config, main,
                                parse_config_file, validate_config)
 from multisine_wpt.optimizer import up
@@ -115,6 +117,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("input error: "), argv
     assert main(["simulate", missing]) == 2
+    # --workers: parallel runs exist only for simulate; 1 stays accepted
+    for argv in (["optimize", ok], ["evaluate", wave], ["scaling", ok],
+                 ["preset", "fig2"]):
+        assert main(argv + ["--workers", "2"]) == 2, argv
+        assert "--workers" in capsys.readouterr().err, argv
+    assert main(["simulate", ok, "--workers", "0"]) == 2
+    assert "--workers" in capsys.readouterr().err
+    out = str(tmp_path / "fig2")
+    assert main(["preset", "fig2", "--workers", "1", "--out", out]) == 0
 
 
 def test_evaluate_and_papr_roundtrip(tmp_path):
@@ -155,6 +166,45 @@ def test_simulate_command_with_trace(tmp_path):
     trace = (tmp_path / "sim" / "trace.csv").read_text().splitlines()
     assert trace[0] == "t_s,v_in_v,v_out_v,i_d_a"
     assert len(trace) > 100
+
+
+SIM = """
+n_tones = 2
+carrier_multiple = 4
+strategies = up, ss, ass
+trials = 5
+seed = 4
+"""
+
+
+def test_simulate_outputs_identical_for_any_worker_count(tmp_path):
+    cfg = _write(tmp_path, "sim.cfg", SIM)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["simulate", cfg, "--out", str(out), "--trace",
+                     "--workers", workers]) == 0
+        outputs.append([(out / name).read_bytes()
+                        for name in ("simulate.csv", "trace.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_unsteady_trace_exits_4(tmp_path, monkeypatch, capsys):
+    def unsteady(waveform, channel, circuit, *args, **kwargs):
+        return SimTrace(time=np.zeros(1), v_in=np.zeros(1), v_out=np.zeros(1),
+                        i_d=np.zeros(1), period_mean_vout=np.zeros(2),
+                        steady=False, dt=1e-9, store_every=1,
+                        load=circuit.load, newton_cap_hits=3)
+
+    monkeypatch.setattr(cli, "simulate", unsteady)
+    cfg = _write(tmp_path, "sim.cfg", SIM)
+    out = tmp_path / "sim"
+    assert main(["simulate", cfg, "--out", str(out), "--trace"]) == 4
+    assert "steady state" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+    out = tmp_path / "fig8"
+    assert main(["preset", "fig8-trace", "--out", str(out)]) == 4
+    assert not list(out.glob("*.csv"))
 
 
 def test_preset_fig2(tmp_path):
