@@ -25,7 +25,7 @@ from .circuit import (CircuitParams, SimTrace, SteadyStateError,
                       dc_operating_point, export_trace_csv,
                       harvested_dc_power, simulate, simulate_ensemble)
 from .gp import (GPSolverError, GPStandardForm, Monomial, Posynomial,
-                 SolveReport, condense, dump_gp, single_condensation_fraction,
+                 SolveReport, condense, single_condensation_fraction,
                  solve_gp)
 from .optimizer import (OptimizerOptions, SCATrace, ass, ass_multi,
                         baseline_waveform, max_papr, mf, optimal_phases,

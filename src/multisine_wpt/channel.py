@@ -123,10 +123,6 @@ class FrequencyGrid:
                 f"f0={self.f0} is not an integer multiple of spacing={self.spacing}")
         return g
 
-    @property
-    def wavelengths(self) -> np.ndarray:
-        return SPEED_OF_LIGHT / self.frequencies
-
     @classmethod
     def from_bandwidth(cls, n_tones: int, bandwidth: float,
                        carrier_multiple: int) -> "FrequencyGrid":

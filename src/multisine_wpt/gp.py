@@ -4,9 +4,13 @@ A monomial is ``c * x1^a1 * ... * xV^aV`` with ``c > 0`` over strictly
 positive variables; a posynomial is a sum of monomials.  Geometric programs
 (monomial objective, posynomial <= 1 constraints) become convex after the
 substitution ``x = exp(y)``: monomials turn affine in ``y`` and posynomial
-constraints turn into log-sum-exp functions.  The solver below is a plain
-primal barrier method with damped Newton centering, which is plenty for the
-small, well-conditioned programs produced by the waveform optimizers.
+constraints turn into log-sum-exp functions.  `solve_gp` is a primal-dual
+interior-point method, preceded by a barrier phase I when the start is not
+strictly feasible.  It stacks every constraint's terms into one exponent
+matrix, so the constraint values, their Jacobian and the weighted sum of
+their Hessians come from segment reductions and matrix products, whatever
+the number of constraints; single-term (monomial) constraints are rows
+like any other.
 
 The arithmetic-geometric mean condensation `condense` replaces a
 posynomial by its best monomial lower bound at an anchor point (tight at
@@ -171,52 +175,58 @@ class GPSolverError(RuntimeError):
     """Raised when the barrier solver cannot produce a usable point."""
 
 
-def _lse_value_grad_hess(log_c, A, y, want_hess=True):
+def _stack(constraints: list[Posynomial]):
+    """Every constraint's terms in one exponent matrix.
+
+    Returns (log_c, A, starts, seg): row k of log_c and A is one term,
+    constraint i owns the rows from starts[i] up to starts[i+1], and
+    seg[k] is the constraint that owns row k.
+    """
+    sizes = np.array([c.n_terms for c in constraints])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return (np.log(np.concatenate([c.coefficients for c in constraints])),
+            np.vstack([c.exponents for c in constraints]), starts,
+            np.repeat(np.arange(sizes.size), sizes))
+
+
+def _evaluate(stack, y):
+    """(g, J, hess) of the log constraint values at y.
+
+    g_i = log sum_k exp(log_c_k + A_k.y) over constraint i's terms, by
+    segment reductions shifted by each segment's largest term; J holds
+    their gradients A^T p_i, with p the terms' shares of their constraint;
+    hess(w) = sum_i w_i hess g_i = A^T diag(w[seg] p) A - J^T diag(w) J.
+    """
+    log_c, A, starts, seg = stack
     z = log_c + A @ y
-    m = z.max()
-    e = np.exp(z - m)
-    s = e.sum()
-    val = m + np.log(s)
-    p = e / s
-    grad = A.T @ p
-    if not want_hess:
-        return val, grad, None
-    Ap = A * p[:, None]
-    hess = A.T @ Ap - np.outer(grad, grad)
-    return val, grad, hess
+    top = np.maximum.reduceat(z, starts)
+    e = np.exp(z - top[seg])
+    total = np.add.reduceat(e, starts)
+    p = e / total[seg]
+    J = np.add.reduceat(p[:, None] * A, starts, axis=0)
+
+    def hess(w):
+        return A.T @ ((w[seg] * p)[:, None] * A) - J.T @ (w[:, None] * J)
+
+    return top + np.log(total), J, hess
 
 
-def _newton_center(cons_data, t, b0, y, max_steps, tol):
+def _newton_center(stack, t, b0, y, max_steps, tol):
     """Damped Newton for t*(b0.y) - sum log(-g_i(y)); y must start interior."""
     n = y.size
 
-    def barrier_terms(yv, want_hess):
-        vals, grads, hesses = [], [], []
-        for log_c, A in cons_data:
-            v, g, h = _lse_value_grad_hess(log_c, A, yv, want_hess)
-            if v >= 0:
-                return None, None, None
-            vals.append(v)
-            grads.append(g)
-            hesses.append(h)
-        return vals, grads, hesses
-
     def objective(yv):
-        vals, _, _ = barrier_terms(yv, want_hess=False)
-        if vals is None:
-            return np.inf
-        return t * (b0 @ yv) - sum(np.log(-v) for v in vals)
+        g = _evaluate(stack, yv)[0]
+        return t * (b0 @ yv) - np.sum(np.log(-g)) if np.all(g < 0) else np.inf
 
     steps = 0
     for _ in range(max_steps):
-        vals, grads, hesses = barrier_terms(y, want_hess=True)
-        if vals is None:
+        g, J, hess_of = _evaluate(stack, y)
+        if not np.all(g < 0):
             raise GPSolverError("iterate left the feasible region")
-        grad = t * b0.copy()
-        hess = np.zeros((n, n))
-        for v, g, h in zip(vals, grads, hesses):
-            grad += g / (-v)
-            hess += h / (-v) + np.outer(g, g) / (v * v)
+        w = 1.0 / -g
+        grad = t * b0 + J.T @ w
+        hess = hess_of(w) + (J * (w * w)[:, None]).T @ J
         try:
             d = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -244,7 +254,7 @@ def _newton_center(cons_data, t, b0, y, max_steps, tol):
     return y, steps
 
 
-def _phase_one(cons_data, y0, margin, max_steps):
+def _phase_one(stack, y0, margin, max_steps):
     """Find y with all g_i(y) <= -margin starting from (possibly) infeasible y0.
 
     Damped Newton on the slack-minimization barrier, checking the exit
@@ -252,25 +262,22 @@ def _phase_one(cons_data, y0, margin, max_steps):
     rounding level, and leaving as soon as the margin is met keeps the
     result close to the start (the barrier itself is unbounded below in
     slack directions, so running any centering to optimality would drift
-    far away).
+    far away).  The slack s enters every term as exp(-s), one extra
+    column of -1 in the stacked exponent matrix.
     """
     n = y0.size
-
-    def worst_of(yv):
-        return max(_lse_value_grad_hess(lc, A, yv, False)[0]
-                   for lc, A in cons_data)
-
-    if worst_of(y0) <= -margin:
+    worst = _evaluate(stack, y0)[0].max()
+    if worst <= -margin:
         return y0
-    aug = [(log_c, np.hstack([A, -np.ones((A.shape[0], 1))]))
-           for log_c, A in cons_data]
-    z = np.concatenate([y0, [worst_of(y0) + 1.0]])
+    log_c, A, starts, seg = stack
+    aug = (log_c, np.hstack([A, -np.ones((A.shape[0], 1))]), starts, seg)
+    z = np.concatenate([y0, [worst + 1.0]])
     b0 = np.zeros(n + 1)
     b0[-1] = 1.0
     t = 1.0
     for _ in range(max_steps):
         z, _ = _newton_center(aug, t, b0, z, max_steps=1, tol=1e-12)
-        worst = worst_of(z[:n])
+        worst = _evaluate(stack, z[:n])[0].max()
         if worst <= -margin:
             return z[:n]
         if z[-1] - worst > 2.0:  # slack variable lagging; re-anchor it
@@ -294,42 +301,26 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
         raise GPSolverError("starting point must be strictly positive")
-    cons_data = [(np.log(c.coefficients), c.exponents)
-                 for c in problem.constraints]
+    stack = _stack(problem.constraints)
     b0 = problem.objective.exponents
     n = b0.size
-    m = len(cons_data)
+    m = len(problem.constraints)
 
-    y = _phase_one(cons_data, np.log(x0), margin=1e-9, max_steps=max_newton)
+    y = _phase_one(stack, np.log(x0), margin=1e-9, max_steps=max_newton)
 
-    def eval_all(yv, want_hess):
-        vals = np.empty(m)
-        grads = np.empty((m, n))
-        hesses = [] if want_hess else None
-        for i, (log_c, A) in enumerate(cons_data):
-            v, g, h = _lse_value_grad_hess(log_c, A, yv, want_hess)
-            vals[i] = v
-            grads[i] = g
-            if want_hess:
-                hesses.append(h)
-        return vals, grads, hesses
-
-    g_vals, J, _ = eval_all(y, want_hess=False)
+    g_vals, J, _ = _evaluate(stack, y)
     lam = 1.0 / np.maximum(-g_vals, 1e-12)
     mu = 10.0
     steps = 0
     for _ in range(max_newton):
-        g_vals, J, hesses = eval_all(y, want_hess=True)
+        g_vals, J, hess_of = _evaluate(stack, y)
         gap = float(-lam @ g_vals)
         r_dual = b0 + J.T @ lam
         if gap <= gap_tol and np.abs(r_dual).max() <= min(kkt_tol, 1e-9):
             break
         t = mu * m / gap
         r_cent = -lam * g_vals - 1.0 / t
-        h_pd = np.zeros((n, n))
-        for i in range(m):
-            h_pd += lam[i] * hesses[i]
-        h_pd += (J * (lam / (-g_vals))[:, None]).T @ J
+        h_pd = hess_of(lam) + (J * (lam / (-g_vals))[:, None]).T @ J
         rhs = -b0 - J.T @ (1.0 / (t * (-g_vals)))
         try:
             dy = np.linalg.solve(h_pd, rhs)
@@ -347,7 +338,7 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
         for _ in range(50):
             y_new = y + step * dy
             lam_new = lam + step * dlam
-            vals_new, grads_new, _ = eval_all(y_new, want_hess=False)
+            vals_new, grads_new, _ = _evaluate(stack, y_new)
             if np.all(vals_new < 0):
                 r_new = np.concatenate([b0 + grads_new.T @ lam_new,
                                         -lam_new * vals_new - 1.0 / t])
@@ -360,7 +351,7 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
             break  # stalled; current iterate is the best available
         y, lam = y_new, lam_new
 
-    g_vals, J, _ = eval_all(y, want_hess=False)
+    g_vals, J, _ = _evaluate(stack, y)
     gap = float(-lam @ g_vals)
     kkt = float(np.abs(b0 + J.T @ lam).max())
     x = np.exp(y)
@@ -401,19 +392,3 @@ def power_constraint(var_indices: np.ndarray, n_vars: int,
     for row, j in enumerate(var_indices):
         expos[row, j] = 2.0
     return Posynomial(coeffs, expos)
-
-
-def dump_gp(problem: GPStandardForm) -> str:
-    """Plain-text dump: one monomial per line as coefficient + index:exponent pairs."""
-    def fmt(c, e):
-        pairs = " ".join(f"{j}:{e[j]:.17g}" for j in np.nonzero(e)[0])
-        return f"{c:.17g} {pairs}".rstrip()
-
-    lines = [f"gp n_vars={problem.n_vars} n_constraints={len(problem.constraints)}",
-             "minimize",
-             fmt(problem.objective.coefficient, problem.objective.exponents)]
-    for i, cons in enumerate(problem.constraints):
-        lines.append(f"constraint {i} <= 1")
-        for c, e in zip(cons.coefficients, cons.exponents):
-            lines.append(fmt(c, e))
-    return "\n".join(lines) + "\n"

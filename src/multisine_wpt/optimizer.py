@@ -264,19 +264,39 @@ class _AlignedDC:
         return z, self.jac.T @ g, hess
 
 
-def _kkt_residual_power_only(obj: _AlignedDC, s: np.ndarray,
-                             power: float) -> float:
-    """Log-domain projected-gradient norm of max log z s.t. power <= P.
+def _stationarity_gap(obj: _AlignedDC, s: np.ndarray,
+                      power: float) -> tuple[float, float]:
+    """(max |b - nu c|, nu) for max log z s.t. power <= P, in log variables.
 
-    b_j is the gradient of log z in log variables and s_j^2/P the gradient
-    of the active power constraint; at a KKT point they are parallel.  Both
-    vanish at a zero amplitude, which therefore adds no residual.
+    b_j is the gradient of log z in log variables and c_j = s_j^2/P the
+    gradient of the active power constraint; at a KKT point they are
+    parallel, b = nu c.  Both vanish at a zero amplitude.
     """
     z, grad, _ = obj.value_grad_hess(s)
     b = s * grad / z
     c = s ** 2 / power
     nu = float(b @ c) / float(c @ c)
-    return float(np.max(np.abs(b - nu * c)))
+    return float(np.max(np.abs(b - nu * c))), nu
+
+
+def _kkt_residual_power_only(obj: _AlignedDC, s: np.ndarray,
+                             power: float) -> float:
+    """The stationarity gap, or a larger KKT violation at a zero amplitude.
+
+    With multiplier nu z / (2P) on the power constraint, an amplitude held
+    at s_j = 0 needs dz/ds_j <= 0 and, since e_j is tangent to the power
+    sphere there, d2z/ds_j2 <= nu z / P.  Measured on the amplitude scale
+    sqrt(P), as b and c are, the violations are sqrt(P) dz/ds_j / z and
+    P d2z/ds_j2 / z - nu; a saddle corner shows in the second.
+    """
+    gap, nu = _stationarity_gap(obj, s, power)
+    zero = s == 0
+    if not np.any(zero):
+        return gap
+    z, grad, hess = obj.value_grad_hess(s, want_hess=True)
+    first = np.sqrt(power) * grad[zero] / z
+    second = power * np.diag(hess)[zero] / z - nu
+    return max(gap, float(first.max()), float(second.max()))
 
 
 def _seed_candidates(channel, power, grid, options) -> list[Waveform]:
@@ -355,8 +375,8 @@ def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray,
     if scale_sq > 0:
         s_work[free] *= np.sqrt(scale_sq)
     if np.all(np.isfinite(s_work)) \
-            and _kkt_residual_power_only(obj, s_work, power) \
-            < _kkt_residual_power_only(obj, s, power) \
+            and _stationarity_gap(obj, s_work, power)[0] \
+            < _stationarity_gap(obj, s, power)[0] \
             and obj.value(s_work) >= z_start * (1.0 - 1e-9):
         return s_work
     return s
@@ -470,33 +490,22 @@ def _papr_signomial_pieces(amps_phase_cos: np.ndarray, antenna: int,
     """Split |x_m(t_q)|^2 into positive/negative posynomial parts.
 
     `amps_phase_cos[q, n]` holds cos(w_n t_q + phi*_{n, antenna}); the
-    squared sample is sum_{n0,n1} s_{n0,m} s_{n1,m} c_{n0} c_{n1}.
+    squared sample is sum_{n0,n1} s_{n0,m} s_{n1,m} c_{n0} c_{n1}.  Every
+    sample shares the pair exponents; the sign of c_{n0} c_{n1} picks the
+    part a term goes to, and zero products go to neither.
     """
-    n_vars = n_tones * n_antennas
-    pieces = []
-    for cq in amps_phase_cos:
-        prod = np.outer(cq, cq)
-        coeffs_pos, rows_pos, coeffs_neg, rows_neg = [], [], [], []
-        for n0 in range(n_tones):
-            for n1 in range(n_tones):
-                c = prod[n0, n1]
-                if c == 0.0:
-                    continue
-                e = np.zeros(n_vars)
-                e[n0 * n_antennas + antenna] += 1.0
-                e[n1 * n_antennas + antenna] += 1.0
-                if c > 0:
-                    coeffs_pos.append(c)
-                    rows_pos.append(e)
-                else:
-                    coeffs_neg.append(-c)
-                    rows_neg.append(e)
-        f1 = (Posynomial(np.array(coeffs_pos), np.vstack(rows_pos))
-              if coeffs_pos else None)
-        f2 = (Posynomial(np.array(coeffs_neg), np.vstack(rows_neg))
-              if coeffs_neg else None)
-        pieces.append((f1, f2))
-    return pieces
+    pairs = np.zeros((n_tones, n_tones, n_tones * n_antennas))
+    cols = np.arange(n_tones) * n_antennas + antenna
+    pairs[:, np.arange(n_tones), cols] += 1.0
+    pairs[np.arange(n_tones), :, cols] += 1.0
+    pairs = pairs.reshape(n_tones * n_tones, -1)
+    prods = (amps_phase_cos[:, :, None]
+             * amps_phase_cos[:, None, :]).reshape(len(amps_phase_cos), -1)
+
+    def part(c, keep):
+        return Posynomial(c[keep], pairs[keep]) if np.any(keep) else None
+
+    return [(part(c, c > 0), part(-c, c < 0)) for c in prods]
 
 
 def _mean_power_posynomial(antenna: int, n_tones: int, n_antennas: int,
@@ -588,13 +597,13 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             problem = GPStandardForm(objective, cons, n_vars)
             report = solve_gp(problem, anchor)
             z_new = obj.value(report.x)
+            converged = bool(abs(z_new - history[-1])
+                             < options.eps * max(z_new, _TINY))
             if z_new < history[-1]:
-                converged = True
                 break
             anchor = report.x
             history.append(z_new)
-            if abs(history[-1] - history[-2]) < options.eps * max(history[-1], _TINY):
-                converged = True
+            if converged:
                 break
         return anchor, np.asarray(history), converged
 
@@ -607,8 +616,8 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             except GPSolverError:
                 # feasible set has (numerically) no interior around this
                 # seed, e.g. the single-tone corner at eta = 2; keep the
-                # seed itself as this run's result
-                out = (seed, np.array([obj.value(seed)]), True)
+                # seed itself as this run's result, unconverged
+                out = (seed, np.array([obj.value(seed)]), False)
             if best is None or out[1][-1] > best[1][-1]:
                 best = out
         s, history, converged = best

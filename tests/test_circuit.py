@@ -100,8 +100,10 @@ def test_multisine_beats_single_sine_on_flat_channel():
     power = 1e-5
     grid = FrequencyGrid.from_bandwidth(8, 10e6, 16 * 8)
     h = flat_channel(1.0, 0.0, 8, 1)
-    p_up = harvested_dc_power(simulate(up(grid, 1, power), h, CIRCUIT))
-    p_ss = harvested_dc_power(simulate(ss(grid, 1, power), h, CIRCUIT))
+    rows = [received_tone_coefficients(wave(grid, 1, power), h)
+            for wave in (up, ss)]
+    (p_up, p_ss), steady = simulate_ensemble(np.array(rows), grid, CIRCUIT)
+    assert steady
     assert p_up > p_ss
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multisine_wpt.gp import (GPSolverError, GPStandardForm, Monomial,
-                              Posynomial, condense, dump_gp,
+                              Posynomial, _evaluate, _stack, condense,
                               floor_constraints, positivity_floor,
                               power_constraint, single_condensation_fraction,
                               solve_gp)
@@ -136,11 +136,44 @@ def test_single_condensation_fraction_monomial_denominator_identity():
                           numer.evaluate(x) / denom.evaluate(x), rtol=1e-12)
 
 
-def test_dump_gp_lists_every_monomial():
-    objective = Monomial(2.0, np.array([-1.0, 0.0]))
-    cons = [power_constraint(np.arange(2), 2, 1.0)]
-    text = dump_gp(GPStandardForm(objective, cons, 2))
-    lines = text.strip().splitlines()
-    assert lines[0] == "gp n_vars=2 n_constraints=1"
-    assert "minimize" in lines[1]
-    assert sum(1 for ln in lines if ln and ln[0].isdigit()) == 3
+def test_stacked_evaluator_matches_per_constraint_formulas():
+    rng = np.random.default_rng(6)
+    cons = [_random_posynomial(rng, k, 3) for k in (1, 4, 1, 7, 2, 1)]
+    # the second term sits about 940 below the first in log value: exp of
+    # their difference underflows to 0
+    cons.append(Posynomial(np.array([1e60, 1.0, 0.5]),
+                           np.array([[0.0, 0.0, 0.0], [-400.0, 0.0, 0.0],
+                                     [0.0, 1.0, 0.0]])))
+    # every term about 830 below the first term above: each constraint
+    # must be shifted by its own largest term
+    cons.append(Posynomial(np.array([1e-300, 2e-300]),
+                           np.array([[-1.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])))
+    stack = _stack(cons)
+    for _ in range(5):
+        y = rng.uniform(-1.0, 1.0, 3)
+        y[0] = 2.0
+        w = rng.uniform(0.1, 3.0, len(cons))
+        g, J, hess = _evaluate(stack, y)
+        want_h = np.zeros((3, 3))
+        for i, c in enumerate(cons):
+            z = np.log(c.coefficients) + c.exponents @ y
+            p = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+            assert np.isclose(g[i], z.max() + np.log(np.exp(z - z.max()).sum()),
+                              rtol=1e-12)
+            grad = c.exponents.T @ p
+            assert np.allclose(J[i], grad, rtol=1e-12, atol=0.0)
+            want_h += w[i] * (c.exponents.T @ (p[:, None] * c.exponents)
+                              - np.outer(grad, grad))
+        scale = np.abs(want_h).max()
+        assert np.allclose(hess(w), want_h, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_solve_gp_all_single_term_constraints():
+    # maximize s0 * s1 under s0 <= 2, s1 <= 3, s1/s0 <= 1: s = (2, 2)
+    objective = Monomial(1.0, np.array([-1.0, -1.0]))
+    cons = [Posynomial(np.array([0.5]), np.array([[1.0, 0.0]])),
+            Posynomial(np.array([1.0 / 3.0]), np.array([[0.0, 1.0]])),
+            Posynomial(np.array([1.0]), np.array([[-1.0, 1.0]]))]
+    report = solve_gp(GPStandardForm(objective, cons, 2), np.array([0.5, 0.2]))
+    assert report.converged
+    assert np.allclose(report.x, [2.0, 2.0], rtol=1e-7)

@@ -5,7 +5,8 @@ from multisine_wpt import cli
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
 from multisine_wpt.optimizer import (OptimizerOptions, _AlignedDC, _ascents,
-                                     _kkt_polish_power_only, _seed_candidates,
+                                     _kkt_polish_power_only,
+                                     _papr_signomial_pieces, _seed_candidates,
                                      _WeightedDC, ass, ass_multi,
                                      baseline_waveform, max_papr, mf,
                                      optimal_phases, optimize,
@@ -230,6 +231,57 @@ def test_papr_eta_two_concentrates_power():
     assert papr(tr.waveform, 0, 8) <= 2.0 + 1e-6
     s = np.sort(tr.waveform.amplitudes[:, 0])[::-1]
     assert s[0] ** 2 >= 0.99 * 2 * POWER  # essentially single tone
+
+
+def test_papr_pieces_match_pairwise_loop():
+    rng = np.random.default_rng(8)
+    n, m, ant = 3, 2, 1
+    cos = rng.uniform(-1.0, 1.0, (6, n))
+    cos[0, 1] = 0.0  # zero products join neither part
+    cos[1] = np.abs(cos[1])  # no negative part
+    for cq, (pos, neg) in zip(cos, _papr_signomial_pieces(cos, ant, n, m)):
+        want = {True: ([], []), False: ([], [])}
+        for n0 in range(n):
+            for n1 in range(n):
+                c = cq[n0] * cq[n1]
+                if c != 0.0:
+                    e = np.zeros(n * m)
+                    e[n0 * m + ant] += 1.0
+                    e[n1 * m + ant] += 1.0
+                    want[c > 0][0].append(abs(c))
+                    want[c > 0][1].append(e)
+        for part, (coeffs, rows) in ((pos, want[True]), (neg, want[False])):
+            if not coeffs:
+                assert part is None
+                continue
+            assert np.array_equal(part.coefficients, coeffs)
+            assert np.array_equal(part.exponents, np.array(rows))
+
+
+def test_papr_solver_fallback_reports_unconverged():
+    # at eta = 2 the only feasible seed is the single-tone corner, whose
+    # peak constraints leave the GP no interior: the run keeps its seed
+    grid = _grid(2)
+    tr = optimize_papr(flat_channel(1.0, 0.0, 2, 1), POWER, 2.0, P4, grid,
+                       OptimizerOptions(eps=1e-8, max_iterations=40))
+    assert tr.n_iterations == 0
+    assert not tr.converged
+
+
+def test_kkt_residual_flags_saddle_corner():
+    # from the `ass` seed the ascent stays on the single-tone corner, a
+    # saddle 7.5% below the default design; its zero amplitudes carry no
+    # log-gradient share, so only the corner terms of the residual see it
+    h = iid_frequency_channel(4, 4, seed=9027).h
+    eff = ChannelRealization(np.sqrt(np.sum(np.abs(h) ** 2, axis=1)))
+    power = 1e-4
+    corner = optimize(eff, power, P4, _grid(4),
+                      OptimizerOptions(initialization="ass"))
+    best = optimize(eff, power, P4, _grid(4))
+    assert np.count_nonzero(corner.waveform.amplitudes) == 1
+    assert corner.zdc < 0.93 * best.zdc
+    assert corner.kkt_residual > 0.1
+    assert best.kkt_residual <= 1e-5
 
 
 def test_multi_reduces_to_single_rectenna():
