@@ -40,8 +40,8 @@ for t in range(trials):
         tone_rows[s].append(received_tone_coefficients(w, channel))
         surrogate[s].append(zdc_analytic(w, channel, params))
 
-# one rectifier run over every strategy's rows: a time step costs about the
-# same for one row as for a hundred
+# one rectifier run over every strategy's rows: each Newton iteration of the
+# periodic solve is one banded solve over all of them
 p_all, steady = simulate_ensemble(
     np.array([row for s in strategies for row in tone_rows[s]]), grid, circuit)
 assert steady

@@ -1,20 +1,19 @@
 """Time-domain single-diode rectifier simulation with an RC load.
 
 This is the model-free validation path: no Taylor truncation, just the
-exponential diode law integrated through time under ideal matching, where
-the rectifier input voltage is the received signal scaled by the antenna
-resistance,  v_in(t) = y(t) * sqrt(R_ant).  The integrator is an implicit
-trapezoidal rule (A-stable, second order) with a damped scalar Newton
-solve per step, vectorized over a batch of independent instances so that
-Monte Carlo ensembles of rectifier runs stay cheap: the CLI, the presets
-and the demos put every strategy's rows into one batch, because a step
-costs about the same at batch 1 as at batch 100.  Steady state is reached
-by shooting on the scalar period map (Aprille & Trick, Proc. IEEE 1972):
-each period also carries the map's slope d v_end / d v_start, a product of
-per-step factors built from the exponential the step already evaluates,
-and the next period starts from the Newton update of its start state.
-Newton solves that stop at their iteration cap are counted, and a cap hit
-in the reported period makes the run not steady.
+exponential diode law under ideal matching, where the rectifier input
+voltage is the received signal scaled by the antenna resistance,
+v_in(t) = y(t) * sqrt(R_ant).  Time is discretized by the implicit
+trapezoidal rule (A-stable, second order) on K equal steps of one
+waveform period, and the steady state is solved for directly: the K
+trapezoidal equations under the periodic condition v_0 = v_K, by damped
+Newton over the whole period (finite-difference periodic steady state:
+Aprille & Trick, Proc. IEEE 1972; Kundert, White & Sangiovanni-
+Vincentelli, 1990).  The Newton Jacobian is lower bidiagonal plus one
+corner entry, so every row of a batch goes into one banded solve per
+iteration; the CLI, the presets and the demos put every strategy's rows
+into one batch.  A row whose solve stops at the iteration cap is counted
+and makes the run not steady.
 """
 
 from __future__ import annotations
@@ -23,14 +22,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.linalg.lapack import dtbtrs
 
 from .channel import ChannelRealization, FrequencyGrid
-from .rectenna import DiodeParams, Waveform, received_tone_coefficients
+from .rectenna import (DiodeParams, Waveform, monotone_root,
+                       received_tone_coefficients)
 
 _EXP_CLIP = 200.0  # caps the diode exponent; far above any modeled drive
-_NEWTON_CAP = 60  # damped Newton iterations per time step
-_DRIVE_BLOCK = 256  # time steps of input voltage per matrix product
+_NEWTON_CAP = 200  # damped Newton iterations of the periodic solve
+_CHUNK_ENTRIES = 1 << 16  # rows x steps per banded system; cache-sized
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class CircuitParams:
 
 @dataclass
 class SimTrace:
-    """Stored (possibly decimated) trajectories plus per-period summaries."""
+    """One steady period, possibly decimated, plus each Newton iterate's mean."""
 
     time: np.ndarray
     v_in: np.ndarray
@@ -65,7 +65,7 @@ class SimTrace:
     dt: float
     store_every: int
     load: float
-    newton_cap_hits: int  # time steps whose Newton solve hit its cap
+    newton_cap_hits: int  # rows whose periodic Newton solve hit its cap
 
 
 class SteadyStateError(RuntimeError):
@@ -86,216 +86,153 @@ def _diode_current(v_drop: np.ndarray, d: DiodeParams) -> np.ndarray:
     return d.i_s * np.expm1(arg)
 
 
-def _drive(tones: np.ndarray, omegas: np.ndarray, times: np.ndarray,
-           sqrt_rant: float) -> np.ndarray:
-    """Rectifier input voltage at `times` (rows) for each instance (columns)."""
-    return sqrt_rant * np.real(np.exp(1j * np.outer(times, omegas)) @ tones.T)
+def _drive_basis(omegas: np.ndarray, times: np.ndarray,
+                 sqrt_rant: float) -> np.ndarray:
+    """B (2N x K) with v_in = [Re r, Im r] @ B for received-tone rows r."""
+    phase = np.outer(omegas, times)
+    return sqrt_rant * np.vstack([np.cos(phase), -np.sin(phase)])
 
 
-def _advance_period(v: np.ndarray, tones: np.ndarray, omegas: np.ndarray,
-                    dt: float, steps: int, circuit: CircuitParams,
-                    sqrt_rant: float, collect: bool):
-    """Integrate one waveform period, from its start, for a batch of instances.
+def _drive(tones: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rectifier input voltage for each instance (rows) at each step."""
+    return np.hstack([tones.real, tones.imag]) @ basis
 
-    Returns the end state, the trapezoid-weighted period mean of v_out per
-    instance, the period map's slope d v_end / d v_start per instance, the
-    number of steps whose Newton solve stopped at its iteration cap and,
-    when `collect` is set, the full per-step (v_in, v_out) arrays for trace
-    storage.
 
-    A step costs a few dozen numpy calls whatever the batch size, so the
-    loop keeps them few: the drive comes in blocks of `_DRIVE_BLOCK` steps
-    from one matrix product, and with a = (dt/2C) i_s, b = (dt/2C)/R_L and
-    e = exp((v_in - v)/(n v_t)) the trapezoidal update reads
-    (1 + b) v' - a e' = c,  c = (1 - b) v + a e - 2a.  The loop builds new
-    arrays rather than updating in place: at batch 1, which `simulate`
-    runs, numpy's in-place calls cost more.
+def _periodic_newton(vin: np.ndarray, circuit: CircuitParams, dt: float,
+                     means: list | None = None):
+    """Periodic trapezoidal steady state v_1..v_K for each row of `vin`.
+
+    With a = (dt/2C) i_s, b = (dt/2C)/R_L and e_k = exp((vin_k - v_k)/(n v_t))
+    step k of the trapezoidal rule leaves the residual
+    R_k = (1+b) v_k - a e_k - (1-b) v_{k-1} - a e_{k-1} + 2a,  v_0 = v_K.
+    Its Jacobian is lower bidiagonal, 1 + j_k on the diagonal and
+    -(1 - j_{k-1}) below it with j = a e/(n v_t) + b, plus one corner entry
+    -(1 - j_K) at (1, K).  Every active row's bidiagonal part is stacked into
+    one lower-triangular banded system (zero coupling at row boundaries),
+    solved once per iteration by forward substitution (LAPACK dtbtrs) for
+    the residual p and for q, the response to (1 - j_K) at the row's first
+    unknown; the corner then closes as dv = p + p_K/(1 - q_K) q.  j > 0
+    gives 1 + j_k > |1 - j_k|, so every column is diagonally dominant and
+    the substitution is stable without pivoting.  Steps are clipped to
+    0.2 V per component, and a row stops updating once
+    max|dv| <= 1e-14 max(1e-3, max|v|), so its answer does not depend on
+    the rows it shares a batch with.  Returns the solution and the rows'
+    passed flags; `means` collects each iterate's period mean of a
+    single-row call.
     """
     d = circuit.diode
     inv_nvt = 1.0 / (d.ideality * d.v_t)
     half = dt / (2.0 * circuit.c_out)
     a = half * d.i_s
     b = half / circuit.load
-    batch = v.shape[0]
-
-    mean_acc = 0.5 * v
-    slope = np.ones(batch)
-    cap_hits = 0
-    vin_steps = np.empty((steps, batch)) if collect else None
-    vout_steps = np.empty((steps, batch)) if collect else None
-
-    def update_terms(vin, v):
-        # c of the next update and j = -(dt/2) f'(v) = a e/(n v_t) + b, both
-        # from the one exponential of the diode current at the accepted state
-        ae = a * np.exp(np.minimum((vin - v) * inv_nvt, _EXP_CLIP))
-        return (1.0 - b) * v + ae - 2.0 * a, ae * inv_nvt + b
-
-    c, jac_prev = update_terms(_drive(tones, omegas, np.zeros(1),
-                                      sqrt_rant)[0], v)
-    v_scale = float(np.abs(v).max())
-    k = 0
-    for k0 in range(0, steps, _DRIVE_BLOCK):
-        times = dt * np.arange(k0 + 1, min(k0 + _DRIVE_BLOCK, steps) + 1)
-        for vin in _drive(tones, omegas, times, sqrt_rant):
-            v_new = v
-            moved = 0.0
-            # damped Newton on the trapezoidal update; the residual is
-            # strictly increasing in v_new, so clipped steps cannot
-            # overshoot forever.  The stopping test is
-            # max|step| <= 1e-14 max(1e-3, max|v_new|); the bound
-            # max|v_new| <= v_scale + moved skips its reduction while the
-            # test cannot pass.
-            for _ in range(_NEWTON_CAP):
-                ae = a * np.exp(np.minimum((vin - v_new) * inv_nvt,
-                                           _EXP_CLIP))
-                delta = ((1.0 + b) * v_new - ae - c) \
-                    / (ae * inv_nvt + (1.0 + b))
-                delta = np.maximum(np.minimum(delta, 0.2), -0.2)
-                v_new = v_new - delta
-                step = float(np.abs(delta).max())
-                moved += step
-                if step <= 1e-14 * max(1e-3, v_scale + moved):
-                    v_scale = float(np.abs(v_new).max())
-                    if step <= 1e-14 * max(1e-3, v_scale):
-                        break
-            else:
-                cap_hits += 1
-                v_scale = float(np.abs(v_new).max())
-            v = v_new
-            c, jac_next = update_terms(vin, v)
-            # chain rule through the implicit step:
-            # dv_{k+1}/dv_k = (1 + dt/2 f'(v_k)) / (1 - dt/2 f'(v_{k+1}))
-            slope = slope * (1.0 - jac_prev) / (1.0 + jac_next)
-            jac_prev = jac_next
-            mean_acc = mean_acc + v
-            if collect:
-                vin_steps[k] = vin
-                vout_steps[k] = v
-            k += 1
-    mean_acc = mean_acc - 0.5 * v
-    return v, mean_acc / steps, slope, cap_hits, vin_steps, vout_steps
+    rows, steps = vin.shape
+    v = np.empty_like(vin)
+    passed = np.zeros(rows, dtype=bool)
+    active = np.arange(rows)
+    # peak-detector start: a conducting diode drops a few n v_t
+    va = np.repeat(np.maximum(vin.max(axis=1) - 3.0 / inv_nvt, 0.0)[:, None],
+                   steps, axis=1)
+    for _ in range(_NEWTON_CAP):
+        em1 = np.expm1(np.minimum((vin - va) * inv_nvt, _EXP_CLIP))
+        jac = a * inv_nvt * (em1 + 1.0) + b
+        vp = np.roll(va, 1, axis=1)
+        resid = (va - vp) + b * (va + vp) - a * (em1 + np.roll(em1, 1, axis=1))
+        n = va.shape[0]
+        # LAPACK's column-major layout: diagonal and sub-diagonal interleaved
+        banded = np.empty((n * steps, 2)).T
+        banded[0] = (1.0 + jac).ravel()
+        sub = jac - 1.0
+        sub[:, -1] = 0.0
+        banded[1] = sub.ravel()
+        rhs = np.zeros((2, n * steps))
+        rhs[0] = resid.ravel()
+        rhs[1, ::steps] = 1.0 - jac[:, -1]
+        sol, _ = dtbtrs(banded, rhs.T, uplo="L", overwrite_b=1)
+        p = sol[:, 0].reshape(n, steps)
+        q = sol[:, 1].reshape(n, steps)
+        dv = np.clip(p + (p[:, -1] / (1.0 - q[:, -1]))[:, None] * q, -0.2, 0.2)
+        va = va - dv
+        if means is not None:
+            means.append(float(va.mean()))
+        done = np.abs(dv).max(axis=1) \
+            <= 1e-14 * np.maximum(1e-3, np.abs(va).max(axis=1))
+        if done.any():
+            v[active[done]] = va[done]
+            passed[active[done]] = True
+            active, va, vin = active[~done], va[~done], vin[~done]
+            if active.size == 0:
+                break
+    v[active] = va  # rows stopped by the cap keep their last iterate
+    return v, passed
 
 
-def _shooting_update(v_start: np.ndarray, v_end: np.ndarray,
-                     slope: np.ndarray, v_low: float,
-                     v_high: np.ndarray) -> np.ndarray:
-    """Safeguarded Newton step toward the fixed point of the period map P.
-
-    v <- v + (P(v) - v) / (1 - P'(v)) (Aprille & Trick, Proc. IEEE 1972).
-    A row whose slope is not below 1 (possible in a period that starts
-    far from steady state with the diode conducting hard) takes the plain
-    step v <- P(v), and every row is kept inside the physically reachable
-    output range [-i_s R_L, peak input voltage].
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = v_start + (v_end - v_start) / (1.0 - slope)
-    return np.clip(np.where(slope < 1.0, newton, v_end), v_low, v_high)
-
-
-def _run_to_steady(tones: np.ndarray, grid: FrequencyGrid,
-                   circuit: CircuitParams, steady_tol: float,
-                   max_periods: int, dt: float | None,
-                   collect_last: bool):
-    """Integrate whole periods until the period means settle.
-
-    Each period starts from the shooting update of the previous one, so
-    a long RC time constant costs Newton steps, not hundreds of periods.
-    The run is steady when two consecutive period means agree to
-    `steady_tol` (relative) and the final, reported period had no Newton
-    solve stopped at its iteration cap.
-    """
+def _sample_times(grid: FrequencyGrid, circuit: CircuitParams,
+                  dt: float | None) -> np.ndarray:
+    """t = dt, 2 dt, ..., T: K >= 8 equal steps of one period, none above dt."""
     grid.carrier_multiple()  # commensurate grid required for periodicity
     if dt is None:
         dt = _default_dt(grid, circuit)
     steps = max(int(math.ceil(grid.period / dt)), 8)
-    dt = grid.period / steps
-    sqrt_rant = math.sqrt(circuit.diode.r_ant)
-    batch = tones.shape[0]
-    v_low = -circuit.diode.i_s * circuit.load
-    v_high = sqrt_rant * np.sum(np.abs(tones), axis=1)
-    v = np.zeros(batch)
-    means = []
-    steady = False
-    cap_hits = last_hits = 0
-    t0 = 0.0
-    for period in range(max_periods):
-        v_end, mean, slope, last_hits, _, _ = _advance_period(
-            v, tones, grid.omegas, dt, steps, circuit, sqrt_rant,
-            collect=False)
-        cap_hits += last_hits
-        means.append(mean)
-        v = _shooting_update(v, v_end, slope, v_low, v_high)
-        t0 += grid.period
-        if period > 0:
-            prev = means[-2]
-            scale = np.maximum(np.abs(mean), 1e-15)
-            if np.all(np.abs(mean - prev) <= steady_tol * scale):
-                steady = True
-                break
-    trace_data = None
-    if collect_last:
-        _, mean, _, last_hits, vin_s, vout_s = _advance_period(
-            v, tones, grid.omegas, dt, steps, circuit, sqrt_rant,
-            collect=True)
-        cap_hits += last_hits
-        means.append(mean)
-        trace_data = (t0, vin_s, vout_s)
-    steady = steady and last_hits == 0
-    return np.column_stack(means), steady, cap_hits, dt, steps, trace_data
+    return (grid.period / steps) * np.arange(1, steps + 1)
 
 
 def simulate(waveform: Waveform, channel: ChannelRealization,
-             circuit: CircuitParams, steady_tol: float = 1e-6,
-             max_periods: int = 200, dt: float | None = None,
+             circuit: CircuitParams, dt: float | None = None,
              store_every: int | None = None) -> SimTrace:
-    """Drive the rectifier with the received multisine until steady state.
+    """Steady-state rectifier trace over one period of the received multisine.
 
-    Runs whole waveform periods, watching the per-period mean output
-    voltage; once consecutive periods agree to `steady_tol` (relative) one
-    more period is integrated and stored as the trace.  A hit period cap,
-    or a Newton cap hit in the stored period, is flagged on the trace,
-    never silently ignored.
+    One periodic Newton solve gives v_out at t = dt, ..., T; the period
+    mean of each of its iterates is kept, the last being the steady one.  A
+    solve that stops at its iteration cap is flagged on the trace, never
+    silently ignored.
     """
     r = received_tone_coefficients(waveform, channel)
-    means, steady, cap_hits, dt, steps, trace_data = _run_to_steady(
-        r[None, :], waveform.grid, circuit, steady_tol, max_periods, dt,
-        collect_last=True)
-    t0, vin_s, vout_s = trace_data
+    times = _sample_times(waveform.grid, circuit, dt)
+    dt = float(times[0])
+    vin = _drive(r[None, :], _drive_basis(waveform.grid.omegas, times,
+                                          math.sqrt(circuit.diode.r_ant)))
+    means = []
+    vout, passed = _periodic_newton(vin, circuit, dt, means)
     if store_every is None:
-        store_every = max(1, steps // 4096)
-    idx = np.arange(0, steps, store_every)
-    t = t0 + (idx + 1) * dt
-    v_in = vin_s[idx, 0]
-    v_out = vout_s[idx, 0]
+        store_every = max(1, times.size // 4096)
+    idx = np.arange(0, times.size, store_every)
+    v_in = vin[0, idx]
+    v_out = vout[0, idx]
     i_d = _diode_current(v_in - v_out, circuit.diode)
-    return SimTrace(time=t, v_in=v_in, v_out=v_out, i_d=i_d,
-                    period_mean_vout=means[0], steady=steady, dt=dt,
-                    store_every=store_every, load=circuit.load,
-                    newton_cap_hits=cap_hits)
+    return SimTrace(time=times[idx], v_in=v_in, v_out=v_out, i_d=i_d,
+                    period_mean_vout=np.array(means), steady=bool(passed[0]),
+                    dt=dt, store_every=store_every, load=circuit.load,
+                    newton_cap_hits=int(not passed[0]))
 
 
 def simulate_ensemble(tone_rows: np.ndarray, grid: FrequencyGrid,
-                      circuit: CircuitParams, steady_tol: float = 1e-6,
-                      max_periods: int = 200,
+                      circuit: CircuitParams,
                       dt: float | None = None) -> tuple[np.ndarray, bool]:
     """Steady-state DC output power for a batch of received-tone rows.
 
-    Memory-light companion to `simulate`: only per-period means are kept.
     Rows are independent, so one call can carry the rows of several
-    strategies.  Returns (power array, all-steady flag).
+    strategies; they are solved in chunks of at most `_CHUNK_ENTRIES`
+    unknowns.  Returns (power array, every-row-passed flag).
     """
-    means, steady, _, _, _, _ = _run_to_steady(
-        np.asarray(tone_rows, dtype=complex), grid, circuit, steady_tol,
-        max_periods, dt, collect_last=False)
-    return means[:, -1] ** 2 / circuit.load, steady
+    tone_rows = np.asarray(tone_rows, dtype=complex)
+    times = _sample_times(grid, circuit, dt)
+    basis = _drive_basis(grid.omegas, times, math.sqrt(circuit.diode.r_ant))
+    chunk = max(1, _CHUNK_ENTRIES // times.size)
+    means, passed = [], []
+    for r0 in range(0, tone_rows.shape[0], chunk):
+        vout, ok = _periodic_newton(_drive(tone_rows[r0:r0 + chunk], basis),
+                                    circuit, float(times[0]))
+        means.append(vout.mean(axis=1))
+        passed.append(ok)
+    return np.concatenate(means) ** 2 / circuit.load, \
+        bool(np.all(np.concatenate(passed)))
 
 
 def dc_operating_point(v_source: float, circuit: CircuitParams) -> float:
     """Algebraic steady state for a DC drive: diode current equals load current.
 
-    Solves i_s*(exp((V - v)/(n*v_t)) - 1) = v/R_L by bracketed root
-    finding; the left side falls and the right side grows in v, so the
-    root is unique.  Residual is polished below 1e-14 A.
+    Solves v/R_L - i_s*(exp((V - v)/(n*v_t)) - 1) = 0 by bracketed
+    Newton-bisection; the left side grows in v, so the root is unique.
     """
     d = circuit.diode
     r_load = circuit.load
@@ -304,26 +241,19 @@ def dc_operating_point(v_source: float, circuit: CircuitParams) -> float:
         return 0.0
 
     def f(v):
-        return d.i_s * math.expm1(min((v_source - v) / nvt, _EXP_CLIP)) \
-            - v / r_load
+        drop = min((v_source - v) / nvt, _EXP_CLIP)
+        return (v / r_load - d.i_s * math.expm1(drop),
+                1.0 / r_load + d.i_s * math.exp(drop) / nvt)
 
-    lo = -d.i_s * r_load
-    hi = max(v_source, 0.0) + 1e-9
-    root = brentq(f, lo, hi, rtol=4 * np.finfo(float).eps)
-    for _ in range(2):
-        drop = (v_source - root) / nvt
-        deriv = -d.i_s * math.exp(min(drop, _EXP_CLIP)) / nvt - 1.0 / r_load
-        root -= f(root) / deriv
-    return float(root)
+    return monotone_root(f, -d.i_s * r_load, max(v_source, 0.0) + 1e-9)
 
 
 def harvested_dc_power(trace: SimTrace) -> float:
     """Mean output voltage over the final period, squared, over the load."""
     if not trace.steady:
         raise SteadyStateError(
-            "steady state not reached; rerun with a higher period cap, or a "
-            "shorter dt if steps hit the Newton cap "
-            f"({trace.newton_cap_hits} did)")
+            "steady state not reached: the periodic solve stopped at its "
+            "Newton cap")
     mean_v = float(trace.period_mean_vout[-1])
     return mean_v ** 2 / trace.load
 

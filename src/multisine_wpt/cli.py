@@ -75,8 +75,6 @@ _SCHEMA = {
     "r_antenna_ohm": (float, 50.0),
     "r_load_ohm": (float, 1600.0),
     "c_out_f": (float, 100e-12),
-    "sim_max_periods": (int, 300),
-    "sim_steady_tol": (float, 1e-6),
     "trace_decimation": (int, 1),
 }
 
@@ -356,29 +354,23 @@ def _ensemble_p_dc(per_trial: list, cfg: dict, grid: FrequencyGrid,
     """P_dc per (strategy, trial) from one rectifier run over all rows.
 
     `per_trial[t][k]` holds the received tones of strategy k in trial t;
-    a time step costs about the same for one row as for a hundred, so
-    every strategy shares the batch.
+    every strategy's rows go into one batch, so the per-iteration overhead
+    of the periodic solve is paid once.
     """
     tone_rows = np.array([tones[k] for k in range(len(cfg["strategies"]))
                           for tones in per_trial])
-    p_dc, steady = simulate_ensemble(tone_rows, grid, circuit,
-                                     cfg["sim_steady_tol"],
-                                     cfg["sim_max_periods"])
+    p_dc, steady = simulate_ensemble(tone_rows, grid, circuit)
     if not steady:
         raise SteadyStateError(
-            f"strategies {', '.join(cfg['strategies'])}: period cap or "
-            "Newton cap hit")
+            f"strategies {', '.join(cfg['strategies'])}: Newton cap hit")
     return p_dc.reshape(len(cfg["strategies"]), len(per_trial))
 
 
 def _steady_trace(waveform: Waveform, channel: ChannelRealization,
                   circuit: CircuitParams, cfg: dict, strategy: str):
-    trace = simulate(waveform, channel, circuit, cfg["sim_steady_tol"],
-                     cfg["sim_max_periods"])
+    trace = simulate(waveform, channel, circuit)
     if not trace.steady:
-        raise SteadyStateError(
-            f"strategy {strategy} trace: period cap hit or "
-            f"{trace.newton_cap_hits} step(s) at the Newton cap")
+        raise SteadyStateError(f"strategy {strategy} trace: Newton cap hit")
     return trace
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import ChannelRealization, FrequencyGrid
 from .gp import Posynomial
@@ -254,12 +253,43 @@ def zdc_time_average(waveform: Waveform, channel: ChannelRealization,
     return total
 
 
+def monotone_root(f, lo: float, hi: float) -> float:
+    """Root of an increasing f on [lo, hi], where f(lo) <= 0 <= f(hi).
+
+    `f(x)` returns (value, derivative).  Newton steps are kept while they
+    stay inside the shrinking bracket and shrink to under half the previous
+    step; otherwise the bracket is bisected, so a Newton crawl along an
+    exponential cannot stall the search.  Stops once a Newton step falls
+    below 4 eps relative, after taking it, or the bracket has closed.
+    """
+    tol = 4 * np.finfo(float).eps
+    x = 0.5 * (lo + hi)
+    last = hi - lo
+    for _ in range(300):
+        value, slope = f(x)
+        step = value / slope
+        if abs(step) <= tol * abs(x):
+            return x - step
+        if value < 0.0:
+            lo = x
+        else:
+            hi = x
+        if not (lo < x - step < hi and 2.0 * abs(step) <= abs(last)):
+            step = x - 0.5 * (lo + hi)
+            if abs(step) <= tol * abs(x):
+                return x
+        last = step
+        x -= step
+    return x
+
+
 def iout_fixed_point(zdc_value: float, params: RectennaParams) -> float:
     """DC output current solving exp(R_L*i/(n*v_t))*(i + i_s) = i_s + z_dc.
 
     The left side is strictly increasing in i, so the root is unique;
-    solved in log form to dodge exponential overflow, then polished to a
-    residual below 1e-12 relative.
+    solved in log form to dodge exponential overflow.  The log of
+    (i + i_s)/(i_s + z_dc) goes through log1p near a ratio of 1, so that a
+    small z_dc keeps its relative accuracy.
     """
     if zdc_value < 0:
         raise ValueError("zdc_value must be nonnegative")
@@ -267,18 +297,19 @@ def iout_fixed_point(zdc_value: float, params: RectennaParams) -> float:
         return 0.0
     d = params.diode
     nvt = d.ideality * d.v_t
-    rhs = math.log(d.i_s + zdc_value)
+    total = d.i_s + zdc_value
 
     def g(i):
-        return d.r_load * i / nvt + math.log(i + d.i_s) - rhs
+        ratio = (i + d.i_s) / total
+        log_ratio = math.log(ratio) if ratio < 0.5 \
+            else math.log1p((i - zdc_value) / total)
+        return (d.r_load * i / nvt + log_ratio,
+                d.r_load / nvt + 1.0 / (i + d.i_s))
 
     hi = nvt / d.r_load
-    while g(hi) < 0:
+    while g(hi)[0] < 0:
         hi *= 2.0
-    root = brentq(g, 0.0, hi, rtol=4 * np.finfo(float).eps)
-    for _ in range(2):  # Newton polish on the log-form residual
-        root -= g(root) / (d.r_load / nvt + 1.0 / (root + d.i_s))
-    return float(root)
+    return monotone_root(g, 0.0, hi)
 
 
 def synthesize_transmit(waveform: Waveform, antenna: int,

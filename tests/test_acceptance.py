@@ -234,8 +234,7 @@ def test_criterion_10_circuit_ordering():
                 rows[s].append(received_tone_coefficients(w, ch))
         means = {}
         for s in strategies:
-            p_dc, steady = simulate_ensemble(np.array(rows[s]), grid, circuit,
-                                             max_periods=300)
+            p_dc, steady = simulate_ensemble(np.array(rows[s]), grid, circuit)
             assert steady, f"{s}: steady state not reached"
             means[s] = float(np.mean(p_dc))
         return means

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import multisine_wpt.circuit as circuit_module
 from multisine_wpt.channel import FrequencyGrid, flat_channel, \
     iid_frequency_channel
 from multisine_wpt.circuit import (CircuitParams, SteadyStateError,
-                                   _advance_period, _run_to_steady,
                                    dc_operating_point,
                                    export_trace_csv, harvested_dc_power,
                                    simulate, simulate_ensemble)
@@ -12,6 +12,45 @@ from multisine_wpt.optimizer import ss, up
 from multisine_wpt.rectenna import Waveform, received_tone_coefficients
 
 CIRCUIT = CircuitParams(c_out=100e-12)
+
+
+def _step_constants(circuit, dt):
+    """a = (dt/2C) i_s, b = (dt/2C)/R_L and 1/(n v_t) of the trapezoidal rule."""
+    d = circuit.diode
+    half = dt / (2.0 * circuit.c_out)
+    return half * d.i_s, half / circuit.load, 1.0 / (d.ideality * d.v_t)
+
+
+def _plain_period(v, vin, circuit, dt):
+    """Oracle: one period of plain trapezoidal time stepping from state v.
+
+    `vin` holds the drive at t = 0, dt, ..., K dt (rows: steps, columns:
+    instances).  Each step solves (1+b) v' - a e' = (1-b) v + a e - 2a
+    by Newton to rounding level.  Returns the end state and the mean of
+    v_1..v_K.
+    """
+    a, b, inv_nvt = _step_constants(circuit, dt)
+    total = np.zeros_like(v)
+    for k in range(1, vin.shape[0]):
+        c = (1.0 - b) * v + a * np.exp((vin[k - 1] - v) * inv_nvt) - 2.0 * a
+        for _ in range(100):
+            ae = a * np.exp((vin[k] - v) * inv_nvt)
+            delta = ((1.0 + b) * v - ae - c) / (1.0 + b + ae * inv_nvt)
+            v = v - delta
+            if np.all(np.abs(delta) <= 1e-15 * np.maximum(np.abs(v), 1e-3)):
+                break
+        total += v
+    return v, total / (vin.shape[0] - 1)
+
+
+def _periodic_residual(trace, circuit):
+    """max |R_k| of the periodic trapezoidal equations over a full trace."""
+    a, b, inv_nvt = _step_constants(circuit, trace.dt)
+    v = trace.v_out
+    e = np.exp((trace.v_in - v) * inv_nvt)
+    v_prev, e_prev = np.roll(v, 1), np.roll(e, 1)  # v_0 = v_K
+    resid = (1 + b) * v - a * e - (1 - b) * v_prev - a * e_prev + 2 * a
+    return float(np.abs(resid).max())
 
 
 def _dc_waveform(v_in_target, grid_spacing=1e6):
@@ -24,7 +63,7 @@ def _dc_waveform(v_in_target, grid_spacing=1e6):
 def test_zero_source_stays_at_zero():
     grid = FrequencyGrid(1, 16e6, 1e6)
     w = Waveform(np.zeros((1, 1)), np.zeros((1, 1)), grid)
-    trace = simulate(w, flat_channel(1.0, 0.0, 1, 1), CIRCUIT, max_periods=20)
+    trace = simulate(w, flat_channel(1.0, 0.0, 1, 1), CIRCUIT)
     assert trace.steady
     assert abs(trace.period_mean_vout[-1]) < 1e-15
 
@@ -34,10 +73,8 @@ def test_initial_charge_decays():
     rc = CIRCUIT.load * CIRCUIT.c_out
     dt = rc / 200.0
     steps = int(12 * rc / dt)
-    v = np.array([1e-4])
-    tones = np.zeros((1, 1), dtype=complex)
-    v = _advance_period(v, tones, np.array([0.0]), dt, steps, CIRCUIT,
-                        np.sqrt(CIRCUIT.diode.r_ant), collect=False)[0]
+    v, _ = _plain_period(np.array([1e-4]), np.zeros((steps + 1, 1)),
+                         CIRCUIT, dt)
     assert abs(v[0]) < 1e-9
 
 
@@ -59,11 +96,24 @@ def test_dc_operating_point_properties():
         assert abs(residual) <= 1e-14
 
 
+def test_dc_operating_point_under_hard_drive():
+    # Newton from below crawls along the exponential by n v_t per step;
+    # the bracket still closes in well under the helper's iteration cap
+    d = CIRCUIT.diode
+    nvt = d.ideality * d.v_t
+    previous = -np.inf
+    for v_src in (1.0, 2.0, 5.0, 10.0):
+        v = dc_operating_point(v_src, CIRCUIT)
+        assert previous < v < v_src
+        previous = v
+        residual = d.i_s * np.expm1((v_src - v) / nvt) - v / CIRCUIT.load
+        assert abs(residual) <= 1e-14
+
+
 def test_simulation_agrees_with_dc_operating_point():
     target = 0.1
     w = _dc_waveform(target)
-    trace = simulate(w, flat_channel(1.0, 0.0, 1, 1), CIRCUIT,
-                     max_periods=400)
+    trace = simulate(w, flat_channel(1.0, 0.0, 1, 1), CIRCUIT)
     assert trace.steady
     expected = dc_operating_point(target, CIRCUIT)
     assert abs(trace.period_mean_vout[-1] - expected) <= 1e-8
@@ -131,62 +181,101 @@ def test_ensemble_matches_single_runs():
         np.testing.assert_allclose(p_joint, p_own, rtol=1e-9, atol=0)
 
 
-def test_shooting_matches_long_plain_iteration():
+def test_periodic_solve_matches_long_plain_iteration():
     # RC = 16 us against a 0.5 us period: the plain period iteration crawls
     circuit = CircuitParams(c_out=10e-9)
     grid = FrequencyGrid(2, 8e6, 2e6)
     h = iid_frequency_channel(2, 1, seed=5)
     tones = np.array([received_tone_coefficients(wave(grid, 1, 1e-5), h)
                       for wave in (up, ss)])
-    dt = grid.period / 64
-    sqrt_rant = np.sqrt(circuit.diode.r_ant)
+    steps = 64
+    dt = grid.period / steps
+    t = dt * np.arange(steps + 1)
+    vin = np.sqrt(circuit.diode.r_ant) \
+        * np.real(np.exp(1j * np.outer(t, grid.omegas)) @ tones.T)
     v = np.zeros(2)
     means = []
-    plain_periods = None
-    for period in range(3000):
-        v, mean = _advance_period(v, tones, grid.omegas, dt, 64, circuit,
-                                  sqrt_rant, collect=False)[:2]
+    for _ in range(3000):
+        v, mean = _plain_period(v, vin, circuit, dt)
         means.append(mean)
-        if period == 0:
-            continue
-        change = np.abs(mean - means[-2])
-        if plain_periods is None and np.all(change <= 1e-6 * np.abs(mean)):
-            plain_periods = period + 1  # the steady test of `simulate`
-        if np.all(change <= 1e-15 * np.abs(mean)):
+        if len(means) > 1 and np.all(np.abs(mean - means[-2])
+                                     <= 1e-15 * np.abs(mean)):
             break
     else:
         pytest.fail("plain iteration did not settle")
-    shot_means, steady, cap_hits, _, _, _ = _run_to_steady(
-        tones, grid, circuit, 1e-6, 300, dt, collect_last=False)
-    assert steady and cap_hits == 0
-    assert 3 * shot_means.shape[1] <= plain_periods
-    np.testing.assert_allclose(shot_means[:, -1], means[-1], rtol=1e-9, atol=0)
+    p_dc, steady = simulate_ensemble(tones, grid, circuit, dt=dt)
+    assert steady
+    np.testing.assert_allclose(np.sqrt(p_dc * circuit.load), means[-1],
+                               rtol=1e-9, atol=0)
 
 
-def test_newton_cap_hit_is_counted_and_refused():
-    # a 30 V tone sampled 8 times a period moves v_out by more than the 60
-    # clipped 0.2 V Newton steps a time step allows
-    grid = FrequencyGrid(1, 1e6, 1e6)
-    amp = 30.0 / np.sqrt(CIRCUIT.diode.r_ant)
-    w = Waveform(np.array([[amp]]), np.zeros((1, 1)), grid)
-    h = flat_channel(1.0, 0.0, 1, 1)
-    trace = simulate(w, h, CIRCUIT, dt=grid.period / 8, max_periods=20)
-    assert trace.newton_cap_hits > 0
+def test_trace_satisfies_periodic_equations():
+    grid = FrequencyGrid(4, 32e6, 2e6)
+    w = up(grid, 1, 1e-5)
+    trace = simulate(w, flat_channel(1.0, 0.0, 4, 1), CIRCUIT, store_every=1)
+    assert trace.steady
+    # one full period, t = dt ... T, whose last point closes the loop
+    assert trace.time.size == round(grid.period / trace.dt)
+    assert np.isclose(trace.time[-1], grid.period, rtol=1e-14)
+    v_scale = float(np.abs(trace.v_out).max())
+    assert _periodic_residual(trace, CIRCUIT) <= 1e-14 * v_scale
+    assert trace.period_mean_vout[-1] == pytest.approx(trace.v_out.mean(),
+                                                       rel=1e-14, abs=0)
+
+
+def test_newton_cap_hit_is_counted_and_refused(monkeypatch):
+    monkeypatch.setattr(circuit_module, "_NEWTON_CAP", 1)
+    grid = FrequencyGrid(4, 32e6, 2e6)
+    w = up(grid, 1, 1e-5)
+    h = flat_channel(1.0, 0.0, 4, 1)
+    trace = simulate(w, h, CIRCUIT)
+    assert trace.newton_cap_hits == 1
     assert not trace.steady
     with pytest.raises(SteadyStateError, match="Newton cap"):
         harvested_dc_power(trace)
     _, steady = simulate_ensemble(received_tone_coefficients(w, h)[None, :],
-                                  grid, CIRCUIT, max_periods=20,
-                                  dt=grid.period / 8)
+                                  grid, CIRCUIT)
     assert not steady
 
 
-def test_period_cap_flagged_and_power_refused():
-    w = _dc_waveform(0.1)
-    trace = simulate(w, flat_channel(1.0, 0.0, 1, 1), CIRCUIT, max_periods=1)
-    assert not trace.steady
-    with pytest.raises(SteadyStateError):
-        harvested_dc_power(trace)
+def test_hard_drive_converges_or_is_refused():
+    # a 30 V tone sampled 8 times a period: far outside the modeled regime,
+    # the clipped Newton walks tens of volts from the peak-detector start
+    grid = FrequencyGrid(1, 1e6, 1e6)
+    amp = 30.0 / np.sqrt(CIRCUIT.diode.r_ant)
+    w = Waveform(np.array([[amp]]), np.zeros((1, 1)), grid)
+    h = flat_channel(1.0, 0.0, 1, 1)
+    trace = simulate(w, h, CIRCUIT, dt=grid.period / 8)
+    _, steady = simulate_ensemble(received_tone_coefficients(w, h)[None, :],
+                                  grid, CIRCUIT, dt=grid.period / 8)
+    assert steady == trace.steady
+    if trace.steady:
+        v_scale = float(np.abs(trace.v_out).max())
+        assert _periodic_residual(trace, CIRCUIT) <= 1e-12 * v_scale
+        assert harvested_dc_power(trace) > 0
+    else:
+        assert trace.newton_cap_hits == 1
+        with pytest.raises(SteadyStateError, match="Newton cap"):
+            harvested_dc_power(trace)
+
+
+def test_chunk_size_leaves_each_row_unchanged(monkeypatch):
+    grid = FrequencyGrid(2, 32e6, 2e6)
+    channels = [iid_frequency_channel(2, 1, seed=s) for s in range(4)]
+    rows = np.array([received_tone_coefficients(wave(grid, 1, 1e-5), ch)
+                     for ch in channels for wave in (up, ss)])
+    p_one, steady = simulate_ensemble(rows, grid, CIRCUIT)
+    assert steady
+    steps = round(grid.period / simulate(up(grid, 1, 1e-5), channels[0],
+                                         CIRCUIT).dt)
+    for rows_per_chunk in (1, 3):
+        monkeypatch.setattr(circuit_module, "_CHUNK_ENTRIES",
+                            rows_per_chunk * steps)
+        p_chunked, steady = simulate_ensemble(rows, grid, CIRCUIT)
+        assert steady
+        # the same rounding-level answer: BLAS may order the drive's sums
+        # differently for another row count
+        np.testing.assert_allclose(p_chunked, p_one, rtol=1e-14, atol=0)
 
 
 def test_trace_export(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multisine_wpt import cli
+from multisine_wpt import circuit, cli
 from multisine_wpt.channel import (FrequencyGrid, flat_channel,
                                    load_channel_text, save_channel_text)
 from multisine_wpt.circuit import SimTrace
@@ -205,6 +205,22 @@ def test_unsteady_trace_exits_4(tmp_path, monkeypatch, capsys):
     out = tmp_path / "fig8"
     assert main(["preset", "fig8-trace", "--out", str(out)]) == 4
     assert not list(out.glob("*.csv"))
+
+
+def test_removed_simulation_keys_are_unknown(tmp_path, capsys):
+    for key in ("sim_max_periods = 300", "sim_steady_tol = 1e-6"):
+        cfg = _write(tmp_path, "old.cfg", SIM + key + "\n")
+        assert main(["simulate", cfg, "--out", str(tmp_path / "old")]) == 2
+        assert key.split()[0] in capsys.readouterr().err
+
+
+def test_ensemble_newton_cap_hit_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(circuit, "_NEWTON_CAP", 1)
+    cfg = _write(tmp_path, "sim.cfg", SIM)
+    out = tmp_path / "sim"
+    assert main(["simulate", cfg, "--out", str(out)]) == 4
+    assert "Newton cap" in capsys.readouterr().err
+    assert not (out / "simulate.csv").exists()
 
 
 def test_preset_fig2(tmp_path):

@@ -1,7 +1,6 @@
 """Run the quick demos in-process so a rename they depend on fails here.
 
-Demo 03 (PAPR sweep, about a minute) and demo 05 (rectifier simulation)
-are left out for their run time.
+Demo 03 (PAPR sweep, about a minute) is left out for its run time.
 """
 
 import contextlib
@@ -17,7 +16,8 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 @pytest.mark.parametrize("name", ["01_two_tone_power_split.py",
                                   "02_waveform_strategy_gallery.py",
-                                  "04_scaling_laws.py"])
+                                  "04_scaling_laws.py",
+                                  "05_circuit_validation.py"])
 def test_demo_runs(name):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

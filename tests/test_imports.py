@@ -1,10 +1,15 @@
-"""Every imported name is used: a stdlib-`ast` scan of the package and tests.
+"""Imports: every imported name is used, and the package imports only what
+it runs.
 
+The unused-name check is a stdlib-`ast` scan of the package and tests;
 `__init__.py` re-exports what it imports, so it is exempt.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -31,3 +36,14 @@ def test_no_unused_imports():
     files += sorted((ROOT / "tests").rglob("*.py"))
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_package_import_leaves_out_scipy_optimize():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys, multisine_wpt; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -154,6 +154,15 @@ def test_iout_fixed_point():
         assert abs(lhs - (d.i_s + z)) <= 1e-12 * (d.i_s + z)
 
 
+def test_iout_fixed_point_keeps_relative_accuracy_for_tiny_drive():
+    # for z_dc << i_s the root tends to z_dc / (1 + R_L i_s / (n v_t))
+    d = P4.diode
+    slope = 1.0 + d.r_load * d.i_s / (d.ideality * d.v_t)
+    for z in (1e-20, 1e-18, 1e-16):  # O(z/i_s) corrections below 1e-10
+        assert iout_fixed_point(z, P4) == pytest.approx(z / slope, rel=1e-10,
+                                                        abs=0)
+
+
 def test_transmit_synthesis():
     grid = _grid(1)
     w = Waveform(np.array([[1.0]]), np.zeros((1, 1)), grid)
