@@ -5,8 +5,7 @@ The package splits into:
 - `channel`: multipath realizations and per-tone frequency responses
 - `rectenna`: the truncated-Taylor diode model, its DC surrogate and the
   DC kernel (value and gradient in the received tones, and the Hessian
-  for aligned real tones) the designers ascend; the enumerated posynomial
-  is a test oracle
+  for aligned real tones) the designers ascend
 - `gp`: posynomial algebra, AM-GM condensation and a geometric-program
   solver, used by the PAPR-constrained design
 - `optimizer`: closed-form baselines, one minorize-maximize ascent for the
@@ -35,7 +34,7 @@ from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        iout_fixed_point, load_waveform_text, papr,
                        received_tone_coefficients, save_waveform_text,
                        synthesize_transmit, taylor_coefficients, zdc_analytic,
-                       zdc_posynomial, zdc_time_average)
+                       zdc_time_average)
 from .scaling import (ScalingScenario, asymptotic_form, closed_form,
                       hardening_curve, harmonic_h, harmonic_s, monte_carlo)
 

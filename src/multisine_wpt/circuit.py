@@ -86,11 +86,18 @@ def _diode_current(v_drop: np.ndarray, d: DiodeParams) -> np.ndarray:
     return d.i_s * np.expm1(arg)
 
 
-def _drive_basis(omegas: np.ndarray, times: np.ndarray,
+def _drive_basis(grid: FrequencyGrid, steps: int,
                  sqrt_rant: float) -> np.ndarray:
-    """B (2N x K) with v_in = [Re r, Im r] @ B for received-tone rows r."""
-    phase = np.outer(omegas, times)
-    return sqrt_rant * np.vstack([np.cos(phase), -np.sin(phase)])
+    """B (2N x K) with v_in = [Re r, Im r] @ B for received-tone rows r.
+
+    Tone n runs c + n whole cycles per period, c the carrier multiple, so
+    its phase at t_k = k T/K is 2 pi ((c + n) k mod K) / K: one K-entry
+    cos/sin table serves every tone.
+    """
+    table = (2.0 * np.pi / steps) * np.arange(steps)
+    cycles = grid.carrier_multiple() + np.arange(grid.n_tones)
+    idx = np.outer(cycles, np.arange(1, steps + 1)) % steps
+    return sqrt_rant * np.vstack([np.cos(table)[idx], -np.sin(table)[idx]])
 
 
 def _drive(tones: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -189,7 +196,7 @@ def simulate(waveform: Waveform, channel: ChannelRealization,
     r = received_tone_coefficients(waveform, channel)
     times = _sample_times(waveform.grid, circuit, dt)
     dt = float(times[0])
-    vin = _drive(r[None, :], _drive_basis(waveform.grid.omegas, times,
+    vin = _drive(r[None, :], _drive_basis(waveform.grid, times.size,
                                           math.sqrt(circuit.diode.r_ant)))
     means = []
     vout, passed = _periodic_newton(vin, circuit, dt, means)
@@ -216,7 +223,7 @@ def simulate_ensemble(tone_rows: np.ndarray, grid: FrequencyGrid,
     """
     tone_rows = np.asarray(tone_rows, dtype=complex)
     times = _sample_times(grid, circuit, dt)
-    basis = _drive_basis(grid.omegas, times, math.sqrt(circuit.diode.r_ant))
+    basis = _drive_basis(grid, times.size, math.sqrt(circuit.diode.r_ant))
     chunk = max(1, _CHUNK_ENTRIES // times.size)
     means, passed = [], []
     for r0 in range(0, tone_rows.shape[0], chunk):

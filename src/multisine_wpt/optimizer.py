@@ -6,10 +6,13 @@ one minorize-maximize (MM) ascent over the complex weights: z_dc, and any
 nonnegatively weighted sum of it over rectennas, is convex in the weights,
 so its linearization at the current point is a global lower bound, and
 maximizing that bound over the power ball gives the closed-form, monotone
-update w <- sqrt(2P) grad / ||grad||.  Single-tone corners are fixed points
-of the update, so the ascent is restarted from every closed-form baseline
-and the best endpoint is kept; a baseline that still beats it is returned
-instead, so every design dominates its seeds by construction.  Only the
+update w <- sqrt(2P) grad / ||grad||.  That map converges only linearly, so
+the ascent extrapolates it by SQUAREM (Varadhan & Roland 2008) and keeps an
+extrapolated step only when it beats two plain steps, which keeps the
+ascent monotone.  Single-tone corners are fixed points of the update, so
+the ascent is restarted from every closed-form baseline and the best
+endpoint is kept; a baseline that still beats it is returned instead, so
+every design dominates its seeds by construction.  Only the
 PAPR-constrained design needs the geometric-program solver: it condenses
 z_dc from the rectenna's DC kernel and each sampled peak constraint by
 AM-GM and solves the resulting GP per iteration.
@@ -33,7 +36,13 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Knobs shared by all iterative designs."""
+    """Knobs shared by all iterative designs.
+
+    One iteration of the joint, decoupled and multi-rectenna designs is one
+    SQUAREM cycle of the MM ascent (up to four gradient evaluations); one
+    iteration of the PAPR-constrained design is one GP solve.  `eps` and
+    `max_iterations` apply per iteration.
+    """
 
     eps: float = 1e-6                # relative z_dc change declaring convergence
     max_iterations: int = 100
@@ -51,11 +60,18 @@ class OptimizerOptions:
 
 @dataclass
 class SCATrace:
-    """Per-iteration objective values and the final waveform."""
+    """Per-iteration objective values, the final waveform and why the run
+    stopped.
+
+    `stop_reason` is `tol` (the last iteration changed z by less than
+    eps*z), `max_iter` (the iteration cap), `stall` (an iteration would
+    have lowered z by more than that and was rejected) or `solver_fallback`
+    (the GP solver failed and the run kept its seed).
+    """
 
     zdc_history: np.ndarray
     waveform: Waveform
-    converged: bool
+    stop_reason: str
     kkt_residual: float | None = None
     achieved_papr: float | None = None
     papr_certified: bool | None = None
@@ -67,6 +83,10 @@ class SCATrace:
     @property
     def n_iterations(self) -> int:
         return len(self.zdc_history) - 1
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
 
 # ---------------------------------------------------------------------------
@@ -198,29 +218,57 @@ class _WeightedDC:
 
 def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
                options: OptimizerOptions):
-    """Monotone MM ascent from the weights w: (w, z history, converged).
+    """SQUAREM-accelerated MM ascent from the weights w: (w, z history,
+    stop reason).
 
     z is convex, so z(x) >= z(w) + Re<grad, x - w> for every x, and that
-    bound is maximized over the ball ||x||^2 <= 2P by x = sqrt(2P) grad /
-    ||grad||: z cannot fall.  A step that lowers z anyway (rounding at a
-    stationary point) is rejected and ends the run; `converged` tells
-    whether the last step, taken or not, passed the |dz| < eps*z test.
+    bound is maximized over the ball ||x||^2 <= 2P by the map
+    F(w) = sqrt(2P) grad / ||grad||: z cannot fall along it.  The map
+    converges only linearly, so each iteration is one SQUAREM cycle
+    (Varadhan & Roland, Scand. J. Stat. 2008, scheme SqS3): w1 = F(w0),
+    w2 = F(w1), r = w1 - w0, v = w2 - 2 w1 + w0,
+    alpha = min(-||r|| / ||v||, -1), and the extrapolate
+    w0 - 2 alpha r + alpha^2 v, scaled back onto the power sphere, takes
+    one more map step to w3.  The cycle keeps w3 when z(w3) > z(w2) and w2
+    otherwise (also when v = 0), so it cannot lower z either; it costs at
+    most four gradient evaluations.
+
+    The history holds one z per accepted cycle.  The run stops with `tol`
+    when a cycle changes z by less than eps*z, with `max_iter` after
+    `max_iterations` cycles, and with `stall` when a cycle lowers z anyway
+    (rounding at a stationary point) by more than that: such a cycle is
+    rejected.
     """
     radius = np.sqrt(2.0 * power)
+
+    def step(grad):
+        w_next = radius * grad / np.linalg.norm(grad)
+        return (w_next, *obj.value_grad(w_next))
+
     z, grad = obj.value_grad(w)
     history = [z]
-    converged = False
     for _ in range(options.max_iterations):
-        w_new = radius * grad / np.linalg.norm(grad)
-        z_new, grad_new = obj.value_grad(w_new)
-        converged = bool(abs(z_new - z) < options.eps * max(z_new, _TINY))
+        w1, _, grad1 = step(grad)
+        w_new, z_new, grad_new = step(grad1)
+        r = w1 - w
+        v = w_new - 2.0 * w1 + w
+        v_norm = np.linalg.norm(v)
+        if v_norm > 0:
+            alpha = min(-np.linalg.norm(r) / v_norm, -1.0)
+            w_ext = w - 2.0 * alpha * r + alpha ** 2 * v
+            _, grad_ext = obj.value_grad(radius * w_ext
+                                         / np.linalg.norm(w_ext))
+            w3, z3, grad3 = step(grad_ext)
+            if z3 > z_new:
+                w_new, z_new, grad_new = w3, z3, grad3
+        converged = abs(z_new - z) < options.eps * max(z_new, _TINY)
         if z_new < z:
-            break
+            return w, np.asarray(history), "tol" if converged else "stall"
         w, z, grad = w_new, z_new, grad_new
         history.append(z)
         if converged:
-            break
-    return w, np.asarray(history), converged
+            return w, np.asarray(history), "tol"
+    return w, np.asarray(history), "max_iter"
 
 
 def _ascents(obj: _WeightedDC, seeds: list[np.ndarray], power: float,
@@ -327,8 +375,9 @@ def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray,
                            power: float) -> np.ndarray:
     """Newton refinement of the stationarity system at the ascent endpoint.
 
-    The MM ascent converges only linearly, and badly-conditioned instances
-    can stop above the wanted stationarity residual; a few Newton steps on
+    The MM ascent stops once z changes by less than eps*z per cycle, and
+    badly-conditioned instances stop there above the wanted stationarity
+    residual; a few Newton steps on
     [grad log z = nu * grad power, power = budget] over the coordinates
     with a log-gradient share above `_POLISH_MIN_SHARE` finish the job.
     The Jacobian of the log-gradient b in log variables is
@@ -383,8 +432,8 @@ def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray,
 
 
 def _polished(obj: _AlignedDC, s: np.ndarray, history: np.ndarray,
-              converged: bool, power: float):
-    """(s, history, converged) of an ascent run after the KKT polish.
+              stop_reason: str, power: float):
+    """(s, history, stop reason) of an ascent run after the KKT polish.
 
     The polished point is kept when z stays within rounding of the
     endpoint, so the history stays monotone.
@@ -392,8 +441,8 @@ def _polished(obj: _AlignedDC, s: np.ndarray, history: np.ndarray,
     polished = _kkt_polish_power_only(obj, s, power)
     z_polished = obj.value(polished)
     if z_polished >= history[-1] * (1.0 - 1e-12):
-        return polished, np.append(history, z_polished), converged
-    return s, history, converged
+        return polished, np.append(history, z_polished), stop_reason
+    return s, history, stop_reason
 
 
 def _dominant_result(waveform: Waveform, seeds: list[Waveform],
@@ -425,9 +474,12 @@ def optimize(channel: ChannelRealization, power: float,
     """Joint space-frequency amplitude design at the aligned phases.
 
     The MM ascent starts from each closed-form baseline's amplitudes at the
-    aligned phases, which every update keeps (the received tones stay real
-    and positive); a Newton polish of the amplitudes' stationarity
-    conditions then finishes the linearly converging ascent.
+    aligned phases.  The map keeps them (the received tones stay real and
+    positive); an extrapolated step can flip the sign of an amplitude
+    against them, which is safe: z is scored on the complex weights, and
+    the magnitudes kept here score no lower.  A Newton polish of the
+    amplitudes' stationarity conditions then finishes every run, not only
+    the best: the best unpolished endpoint can be a saddle corner.
     """
     h = channel.require_single_rectenna()
     phases = optimal_phases(channel)
@@ -436,13 +488,13 @@ def optimize(channel: ChannelRealization, power: float,
                     [seed.amplitudes * np.exp(1j * phases) for seed in seeds],
                     power, options)
     obj = _AlignedDC(np.abs(h), params)
-    s, history, converged = _best_run(
-        [_polished(obj, np.abs(w).ravel(), history, converged, power)
-         for w, history, converged in runs])
+    s, history, stop_reason = _best_run(
+        [_polished(obj, np.abs(w).ravel(), history, reason, power)
+         for w, history, reason in runs])
     waveform = Waveform(s.reshape(h.shape), phases, grid, power_budget=power)
     waveform, history[-1] = _dominant_result(waveform, seeds, [h], [1.0],
                                              params)
-    return SCATrace(history, waveform, converged,
+    return SCATrace(history, waveform, stop_reason,
                     kkt_residual=_kkt_residual_power_only(obj, s, power))
 
 
@@ -583,7 +635,6 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
 
     def run(anchor: np.ndarray, limit: float):
         history = [obj.value(anchor)]
-        converged = False
         for _ in range(options.max_iterations):
             cons = list(base_cons)
             for ant in range(m):
@@ -600,12 +651,13 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             converged = bool(abs(z_new - history[-1])
                              < options.eps * max(z_new, _TINY))
             if z_new < history[-1]:
-                break
+                return (anchor, np.asarray(history),
+                        "tol" if converged else "stall")
             anchor = report.x
             history.append(z_new)
             if converged:
-                break
-        return anchor, np.asarray(history), converged
+                return anchor, np.asarray(history), "tol"
+        return anchor, np.asarray(history), "max_iter"
 
     limit = eta
     for _ in range(3):
@@ -616,18 +668,18 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             except GPSolverError:
                 # feasible set has (numerically) no interior around this
                 # seed, e.g. the single-tone corner at eta = 2; keep the
-                # seed itself as this run's result, unconverged
-                out = (seed, np.array([obj.value(seed)]), False)
+                # seed itself as this run's result
+                out = (seed, np.array([obj.value(seed)]), "solver_fallback")
             if best is None or out[1][-1] > best[1][-1]:
                 best = out
-        s, history, converged = best
+        s, history, stop_reason = best
         wf = Waveform(s.reshape(n, m), phi_star, grid, power_budget=power)
         fine = worst_papr(s, 4 * options.papr_oversampling)
         if fine <= eta * (1.0 + 1e-6):
-            return SCATrace(history, wf, converged,
+            return SCATrace(history, wf, stop_reason,
                             achieved_papr=fine, papr_certified=True)
         limit *= 0.999 * eta / fine
-    return SCATrace(history, wf, converged,
+    return SCATrace(history, wf, stop_reason,
                     achieved_papr=fine, papr_certified=False)
 
 
@@ -709,13 +761,13 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
     for h_u in hs:
         seeds += _seed_candidates(ChannelRealization(h_u), power, grid,
                                   options)
-    w, history, converged = _best_run(_ascents(
+    w, history, stop_reason = _best_run(_ascents(
         _WeightedDC(hs, weights, params), [seed.weights for seed in seeds],
         power, options))
     waveform = Waveform(np.abs(w), np.angle(w), grid, power_budget=power)
     waveform, history[-1] = _dominant_result(waveform, seeds, hs, weights,
                                              params)
-    return SCATrace(history, waveform, converged)
+    return SCATrace(history, waveform, stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Imports: every imported name is used, and the package imports only what
 it runs.
 
-The unused-name check is a stdlib-`ast` scan of the package and tests;
-`__init__.py` re-exports what it imports, so it is exempt.
+The unused-name and layering checks are stdlib-`ast` scans of the package
+and tests; `__init__.py` re-exports what it imports, so it is exempt from
+the first.
 """
 
 import ast
@@ -36,6 +37,19 @@ def test_no_unused_imports():
     files += sorted((ROOT / "tests").rglob("*.py"))
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def test_rectenna_does_not_import_gp():
+    # the enumerated posynomial oracle, the only user of `gp` there, lives
+    # in tests/posynomial_oracle.py
+    tree = ast.parse((ROOT / "src" / "multisine_wpt" / "rectenna.py")
+                     .read_text())
+    modules = [node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    modules += [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    assert not [mod for mod in modules
+                if mod and (mod == "gp" or mod.endswith(".gp"))], modules
 
 
 def test_package_import_leaves_out_scipy_optimize():

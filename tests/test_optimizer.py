@@ -5,7 +5,7 @@ from multisine_wpt import cli
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
 from multisine_wpt.optimizer import (OptimizerOptions, _AlignedDC, _ascents,
-                                     _kkt_polish_power_only,
+                                     _kkt_polish_power_only, _mm_ascent,
                                      _papr_signomial_pieces, _seed_candidates,
                                      _WeightedDC, ass, ass_multi,
                                      baseline_waveform, max_papr, mf,
@@ -124,10 +124,11 @@ def test_weighted_objective_matches_weighted_zdc_sum():
             assert np.isclose(slope, np.real(np.vdot(grad, d)), rtol=1e-6)
 
 
-def test_kkt_polish_deterministic_at_iteration_cap():
-    # a 16-tone multipath channel on which the decoupled design's ascents
-    # stop at their cap with log-gradient shares down to 1e-26; the polished
-    # point must not depend on rounding in the endpoint
+def _slow_mm_case():
+    """A 16-tone multipath channel, reduced to the decoupled design's
+    effective channel, on which the plain MM map needs more than 100 steps
+    to reach eps = 1e-8 from 3 of the 4 seeds, with log-gradient shares
+    down to 1e-26 at its 100th step."""
     cfg = cli.validate_config(dict(cli.default_config(), n_tones=16,
                                    n_antennas=2, carrier_multiple=256, seed=0))
     grid = cli._grid(cfg)
@@ -135,6 +136,13 @@ def test_kkt_polish_deterministic_at_iteration_cap():
     eff = ChannelRealization(np.sqrt(np.sum(np.abs(h) ** 2, axis=1)))
     opts = OptimizerOptions(eps=1e-8, max_iterations=100)
     seeds = [w.weights for w in _seed_candidates(eff, POWER, grid, opts)]
+    return eff, seeds, opts
+
+
+def test_kkt_polish_deterministic_at_iteration_cap():
+    # the polished endpoint of every ascent on the slow channel must not
+    # depend on rounding in that endpoint, down to shares near 1e-26
+    eff, seeds, opts = _slow_mm_case()
     obj = _AlignedDC(np.abs(eff.h), P4)
     rng = np.random.default_rng(0)
     for w, _, _ in _ascents(_WeightedDC([eff.h], [1.0], P4), seeds, POWER,
@@ -145,6 +153,123 @@ def test_kkt_polish_deterministic_at_iteration_cap():
             s_pert = s * (1 + 1e-15 * rng.standard_normal(s.size))
             z_pert = obj.value(_kkt_polish_power_only(obj, s_pert, POWER))
             assert abs(z_pert - z) <= 1e-12 * z
+
+
+def test_every_ascent_converges_on_slow_channel():
+    # two plain map steps per iteration, without the extrapolation, need 57
+    # iterations here; the SQUAREM cycles need at most 11
+    eff, seeds, opts = _slow_mm_case()
+    runs = _ascents(_WeightedDC([eff.h], [1.0], P4), seeds, POWER, opts)
+    assert len(runs) == 4
+    for _, history, reason in runs:
+        assert reason == "tol"
+        assert len(history) - 1 <= 25
+
+
+def _plain_mm_best(obj, seeds, power, eps=1e-13, cap=100_000):
+    """Best endpoint z of the unaccelerated MM map run from every seed."""
+    radius = np.sqrt(2.0 * power)
+    best = 0.0
+    for w in seeds:
+        z, grad = obj.value_grad(w)
+        for _ in range(cap):
+            z_new, grad_new = obj.value_grad(radius * grad
+                                             / np.linalg.norm(grad))
+            if z_new < z:
+                break
+            done = z_new - z < eps * z_new
+            z, grad = z_new, grad_new
+            if done:
+                break
+        best = max(best, z)
+    return best
+
+
+def test_accelerated_ascent_reaches_plain_mm_optimum():
+    opts = OptimizerOptions(eps=1e-13, max_iterations=500)
+    cases = []
+    for seed in range(20):
+        h = iid_frequency_channel(8, 2, seed=400 + seed)
+        seeds = [w.weights for w in _seed_candidates(h, POWER, _grid(8),
+                                                     opts)]
+        cases.append(([h.h], seeds))
+    for seed in range(12):
+        n, m = (3, 1) if seed % 2 == 0 else (4, 2)
+        ch = iid_frequency_channel(n, m, n_rectennas=2, seed=seed)
+        hs = [ch.rectenna(0).h, ch.rectenna(1).h]
+        seeds = [ass_multi(hs, [1.0, 1.0], POWER, _grid(n)).weights]
+        for h_u in hs:
+            seeds += [w.weights for w in _seed_candidates(
+                ChannelRealization(h_u), POWER, _grid(n), opts)]
+        cases.append((hs, seeds))
+    for hs, seeds in cases:
+        obj = _WeightedDC(hs, [1.0] * len(hs), P4)
+        z = max(history[-1]
+                for _, history, _ in _ascents(obj, seeds, POWER, opts))
+        z_ref = _plain_mm_best(obj, seeds, POWER)
+        assert z >= z_ref * (1.0 - 1e-12)
+
+
+def test_cycle_never_ends_below_two_plain_steps():
+    # walk each run one cycle at a time; on these channels the extrapolated
+    # point loses to the two plain map steps in some cycles
+    radius = np.sqrt(2.0 * POWER)
+    one_cycle = OptimizerOptions(eps=1e-15, max_iterations=1)
+    for seed in range(10):
+        h = iid_frequency_channel(8, 2, seed=400 + seed)
+        obj = _WeightedDC([h.h], [1.0], P4)
+        for w in [w.weights for w in _seed_candidates(h, POWER, _grid(8),
+                                                       one_cycle)]:
+            for _ in range(20):
+                _, grad = obj.value_grad(w)
+                for _ in range(2):
+                    z, grad = obj.value_grad(radius * grad
+                                             / np.linalg.norm(grad))
+                w, history, reason = _mm_ascent(obj, w, POWER, one_cycle)
+                if reason == "stall":
+                    break
+                assert history[-1] >= z * (1.0 - 1e-14)
+                if reason == "tol":
+                    break
+
+
+def test_polish_runs_on_every_ascent():
+    # at default options the best unpolished endpoint on this channel is a
+    # saddle corner; the polish of another run's endpoint finds the design
+    h = iid_frequency_channel(4, 4, seed=9027).h
+    eff = ChannelRealization(np.sqrt(np.sum(np.abs(h) ** 2, axis=1)))
+    trace = optimize(eff, POWER, P4, _grid(4))
+    tight = optimize(eff, POWER, P4, _grid(4), OptimizerOptions(eps=1e-11))
+    assert abs(trace.zdc - tight.zdc) <= 1e-12 * tight.zdc
+    assert trace.kkt_residual <= 1e-10
+
+
+def test_stop_reasons():
+    h = iid_frequency_channel(8, 2, seed=100)
+    assert optimize(h, POWER, P4, _grid(8)).stop_reason == "tol"
+    capped = optimize(h, POWER, P4, _grid(8),
+                      OptimizerOptions(eps=1e-15, max_iterations=1))
+    assert capped.stop_reason == "max_iter" and not capped.converged
+    multi = optimize_multi([h], [1.0], POWER, P4, _grid(8),
+                           OptimizerOptions(eps=1e-15, max_iterations=1))
+    assert multi.stop_reason == "max_iter"
+
+
+def test_ascent_rejects_a_falling_cycle_as_stall():
+    class Falling:
+        """z falls by half at every evaluation; any gradient will do."""
+
+        def __init__(self):
+            self.z = 1.0
+
+        def value_grad(self, w):
+            self.z *= 0.5
+            return self.z, np.ones_like(w)
+
+    w0 = np.ones((2, 1), dtype=complex)
+    w, history, reason = _mm_ascent(Falling(), w0, POWER, OptimizerOptions())
+    assert reason == "stall"
+    assert np.array_equal(w, w0) and history.size == 1
 
 
 def test_optimize_monotone_dominant_and_stationary():
@@ -266,6 +391,7 @@ def test_papr_solver_fallback_reports_unconverged():
                        OptimizerOptions(eps=1e-8, max_iterations=40))
     assert tr.n_iterations == 0
     assert not tr.converged
+    assert tr.stop_reason == "solver_fallback"
 
 
 def test_kkt_residual_flags_saddle_corner():

@@ -8,12 +8,12 @@ from multisine_wpt.channel import (FrequencyGrid, flat_channel,
 from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
                                     Waveform, iout_fixed_point,
                                     load_waveform_text, papr,
-                                    quartic_tuple_count, quartic_tuples,
                                     received_tone_coefficients,
-                                    save_waveform_text, sextic_tuples,
-                                    synthesize_transmit, taylor_coefficients,
-                                    zdc_analytic, zdc_posynomial,
+                                    save_waveform_text, synthesize_transmit,
+                                    taylor_coefficients, zdc_analytic,
                                     zdc_time_average)
+from posynomial_oracle import (quartic_tuple_count, quartic_tuples,
+                               sextic_tuples, zdc_posynomial)
 
 DIODE = DiodeParams()
 P4 = RectennaParams(DIODE, 4)
