@@ -6,11 +6,12 @@ positive variables; a posynomial is a sum of monomials.  Geometric programs
 substitution ``x = exp(y)``: monomials turn affine in ``y`` and posynomial
 constraints turn into log-sum-exp functions.  `solve_gp` is a primal-dual
 interior-point method, preceded by a barrier phase I when the start is not
-strictly feasible.  It stacks every constraint's terms into one exponent
-matrix, so the constraint values, their Jacobian and the weighted sum of
-their Hessians come from segment reductions and matrix products, whatever
-the number of constraints; single-term (monomial) constraints are rows
-like any other.
+strictly feasible; phase I stops early, from a duality bound, once it can
+prove that no strictly feasible point exists.  It stacks every
+constraint's terms into one exponent matrix, so the constraint values,
+their Jacobian and the weighted sum of their Hessians come from segment
+reductions and matrix products, whatever the number of constraints;
+single-term (monomial) constraints are rows like any other.
 
 The arithmetic-geometric mean condensation `condense` replaces a
 posynomial by its best monomial lower bound at an anchor point (tight at
@@ -161,6 +162,10 @@ class GPStandardForm:
 
 @dataclass
 class SolveReport:
+    """A `solve_gp` result.  `message` is empty when converged, and
+    otherwise names why the primal-dual loop stopped: its iteration cap,
+    a stalled line search, or a stop whose point missed the tolerances."""
+
     x: np.ndarray
     objective_value: float
     constraint_values: np.ndarray
@@ -189,34 +194,50 @@ def _stack(constraints: list[Posynomial]):
             np.repeat(np.arange(sizes.size), sizes))
 
 
-def _evaluate(stack, y):
-    """(g, J, hess) of the log constraint values at y.
+def _log_sums(stack, y):
+    """(g, e, total): the log constraint values at y and their parts.
 
     g_i = log sum_k exp(log_c_k + A_k.y) over constraint i's terms, by
-    segment reductions shifted by each segment's largest term; J holds
-    their gradients A^T p_i, with p the terms' shares of their constraint;
-    hess(w) = sum_i w_i hess g_i = A^T diag(w[seg] p) A - J^T diag(w) J.
+    segment reductions shifted by each segment's largest term top_i; e_k
+    is term k's exp(log_c_k + A_k.y - top_i) and total_i the sum of
+    constraint i's e_k.  Line searches take g alone.
     """
     log_c, A, starts, seg = stack
     z = log_c + A @ y
     top = np.maximum.reduceat(z, starts)
     e = np.exp(z - top[seg])
     total = np.add.reduceat(e, starts)
+    return top + np.log(total), e, total
+
+
+def _evaluate(stack, y):
+    """(g, J, hess) of the log constraint values at y.
+
+    g comes from `_log_sums`; J holds the gradients A^T p_i, with p the
+    terms' shares of their constraint; hess(w) = sum_i w_i hess g_i =
+    A^T diag(w[seg] p) A - J^T diag(w) J.
+    """
+    _, A, starts, seg = stack
+    g, e, total = _log_sums(stack, y)
     p = e / total[seg]
     J = np.add.reduceat(p[:, None] * A, starts, axis=0)
 
     def hess(w):
         return A.T @ ((w[seg] * p)[:, None] * A) - J.T @ (w[:, None] * J)
 
-    return top + np.log(total), J, hess
+    return g, J, hess
 
 
 def _newton_center(stack, t, b0, y, max_steps, tol):
-    """Damped Newton for t*(b0.y) - sum log(-g_i(y)); y must start interior."""
+    """Damped Newton for t*(b0.y) - sum log(-g_i(y)); y must start interior.
+
+    Returns (y, steps, centred): centred means the Newton decrement of the
+    returned y met `tol`.  The backtracking line search evaluates the
+    constraint values only.
+    """
     n = y.size
 
-    def objective(yv):
-        g = _evaluate(stack, yv)[0]
+    def objective(yv, g):
         return t * (b0 @ yv) - np.sum(np.log(-g)) if np.all(g < 0) else np.inf
 
     steps = 0
@@ -239,51 +260,75 @@ def _newton_center(stack, t, b0, y, max_steps, tol):
             decrement = float(-grad @ d)
         steps += 1
         if decrement / 2.0 <= tol:
-            return y, steps
-        f0 = objective(y)
+            return y, steps, True
+        f0 = objective(y, g)
         step = 1.0
         while step > 1e-14:
             y_new = y + step * d
-            f_new = objective(y_new)
+            f_new = objective(y_new, _log_sums(stack, y_new)[0])
             if f_new <= f0 - 0.25 * step * decrement:
                 break
             step *= 0.5
         else:
-            return y, steps  # stalled line search: accept current center
+            return y, steps, False  # stalled line search
         y = y_new
-    return y, steps
+    return y, steps, False
 
 
 def _phase_one(stack, y0, margin, max_steps):
     """Find y with all g_i(y) <= -margin starting from (possibly) infeasible y0.
 
-    Damped Newton on the slack-minimization barrier, checking the exit
-    condition after every step: anchors are usually infeasible only at
-    rounding level, and leaving as soon as the margin is met keeps the
-    result close to the start (the barrier itself is unbounded below in
-    slack directions, so running any centering to optimality would drift
-    far away).  The slack s enters every term as exp(-s), one extra
-    column of -1 in the stacked exponent matrix.
+    A barrier method on min s subject to g_i(y) <= s: the slack s enters
+    every term as exp(-s), one extra column of -1 in the stacked exponent
+    matrix, and starts at the worst g plus one.  Each round takes one
+    damped Newton step, then raises t by 1.5, and returns as soon as the
+    margin is met.  That exit bounds the work, not the distance travelled:
+    the slack starts a whole unit above the worst g, so a start already
+    within rounding of the margin can end far from where it began, and
+    well inside the margin.
+
+    One step per t leaves the iterates uncentred, and the duality bound
+    p* >= s - m/t on the least worst g (Boyd & Vandenberghe, Convex
+    Optimization, section 11.4) holds only at a centred point.  Once
+    s - m/t > -margin at an iterate, the iterate is centred at that t; if
+    the centred bound still exceeds -margin, no point meets the margin and
+    GPSolverError says so.  With a point inside the margin, p* <= -margin,
+    so the centred bound never exceeds it (up to the centring tolerance).
     """
     n = y0.size
-    worst = _evaluate(stack, y0)[0].max()
+    worst = _log_sums(stack, y0)[0].max()
     if worst <= -margin:
         return y0
     log_c, A, starts, seg = stack
+    m = starts.size
     aug = (log_c, np.hstack([A, -np.ones((A.shape[0], 1))]), starts, seg)
     z = np.concatenate([y0, [worst + 1.0]])
     b0 = np.zeros(n + 1)
     b0[-1] = 1.0
     t = 1.0
-    for _ in range(max_steps):
-        z, _ = _newton_center(aug, t, b0, z, max_steps=1, tol=1e-12)
-        worst = _evaluate(stack, z[:n])[0].max()
+    steps = 0
+    while steps < max_steps:
+        z, _, _ = _newton_center(aug, t, b0, z, max_steps=1, tol=1e-12)
+        steps += 1
+        worst = _log_sums(stack, z[:n])[0].max()
         if worst <= -margin:
             return z[:n]
+        if z[-1] - m / t > -margin:
+            z, taken, centred = _newton_center(aug, t, b0, z,
+                                               max_steps - steps, tol=1e-12)
+            steps += taken
+            worst = _log_sums(stack, z[:n])[0].max()
+            if worst <= -margin:
+                return z[:n]
+            bound = z[-1] - m / t
+            if centred and bound > -margin:
+                raise GPSolverError(
+                    f"certified: no strictly feasible point (bound "
+                    f"{bound:.3g} after {steps} steps)")
         if z[-1] - worst > 2.0:  # slack variable lagging; re-anchor it
             z[-1] = worst + 1.0
         t *= 1.5
-    raise GPSolverError("no strictly feasible point found (phase I)")
+    raise GPSolverError(f"phase I reached its step cap ({max_steps} steps)")
 
 
 def solve_gp(problem: GPStandardForm, x0: np.ndarray,
@@ -296,7 +341,8 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
     primal-dual interior-point iteration on the log-domain convex program,
     which copes with the near-degenerate corners the waveform designs
     produce (many peak constraints active at once).  Raises GPSolverError
-    when no interior point can be found.
+    when phase I certifies that no point lies 1e-9 inside every
+    constraint, or reaches its `max_newton` step cap without finding one.
     """
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
@@ -312,11 +358,13 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
     lam = 1.0 / np.maximum(-g_vals, 1e-12)
     mu = 10.0
     steps = 0
+    stop = "iteration cap reached"
     for _ in range(max_newton):
         g_vals, J, hess_of = _evaluate(stack, y)
         gap = float(-lam @ g_vals)
         r_dual = b0 + J.T @ lam
         if gap <= gap_tol and np.abs(r_dual).max() <= min(kkt_tol, 1e-9):
+            stop = "tolerances not met"
             break
         t = mu * m / gap
         r_cent = -lam * g_vals - 1.0 / t
@@ -347,8 +395,9 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
                     break
             step *= 0.5
         steps += 1
-        if not accepted:
-            break  # stalled; current iterate is the best available
+        if not accepted:  # the current iterate is the best available
+            stop = "line search stalled"
+            break
         y, lam = y_new, lam_new
 
     g_vals, J, _ = _evaluate(stack, y)
@@ -358,7 +407,7 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
     cons_vals = np.exp(g_vals)  # log-domain values, overflow-safe
     feasible = bool(np.all(cons_vals <= 1.0 + feas_tol))
     converged = feasible and gap <= gap_tol * 10 and kkt <= kkt_tol
-    msg = "" if converged else "tolerances not met"
+    msg = "" if converged else stop
     log_obj = problem.objective.log_evaluate(y)
     return SolveReport(x=x,
                        objective_value=float(np.exp(log_obj)) if log_obj < 700.0

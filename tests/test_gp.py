@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from multisine_wpt import gp
 from multisine_wpt.gp import (GPSolverError, GPStandardForm, Monomial,
-                              Posynomial, _evaluate, _stack, condense,
-                              floor_constraints, positivity_floor,
-                              power_constraint, single_condensation_fraction,
-                              solve_gp)
+                              Posynomial, _evaluate, _log_sums, _phase_one,
+                              _stack, condense, floor_constraints,
+                              positivity_floor, power_constraint,
+                              single_condensation_fraction, solve_gp)
 
 
 def _random_posynomial(rng, n_terms, n_vars, max_exp=3):
@@ -154,6 +155,8 @@ def test_stacked_evaluator_matches_per_constraint_formulas():
         y[0] = 2.0
         w = rng.uniform(0.1, 3.0, len(cons))
         g, J, hess = _evaluate(stack, y)
+        # the line searches' values are the evaluator's, bit for bit
+        assert np.array_equal(_log_sums(stack, y)[0], g)
         want_h = np.zeros((3, 3))
         for i, c in enumerate(cons):
             z = np.log(c.coefficients) + c.exponents @ y
@@ -177,3 +180,79 @@ def test_solve_gp_all_single_term_constraints():
     report = solve_gp(GPStandardForm(objective, cons, 2), np.array([0.5, 0.2]))
     assert report.converged
     assert np.allclose(report.x, [2.0, 2.0], rtol=1e-7)
+
+
+def _margin_pair(p):
+    """e^p x <= 1 and e^p / x <= 1: the least worst log value is p, at x = 1."""
+    return _stack([Posynomial(np.array([np.exp(p)]), np.array([[1.0]])),
+                   Posynomial(np.array([np.exp(p)]), np.array([[-1.0]]))])
+
+
+def _counting_centering(monkeypatch):
+    """Wrap gp._newton_center; the returned list sums its Newton steps."""
+    steps = [0]
+    center = gp._newton_center
+
+    def counted(*args, **kwargs):
+        out = center(*args, **kwargs)
+        steps[0] += out[1]
+        return out
+
+    monkeypatch.setattr(gp, "_newton_center", counted)
+    return steps
+
+
+@pytest.mark.parametrize("p", [-3e-9, -1.5e-9])
+def test_phase_one_meets_the_margin_when_it_can(p):
+    stack = _margin_pair(p)
+    y = _phase_one(stack, np.array([0.5]), margin=1e-9, max_steps=200)
+    assert _log_sums(stack, y)[0].max() <= -1e-9
+
+
+@pytest.mark.parametrize("p", [-5e-10, 0.0, 1e-6])
+def test_phase_one_certifies_no_point_inside_the_margin(p, monkeypatch):
+    # the least worst value p is above -margin: no point meets the margin,
+    # and the duality bound must say so long before the step cap
+    steps = _counting_centering(monkeypatch)
+    with pytest.raises(GPSolverError, match="^certified: no strictly "
+                                            "feasible point"):
+        _phase_one(_margin_pair(p), np.array([0.5]), margin=1e-9,
+                   max_steps=200)
+    assert steps[0] <= 100
+
+
+def test_phase_one_reports_its_step_cap_apart_from_a_certificate():
+    # feasible (p = -1 < -margin) but far from the start: three steps
+    # cannot get there, and the error names the cap, not a certificate
+    with pytest.raises(GPSolverError, match="^phase I reached its step cap"):
+        _phase_one(_margin_pair(-1.0), np.array([400.0]), margin=1e-9,
+                   max_steps=3)
+    y = _phase_one(_margin_pair(-1.0), np.array([400.0]), margin=1e-9,
+                   max_steps=200)
+    assert _log_sums(_margin_pair(-1.0), y)[0].max() <= -1e-9
+
+
+def test_solve_report_names_why_the_primal_dual_loop_stopped():
+    p = 2.5
+    problem = GPStandardForm(Monomial(1.0, np.array([-2.0, -2.0])),
+                             [power_constraint(np.arange(2), 2, p)], 2)
+    x0 = np.array([0.3, 1.9])  # strictly feasible: no phase I
+    assert solve_gp(problem, x0).message == ""
+    capped = solve_gp(problem, x0, max_newton=2)
+    assert not capped.converged and capped.iterations == 2
+    assert capped.message == "iteration cap reached"
+    # the loop's own test passes, but the point misses feas_tol
+    strict = solve_gp(problem, x0, feas_tol=-0.5)
+    assert not strict.converged and strict.message == "tolerances not met"
+    # zero tolerances cannot be met; this problem's residual stops falling
+    # before the cap, and the 50-halving line search gives up
+    rng = np.random.default_rng(0)
+    b = rng.uniform(0.5, 4.0, 3)
+    cons = [power_constraint(np.arange(3), 3, 1.0)] \
+        + floor_constraints(3, positivity_floor(1.0))
+    cons.append(Posynomial(rng.uniform(0.1, 2.0, 4),
+                           rng.integers(0, 3, (4, 3)).astype(float)))
+    stalled = solve_gp(GPStandardForm(Monomial(1.0, -b), cons, 3),
+                       np.full(3, 0.1), gap_tol=0.0, kkt_tol=0.0)
+    assert stalled.iterations < 200
+    assert stalled.message == "line search stalled"
