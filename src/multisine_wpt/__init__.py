@@ -6,8 +6,9 @@ The package splits into:
 - `rectenna`: the truncated-Taylor diode model, its DC surrogate and the
   DC kernel (value and gradient in the received tones, and the Hessian
   for aligned real tones) the designers ascend
-- `gp`: posynomial algebra, AM-GM condensation and a geometric-program
-  solver, used by the PAPR-constrained design
+- `gp`: a geometric-program solver over one stacked constraint format
+  (log coefficients, exponent rows, term counts) and a vectorized AM-GM
+  condensation, used by the PAPR-constrained design
 - `optimizer`: closed-form baselines, one minorize-maximize ascent for the
   joint, decoupled and multi-rectenna designs, and the PAPR-constrained
   design
@@ -23,16 +24,15 @@ from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
 from .circuit import (CircuitParams, SimTrace, SteadyStateError,
                       dc_operating_point, export_trace_csv,
                       harvested_dc_power, simulate, simulate_ensemble)
-from .gp import (GPSolverError, GPStandardForm, Monomial, Posynomial,
-                 SolveReport, condense, single_condensation_fraction,
-                 solve_gp)
+from .gp import (GPSolverError, SolveReport, condense, solve_gp,
+                 stack_constraints)
 from .optimizer import (OptimizerOptions, SCATrace, ass, ass_multi,
                         baseline_waveform, max_papr, mf, optimal_phases,
                         optimize, optimize_decoupled, optimize_multi,
                         optimize_papr, ss, toy_n2, up, upmf)
 from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
-                       iout_fixed_point, load_waveform_text, papr,
-                       received_tone_coefficients, save_waveform_text,
+                       antenna_paprs, iout_fixed_point, load_waveform_text,
+                       papr, received_tone_coefficients, save_waveform_text,
                        synthesize_transmit, taylor_coefficients, zdc_analytic,
                        zdc_time_average)
 from .scaling import (ScalingScenario, asymptotic_form, closed_form,

@@ -26,9 +26,10 @@ from .gp import GPSolverError
 from .optimizer import (OptimizerOptions, baseline_waveform, optimize,
                         optimize_decoupled, optimize_multi, optimize_papr,
                         toy_n2)
-from .rectenna import (DiodeParams, RectennaParams, Waveform, iout_fixed_point,
-                       load_waveform_text, papr, received_tone_coefficients,
-                       save_waveform_text, zdc_analytic)
+from .rectenna import (DiodeParams, RectennaParams, Waveform, antenna_paprs,
+                       iout_fixed_point, load_waveform_text,
+                       received_tone_coefficients, save_waveform_text,
+                       zdc_analytic)
 from .scaling import ScalingScenario, closed_form, monte_carlo
 
 
@@ -231,10 +232,8 @@ def _report_rows(cfg: dict, waveform: Waveform,
     params = _params(cfg)
     ch = channel.rectenna(0) if channel.n_rectennas > 1 else channel
     z = zdc_analytic(waveform, ch, params)
-    worst = 0.0
-    for ant in range(waveform.n_antennas):
-        if np.any(waveform.amplitudes[:, ant] > 0):
-            worst = max(worst, papr(waveform, ant, cfg["papr_oversampling"]))
+    worst = max(antenna_paprs(waveform, cfg["papr_oversampling"]).values(),
+                default=0.0)
     return (z, iout_fixed_point(z, params), worst,
             meta.get("iterations", 0), meta.get("converged", True))
 
@@ -288,22 +287,27 @@ def cmd_evaluate(args) -> int:
     i_out = iout_fixed_point(z, params)
     print(f"zdc_a = {_fmt(z)}")
     print(f"iout_a = {_fmt(i_out)}")
-    for ant in range(waveform.n_antennas):
-        if np.any(waveform.amplitudes[:, ant] > 0):
-            print(f"papr_antenna_{ant} = "
-                  f"{_fmt(papr(waveform, ant, cfg['papr_oversampling']))}")
+    for ant, value in antenna_paprs(waveform,
+                                    cfg["papr_oversampling"]).items():
+        print(f"papr_antenna_{ant} = {_fmt(value)}")
     return 0
 
 
 def cmd_papr(args) -> int:
     waveform = _load_input(load_waveform_text, args.waveform)
+    paprs = antenna_paprs(waveform, args.oversampling)
     for ant in range(waveform.n_antennas):
-        if np.any(waveform.amplitudes[:, ant] > 0):
-            print(f"papr_antenna_{ant} = "
-                  f"{_fmt(papr(waveform, ant, args.oversampling))}")
-        else:
-            print(f"papr_antenna_{ant} = undefined (zero power)")
+        value = _fmt(paprs[ant]) if ant in paprs else "undefined (zero power)"
+        print(f"papr_antenna_{ant} = {value}")
     return 0
+
+
+def _scaling_row(sc: ScalingScenario, trials: int, seed: int) -> tuple:
+    """(closed-form low, high, Monte Carlo mean, stderr) of one scenario;
+    a closed form that is a single value gives low = high."""
+    cf = closed_form(sc)
+    lo, hi = (cf, cf) if np.isscalar(cf) else cf
+    return (lo, hi, *monte_carlo(sc, trials, seed))
 
 
 def cmd_scaling(args) -> int:
@@ -317,11 +321,9 @@ def cmd_scaling(args) -> int:
         sc = ScalingScenario(strategy, cfg["regime"], cfg["n_tones"],
                              cfg["n_antennas"], power=_power_w(cfg),
                              params=_params(cfg))
-        cf = closed_form(sc)
-        lo, hi = (cf, cf) if np.isscalar(cf) else cf
-        mean, err = monte_carlo(sc, cfg["trials"], cfg["seed"])
         rows.append((strategy, cfg["regime"], cfg["n_tones"],
-                     cfg["n_antennas"], lo, hi, mean, err))
+                     cfg["n_antennas"])
+                    + _scaling_row(sc, cfg["trials"], cfg["seed"]))
     out = args.out or "out"
     _write_csv(os.path.join(out, "scaling.csv"),
                "ensemble-average DC surrogate: closed form vs Monte Carlo",
@@ -486,11 +488,8 @@ def _preset_table1(out: str, seed: int, trials: int) -> None:
                                    ("ass", "selective", 8, 1),
                                    ("upmf", "flat", 8, 2),
                                    ("upmf", "selective", 8, 2)]:
-        sc = ScalingScenario(strategy, regime, n, m)
-        cf = closed_form(sc)
-        lo, hi = (cf, cf) if np.isscalar(cf) else cf
-        mean, err = monte_carlo(sc, trials, seed)
-        rows.append((strategy, regime, n, m, lo, hi, mean, err))
+        rows.append((strategy, regime, n, m) + _scaling_row(
+            ScalingScenario(strategy, regime, n, m), trials, seed))
     _write_csv(os.path.join(out, "table1.csv"),
                "preset table1: scaling-law rows, closed form vs Monte Carlo "
                "(parallels: Table I)",
@@ -506,11 +505,8 @@ def _preset_fig_scalinglaws(out: str, seed: int, trials: int) -> None:
     rows = []
     for n in (2, 4, 8, 16, 32, 64, 128, 256):
         for strategy in ("up", "ass", "upmf"):
-            sc = ScalingScenario(strategy, "selective", n)
-            cf = closed_form(sc)
-            lo, hi = (cf, cf) if np.isscalar(cf) else cf
-            mean, err = monte_carlo(sc, trials, seed)
-            rows.append((strategy, n, lo, hi, mean, err))
+            rows.append((strategy, n) + _scaling_row(
+                ScalingScenario(strategy, "selective", n), trials, seed))
     _write_csv(os.path.join(out, "fig-scalinglaws.csv"),
                "preset fig-scalinglaws: selective-fading averages vs tone "
                "count (parallels: figure 6)",

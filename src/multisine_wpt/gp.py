@@ -1,22 +1,27 @@
-"""Posynomial algebra and a self-contained geometric-program solver.
+"""A self-contained geometric-program solver and AM-GM condensation.
 
-A monomial is ``c * x1^a1 * ... * xV^aV`` with ``c > 0`` over strictly
-positive variables; a posynomial is a sum of monomials.  Geometric programs
-(monomial objective, posynomial <= 1 constraints) become convex after the
-substitution ``x = exp(y)``: monomials turn affine in ``y`` and posynomial
-constraints turn into log-sum-exp functions.  `solve_gp` is a primal-dual
-interior-point method, preceded by a barrier phase I when the start is not
-strictly feasible; phase I stops early, from a duality bound, once it can
-prove that no strictly feasible point exists.  It stacks every
-constraint's terms into one exponent matrix, so the constraint values,
-their Jacobian and the weighted sum of their Hessians come from segment
-reductions and matrix products, whatever the number of constraints;
-single-term (monomial) constraints are rows like any other.
+A geometric program minimizes a monomial ``x1^b1 * ... * xV^bV`` over
+strictly positive variables subject to posynomial constraints
+``sum_k c_k * x1^A_k1 * ... * xV^A_kV <= 1``.  After the substitution
+``x = exp(y)`` it is convex: the objective turns affine in ``y`` and each
+constraint a log-sum-exp function.  As in the standard form of Boyd et
+al. ("A tutorial on geometric programming", Optim. Eng. 2007), a problem
+is data only: the objective's exponent vector and one stacked constraint
+set, the log coefficients and exponent rows of every constraint's terms
+with each constraint's term count (`stack_constraints`).  The constraint
+values, their Jacobian and the weighted sum of their Hessians come from
+segment reductions and matrix products, whatever the number of
+constraints; single-term (monomial) constraints are rows like any other.
 
-The arithmetic-geometric mean condensation `condense` replaces a
-posynomial by its best monomial lower bound at an anchor point (tight at
-the anchor); the PAPR-constrained design uses it to turn each sampled peak
-constraint into a posynomial one.
+`solve_gp` is a primal-dual interior-point method, preceded by a barrier
+phase I when the start is not strictly feasible; phase I stops early,
+from a duality bound, once it can prove that no strictly feasible point
+exists.
+
+The arithmetic-geometric mean condensation `condense` replaces each of
+many posynomials over one exponent matrix by its best monomial lower
+bound at an anchor point (tight at the anchor); the PAPR-constrained
+design uses it to turn each sampled peak constraint into a posynomial one.
 """
 
 from __future__ import annotations
@@ -26,138 +31,24 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Single power product: coefficient * prod_j x_j**exponents[j]."""
+def condense(log_c: np.ndarray, A: np.ndarray,
+             log_anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best monomial lower bound of each posynomial at an anchor (AM-GM).
 
-    coefficient: float
-    exponents: np.ndarray
-
-    def __post_init__(self):
-        if not self.coefficient > 0:
-            raise ValueError("monomial coefficient must be strictly positive")
-        e = np.asarray(self.exponents, dtype=float)
-        if e.ndim != 1 or not np.all(np.isfinite(e)):
-            raise ValueError("exponents must be a finite 1-D array")
-        object.__setattr__(self, "exponents", e)
-
-    @property
-    def n_vars(self) -> int:
-        return self.exponents.size
-
-    def evaluate(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(self.coefficient * np.prod(x ** self.exponents))
-
-    def log_evaluate(self, log_x: np.ndarray) -> float:
-        return float(np.log(self.coefficient) + self.exponents @ log_x)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.coefficient * other.coefficient,
-                        self.exponents + other.exponents)
-
-    def __pow__(self, p: float) -> "Monomial":
-        return Monomial(self.coefficient ** p, self.exponents * p)
-
-    def inverse(self) -> "Monomial":
-        return self ** -1.0
-
-
-class Posynomial:
-    """Sum of monomials, stored as a coefficient vector and exponent matrix."""
-
-    def __init__(self, coefficients: np.ndarray, exponents: np.ndarray):
-        coefficients = np.asarray(coefficients, dtype=float)
-        exponents = np.asarray(exponents, dtype=float)
-        if coefficients.ndim != 1 or exponents.ndim != 2 \
-                or exponents.shape[0] != coefficients.size:
-            raise ValueError("need coefficients (K,) and exponents (K, V)")
-        if coefficients.size == 0:
-            raise ValueError("posynomial must have at least one term")
-        if np.any(coefficients <= 0):
-            raise ValueError("posynomial coefficients must be strictly positive")
-        self.coefficients = coefficients
-        self.exponents = exponents
-
-    @property
-    def n_terms(self) -> int:
-        return self.coefficients.size
-
-    @property
-    def n_vars(self) -> int:
-        return self.exponents.shape[1]
-
-    def term_values(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.coefficients * np.prod(x[None, :] ** self.exponents, axis=1)
-
-    def evaluate(self, x: np.ndarray) -> float:
-        return float(self.term_values(x).sum())
-
-    def log_term_values(self, log_x: np.ndarray) -> np.ndarray:
-        return np.log(self.coefficients) + self.exponents @ log_x
-
-    def __add__(self, other: "Posynomial") -> "Posynomial":
-        return Posynomial(np.concatenate([self.coefficients, other.coefficients]),
-                          np.vstack([self.exponents, other.exponents]))
-
-    def __mul__(self, m: Monomial) -> "Posynomial":
-        return Posynomial(self.coefficients * m.coefficient,
-                          self.exponents + m.exponents[None, :])
-
-    def scaled(self, c: float) -> "Posynomial":
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return Posynomial(self.coefficients * c, self.exponents.copy())
-
-
-def condense(f: Posynomial, anchor: np.ndarray) -> Monomial:
-    """Best monomial lower bound of `f` at `anchor` (AM-GM inequality).
-
+    Row r of `log_c` holds posynomial r's log coefficients over the shared
+    exponent matrix `A` (one row per term), with -inf for a term it lacks.
     With weights gamma_k = g_k(anchor)/f(anchor), the weighted geometric
     mean prod (g_k/gamma_k)^gamma_k is <= f everywhere and equals f at the
-    anchor.  Computed in log domain to avoid over/underflow.
+    anchor.  Returns each row's log coefficient and exponents, computed in
+    the log domain; absent and underflowed terms contribute nothing.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    if np.any(anchor <= 0):
-        raise ValueError("anchor must be strictly positive")
-    log_vals = f.log_term_values(np.log(anchor))
-    shift = log_vals.max()
-    w = np.exp(log_vals - shift)
-    gamma = w / w.sum()
-    live = gamma > 0  # underflowed terms contribute nothing in the limit
-    g = gamma[live]
-    log_coeff = float(g @ (np.log(f.coefficients[live]) - np.log(g)))
-    exponents = g @ f.exponents[live]
-    return Monomial(np.exp(log_coeff), exponents)
-
-
-def single_condensation_fraction(numerator: Posynomial,
-                                 denominator: Posynomial,
-                                 anchor: np.ndarray) -> Posynomial:
-    """Conservative posynomial form of numerator/denominator <= 1.
-
-    The denominator is replaced by its condensed monomial at the anchor, so
-    the returned posynomial <= 1 implies the original fraction <= 1, with
-    identical slack at the anchor.
-    """
-    return numerator * condense(denominator, anchor).inverse()
-
-
-@dataclass
-class GPStandardForm:
-    """min objective (monomial) s.t. each constraint posynomial <= 1."""
-
-    objective: Monomial
-    constraints: list[Posynomial]
-    n_vars: int
-
-    def __post_init__(self):
-        if self.objective.n_vars != self.n_vars:
-            raise ValueError("objective width does not match n_vars")
-        for i, c in enumerate(self.constraints):
-            if c.n_vars != self.n_vars:
-                raise ValueError(f"constraint {i} width does not match n_vars")
+    z = log_c + A @ log_anchor
+    w = np.exp(z - z.max(axis=1, keepdims=True))
+    gamma = w / w.sum(axis=1, keepdims=True)
+    live = gamma > 0
+    log_gamma = np.log(np.where(live, gamma, 1.0))
+    log_coeff = np.sum(gamma * (np.where(live, log_c, 0.0) - log_gamma), axis=1)
+    return log_coeff, gamma @ A
 
 
 @dataclass
@@ -167,7 +58,6 @@ class SolveReport:
     a stalled line search, or a stop whose point missed the tolerances."""
 
     x: np.ndarray
-    objective_value: float
     constraint_values: np.ndarray
     iterations: int
     converged: bool
@@ -180,18 +70,17 @@ class GPSolverError(RuntimeError):
     """Raised when the barrier solver cannot produce a usable point."""
 
 
-def _stack(constraints: list[Posynomial]):
-    """Every constraint's terms in one exponent matrix.
+def stack_constraints(log_c: np.ndarray, A: np.ndarray, sizes) -> tuple:
+    """The constraint set sum_k exp(log_c_k + A_k.y) <= 1, one per segment.
 
-    Returns (log_c, A, starts, seg): row k of log_c and A is one term,
-    constraint i owns the rows from starts[i] up to starts[i+1], and
-    seg[k] is the constraint that owns row k.
+    Row k of log_c and A is one term, and constraint i owns the next
+    sizes[i] rows.  Returns (log_c, A, starts, seg): constraint i owns the
+    rows from starts[i] up to starts[i+1], and seg[k] is the constraint
+    that owns row k.
     """
-    sizes = np.array([c.n_terms for c in constraints])
+    sizes = np.asarray(sizes)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return (np.log(np.concatenate([c.coefficients for c in constraints])),
-            np.vstack([c.exponents for c in constraints]), starts,
-            np.repeat(np.arange(sizes.size), sizes))
+    return log_c, A, starts, np.repeat(np.arange(sizes.size), sizes)
 
 
 def _log_sums(stack, y):
@@ -331,26 +220,26 @@ def _phase_one(stack, y0, margin, max_steps):
     raise GPSolverError(f"phase I reached its step cap ({max_steps} steps)")
 
 
-def solve_gp(problem: GPStandardForm, x0: np.ndarray,
+def solve_gp(objective: np.ndarray, stack: tuple, x0: np.ndarray,
              gap_tol: float = 1e-9, kkt_tol: float = 1e-6,
              feas_tol: float = 1e-8, max_newton: int = 200) -> SolveReport:
-    """Solve a standard-form GP from a positive starting point.
+    """Minimize the monomial prod x^objective subject to `constraints`.
 
-    The start need not be strictly feasible (a phase-I search runs first
-    when it is not), but the problem must be feasible.  The engine is a
-    primal-dual interior-point iteration on the log-domain convex program,
-    which copes with the near-degenerate corners the waveform designs
-    produce (many peak constraints active at once).  Raises GPSolverError
-    when phase I certifies that no point lies 1e-9 inside every
-    constraint, or reaches its `max_newton` step cap without finding one.
+    `stack` is a `stack_constraints` set.  The start need not be
+    strictly feasible (a phase-I search runs first when it is not), but
+    the problem must be feasible.  The engine is a primal-dual
+    interior-point iteration on the log-domain convex program, which copes
+    with the near-degenerate corners the waveform designs produce (many
+    peak constraints active at once).  Raises GPSolverError when phase I
+    certifies that no point lies 1e-9 inside every constraint, or reaches
+    its `max_newton` step cap without finding one.
     """
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
         raise GPSolverError("starting point must be strictly positive")
-    stack = _stack(problem.constraints)
-    b0 = problem.objective.exponents
+    b0 = np.asarray(objective, dtype=float)
     n = b0.size
-    m = len(problem.constraints)
+    m = stack[2].size  # one start per constraint
 
     y = _phase_one(stack, np.log(x0), margin=1e-9, max_steps=max_newton)
 
@@ -407,37 +296,11 @@ def solve_gp(problem: GPStandardForm, x0: np.ndarray,
     cons_vals = np.exp(g_vals)  # log-domain values, overflow-safe
     feasible = bool(np.all(cons_vals <= 1.0 + feas_tol))
     converged = feasible and gap <= gap_tol * 10 and kkt <= kkt_tol
-    msg = "" if converged else stop
-    log_obj = problem.objective.log_evaluate(y)
-    return SolveReport(x=x,
-                       objective_value=float(np.exp(log_obj)) if log_obj < 700.0
-                       else float("inf"),
-                       constraint_values=cons_vals, iterations=steps,
+    return SolveReport(x=x, constraint_values=cons_vals, iterations=steps,
                        converged=converged, kkt_residual=kkt,
-                       duality_gap=gap, message=msg)
+                       duality_gap=gap, message="" if converged else stop)
 
 
 def positivity_floor(power_budget: float) -> float:
     """Amplitude floor standing in for exact zeros in the log domain."""
     return 1e-12 * np.sqrt(2.0 * power_budget)
-
-
-def floor_constraints(n_vars: int, floor: float) -> list[Posynomial]:
-    """Constraints floor/s_j <= 1 pinning each variable above the floor."""
-    cons = []
-    for j in range(n_vars):
-        e = np.zeros((1, n_vars))
-        e[0, j] = -1.0
-        cons.append(Posynomial(np.array([floor]), e))
-    return cons
-
-
-def power_constraint(var_indices: np.ndarray, n_vars: int,
-                     power_budget: float) -> Posynomial:
-    """(1/2P) * sum_j s_j^2 <= 1 over the given variable indices."""
-    k = len(var_indices)
-    coeffs = np.full(k, 1.0 / (2.0 * power_budget))
-    expos = np.zeros((k, n_vars))
-    for row, j in enumerate(var_indices):
-        expos[row, j] = 2.0
-    return Posynomial(coeffs, expos)

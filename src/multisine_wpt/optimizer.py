@@ -13,9 +13,11 @@ ascent monotone.  Single-tone corners are fixed points of the update, so
 the ascent is restarted from every closed-form baseline and the best
 endpoint is kept; a baseline that still beats it is returned instead, so
 every design dominates its seeds by construction.  Only the
-PAPR-constrained design needs the geometric-program solver: it condenses
-z_dc from the rectenna's DC kernel and each sampled peak constraint by
-AM-GM and solves the resulting GP per iteration.
+PAPR-constrained design needs the geometric-program solver.  Per SCA
+iteration it condenses z_dc from the rectenna's DC kernel into a monomial
+objective, condenses the denominators of all sampled peak constraints by
+AM-GM in one call, and solves the GP whose constraints are rows of one
+stacked term matrix.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, FrequencyGrid
-from .gp import (GPSolverError, GPStandardForm, Monomial, Posynomial,
-                 floor_constraints, positivity_floor, power_constraint,
-                 single_condensation_fraction, solve_gp)
-from .rectenna import (DCKernel, RectennaParams, Waveform, papr,
+from .gp import (GPSolverError, condense, positivity_floor, solve_gp,
+                 stack_constraints)
+from .rectenna import (DCKernel, RectennaParams, Waveform, antenna_paprs,
                        papr_sample_times, zdc_analytic)
 
 _TINY = 1e-300
@@ -47,7 +48,6 @@ class OptimizerOptions:
     eps: float = 1e-6                # relative z_dc change declaring convergence
     max_iterations: int = 100
     papr_oversampling: int = 8
-    initialization: str = "best"     # best | up | mf | upmf | ass
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -347,11 +347,9 @@ def _kkt_residual_power_only(obj: _AlignedDC, s: np.ndarray,
     return max(gap, float(first.max()), float(second.max()))
 
 
-def _seed_candidates(channel, power, grid, options) -> list[Waveform]:
-    names = (["mf", "upmf", "ass", "up"] if options.initialization == "best"
-             else [options.initialization])
+def _seed_candidates(channel, power, grid) -> list[Waveform]:
     out = []
-    for name in names:
+    for name in ("mf", "upmf", "ass", "up"):
         try:
             out.append(baseline_waveform(name, channel, power, grid))
         except ValueError:
@@ -483,7 +481,7 @@ def optimize(channel: ChannelRealization, power: float,
     """
     h = channel.require_single_rectenna()
     phases = optimal_phases(channel)
-    seeds = _seed_candidates(channel, power, grid, options)
+    seeds = _seed_candidates(channel, power, grid)
     runs = _ascents(_WeightedDC([h], [1.0], params),
                     [seed.amplitudes * np.exp(1j * phases) for seed in seeds],
                     power, options)
@@ -516,8 +514,7 @@ def optimize_decoupled(channel: ChannelRealization, power: float,
     waveform = Waveform(trace.waveform.amplitudes * spatial,
                         optimal_phases(channel), grid, power_budget=power)
     trace.waveform, trace.zdc_history[-1] = _dominant_result(
-        waveform, _seed_candidates(channel, power, grid, options), [h], [1.0],
-        params)
+        waveform, _seed_candidates(channel, power, grid), [h], [1.0], params)
     return trace
 
 
@@ -525,49 +522,68 @@ def optimize_decoupled(channel: ChannelRealization, power: float,
 # PAPR-constrained design
 # ---------------------------------------------------------------------------
 
-def _condensed_monomial(obj: _AlignedDC, s: np.ndarray) -> Monomial:
-    """Best monomial lower bound of z_dc at the anchor s (AM-GM).
+def _condensed_monomial(obj: _AlignedDC, s: np.ndarray) -> np.ndarray:
+    """Exponents of the best monomial lower bound of z_dc at the anchor s.
 
-    Its exponents are the gradient of log z in log s,
-    b_j = s_j dz/ds_j / z, and its coefficient is z(s) / prod s_j^b_j: the
-    condensation of the enumerated posynomial, without enumerating it.
+    They are the gradient of log z in log s, b_j = s_j dz/ds_j / z: the
+    AM-GM condensation of the enumerated posynomial, without enumerating
+    it.  Its coefficient scales the GP objective and does not move the
+    optimum.
     """
     z, grad, _ = obj.value_grad_hess(s)
-    b = s * grad / z
-    return Monomial(float(np.exp(np.log(z) - b @ np.log(s))), b)
+    return s * grad / z
 
 
-def _papr_signomial_pieces(amps_phase_cos: np.ndarray, antenna: int,
-                           n_tones: int, n_antennas: int):
-    """Split |x_m(t_q)|^2 into positive/negative posynomial parts.
+class _PeakConstraints:
+    """Every antenna's sampled peak constraints as stacked GP rows.
 
-    `amps_phase_cos[q, n]` holds cos(w_n t_q + phi*_{n, antenna}); the
-    squared sample is sum_{n0,n1} s_{n0,m} s_{n1,m} c_{n0} c_{n1}.  Every
-    sample shares the pair exponents; the sign of c_{n0} c_{n1} picks the
-    part a term goes to, and zero products go to neither.
+    `cos_tables[m][q, n]` holds cos(w_n t_q + phi*_{n,m}); the squared
+    sample x_m(t_q)^2 is sum_{n0,n1} c_q s_{n0,m} s_{n1,m} with the signed
+    products c_q = cos_{n0} cos_{n1}, and every sample of an antenna shares
+    the pair exponents.  Sample q must stay below limit * ||s_m||^2 / 2:
+    its positive products form the numerator, and the mean-power terms
+    plus the negated negative products the denominator.  Zero products
+    join neither side, and a sample without a positive product is no
+    constraint.  The tables are split once per design; `rows` condenses
+    every denominator in one call.
     """
-    pairs = np.zeros((n_tones, n_tones, n_tones * n_antennas))
-    cols = np.arange(n_tones) * n_antennas + antenna
-    pairs[:, np.arange(n_tones), cols] += 1.0
-    pairs[np.arange(n_tones), :, cols] += 1.0
-    pairs = pairs.reshape(n_tones * n_tones, -1)
-    prods = (amps_phase_cos[:, :, None]
-             * amps_phase_cos[:, None, :]).reshape(len(amps_phase_cos), -1)
 
-    def part(c, keep):
-        return Posynomial(c[keep], pairs[keep]) if np.any(keep) else None
+    def __init__(self, cos_tables: list[np.ndarray], n_tones: int):
+        n_ant = len(cos_tables)
+        # tone[a, n] is the exponent row of tone n's amplitude on antenna a
+        tone = np.eye(n_tones * n_ant).reshape(n_tones, n_ant, -1) \
+            .swapaxes(0, 1)
+        pairs = (tone[:, :, None] + tone[:, None, :]).reshape(
+            n_ant, n_tones * n_tones, -1)
+        prods = np.array([(cos[:, :, None] * cos[:, None, :]).reshape(
+            len(cos), -1) for cos in cos_tables])  # (antenna, sample, pair)
+        ant, _, k = np.nonzero(prods > 0)
+        sizes = np.count_nonzero(prods > 0, axis=2).ravel()
+        live = sizes > 0
+        self.sizes = sizes[live]
+        self.owner = np.repeat(np.arange(self.sizes.size), self.sizes)
+        self.num_log_c = np.log(prods[prods > 0])
+        self.num_A = pairs[ant, k]
+        # every denominator spans every antenna's squares and pairs; -inf
+        # marks an absent term, such as another antenna's
+        self.denom_A = np.concatenate([2.0 * tone, pairs], axis=1) \
+            .reshape(-1, tone.shape[2])
+        log_c = np.full(prods.shape[:2] + (n_ant, n_tones + pairs.shape[1]),
+                        -np.inf)
+        a = np.arange(n_ant)
+        log_c[a, :, a, n_tones:] = np.log(
+            -prods, out=np.full(prods.shape, -np.inf), where=prods < 0)
+        square = np.zeros(log_c.shape, dtype=bool)
+        square[a, :, a, :n_tones] = True
+        self.neg_log_c = log_c.reshape(sizes.size, -1)[live]
+        self.square = square.reshape(sizes.size, -1)[live]
 
-    return [(part(c, c > 0), part(-c, c < 0)) for c in prods]
-
-
-def _mean_power_posynomial(antenna: int, n_tones: int, n_antennas: int,
-                           scale: float) -> Posynomial:
-    """scale * ||s_m||^2 as a posynomial over the flattened variables."""
-    coeffs = np.full(n_tones, scale)
-    expos = np.zeros((n_tones, n_tones * n_antennas))
-    for n in range(n_tones):
-        expos[n, n * n_antennas + antenna] = 2.0
-    return Posynomial(coeffs, expos)
+    def rows(self, log_anchor: np.ndarray, limit: float):
+        """(log_c, A, sizes) of the constraints condensed at the anchor."""
+        log_c = np.where(self.square, np.log(0.5 * limit), self.neg_log_c)
+        log_d, expo_d = condense(log_c, self.denom_A, log_anchor)
+        return (self.num_log_c - log_d[self.owner],
+                self.num_A - expo_d[self.owner], self.sizes)
 
 
 def optimize_papr(channel: ChannelRealization, power: float, eta: float,
@@ -590,22 +606,18 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     floor = positivity_floor(power)
     phi_star = optimal_phases(channel)
     t_q = papr_sample_times(grid, options.papr_oversampling)
-    cos_tables = [np.cos(np.outer(t_q, grid.omegas) + phi_star[:, ant])
-                  for ant in range(m)]
-    pieces = {ant: _papr_signomial_pieces(cos_tables[ant], ant, n, m)
-              for ant in range(m)}
-    mean_power = {ant: _mean_power_posynomial(ant, n, m, 0.5)
-                  for ant in range(m)}
-    base_cons = [power_constraint(np.arange(n_vars), n_vars, power)]
-    base_cons += floor_constraints(n_vars, floor)
+    peaks = _PeakConstraints(
+        [np.cos(np.outer(t_q, grid.omegas) + phi_star[:, ant])
+         for ant in range(m)], n)
+    # (1/2P) sum_j s_j^2 <= 1, then floor/s_j <= 1 for every j
+    base_log_c = np.concatenate([np.full(n_vars, np.log(1.0 / (2.0 * power))),
+                                 np.full(n_vars, np.log(floor))])
+    base_A = np.vstack([2.0 * np.eye(n_vars), -np.eye(n_vars)])
+    base_sizes = np.concatenate([[n_vars], np.ones(n_vars, dtype=int)])
 
     def worst_papr(amps_flat: np.ndarray, oversampling: int) -> float:
         wf = Waveform(amps_flat.reshape(n, m), phi_star, grid)
-        worst = 0.0
-        for ant in range(m):
-            if np.any(wf.amplitudes[:, ant] > 0):
-                worst = max(worst, papr(wf, ant, oversampling))
-        return worst
+        return max(antenna_paprs(wf, oversampling).values(), default=0.0)
 
     def feasible_seeds(limit: float) -> list[np.ndarray]:
         """Baselines under the limit, plus a blend rescuing the best one.
@@ -615,7 +627,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         its allocation shape while meeting the limit.
         """
         scored = []
-        for w in _seed_candidates(channel, power, grid, options):
+        for w in _seed_candidates(channel, power, grid):
             s = np.maximum(w.amplitudes.ravel(), floor)
             scored.append((obj.value(s), worst_papr(
                 s, options.papr_oversampling), s))
@@ -636,17 +648,13 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     def run(anchor: np.ndarray, limit: float):
         history = [obj.value(anchor)]
         for _ in range(options.max_iterations):
-            cons = list(base_cons)
-            for ant in range(m):
-                half_eta = mean_power[ant].scaled(limit)
-                for f1, f2 in pieces[ant]:
-                    if f1 is None:
-                        continue
-                    denom = half_eta + f2 if f2 is not None else half_eta
-                    cons.append(single_condensation_fraction(f1, denom, anchor))
-            objective = _condensed_monomial(obj, anchor).inverse()
-            problem = GPStandardForm(objective, cons, n_vars)
-            report = solve_gp(problem, anchor)
+            log_c, A, sizes = peaks.rows(np.log(anchor), limit)
+            report = solve_gp(-_condensed_monomial(obj, anchor),
+                              stack_constraints(
+                                  np.concatenate([base_log_c, log_c]),
+                                  np.vstack([base_A, A]),
+                                  np.concatenate([base_sizes, sizes])),
+                              anchor)
             z_new = obj.value(report.x)
             converged = bool(abs(z_new - history[-1])
                              < options.eps * max(z_new, _TINY))
@@ -759,8 +767,7 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
         raise ValueError("weights must be nonnegative, not all zero")
     seeds = [ass_multi(hs, weights, power, grid)]
     for h_u in hs:
-        seeds += _seed_candidates(ChannelRealization(h_u), power, grid,
-                                  options)
+        seeds += _seed_candidates(ChannelRealization(h_u), power, grid)
     w, history, stop_reason = _best_run(_ascents(
         _WeightedDC(hs, weights, params), [seed.weights for seed in seeds],
         power, options))

@@ -336,6 +336,13 @@ def papr(waveform: Waveform, antenna: int, oversampling: int = 8) -> float:
     return float(np.max(x ** 2) / mean_power)
 
 
+def antenna_paprs(waveform: Waveform, oversampling: int = 8) -> dict:
+    """{antenna: `papr`} over the antennas that transmit."""
+    return {ant: papr(waveform, ant, oversampling)
+            for ant in range(waveform.n_antennas)
+            if np.any(waveform.amplitudes[:, ant] > 0)}
+
+
 # ---------------------------------------------------------------------------
 # plain-text waveform serialization
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from itertools import product
 import numpy as np
 
 from multisine_wpt.channel import ChannelRealization
-from multisine_wpt.gp import Posynomial
 from multisine_wpt.rectenna import RectennaParams
 
 
@@ -55,8 +54,11 @@ def quartic_tuple_count(n_tones: int) -> int:
 
 
 def zdc_posynomial(channel: ChannelRealization,
-                   params: RectennaParams) -> Posynomial:
+                   params: RectennaParams) -> tuple[np.ndarray, np.ndarray]:
     """z_dc(S, Phi*) as an explicit posynomial over the N*M amplitudes.
+
+    Returns (coefficients, exponents): term k is
+    coefficients[k] * prod_j s_j**exponents[k, j].
 
     With the phase-aligned choice Phi* every cosine in the DC terms equals
     one, leaving positive coefficients only.  Variable j = n*M + m is the
@@ -96,4 +98,4 @@ def zdc_posynomial(channel: ChannelRealization,
                 add(6, tones, ants)
     if not coeffs:
         raise ValueError("channel has no usable gain (all amplitudes zero)")
-    return Posynomial(np.array(coeffs), np.vstack(rows))
+    return np.array(coeffs), np.vstack(rows)

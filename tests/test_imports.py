@@ -40,8 +40,8 @@ def test_no_unused_imports():
 
 
 def test_rectenna_does_not_import_gp():
-    # the enumerated posynomial oracle, the only user of `gp` there, lives
-    # in tests/posynomial_oracle.py
+    # the DC kernel and the PAPR metric need nothing from the GP solver;
+    # the enumerated posynomial oracle lives in tests/posynomial_oracle.py
     tree = ast.parse((ROOT / "src" / "multisine_wpt" / "rectenna.py")
                      .read_text())
     modules = [node.module for node in ast.walk(tree)

@@ -5,8 +5,9 @@ from multisine_wpt import cli
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
 from multisine_wpt.optimizer import (OptimizerOptions, _AlignedDC, _ascents,
-                                     _kkt_polish_power_only, _mm_ascent,
-                                     _papr_signomial_pieces, _seed_candidates,
+                                     _kkt_polish_power_only,
+                                     _kkt_residual_power_only, _mm_ascent,
+                                     _PeakConstraints, _seed_candidates,
                                      _WeightedDC, ass, ass_multi,
                                      baseline_waveform, max_papr, mf,
                                      optimal_phases, optimize,
@@ -135,7 +136,7 @@ def _slow_mm_case():
     h = cli._channel(cfg, grid, 43).h
     eff = ChannelRealization(np.sqrt(np.sum(np.abs(h) ** 2, axis=1)))
     opts = OptimizerOptions(eps=1e-8, max_iterations=100)
-    seeds = [w.weights for w in _seed_candidates(eff, POWER, grid, opts)]
+    seeds = [w.weights for w in _seed_candidates(eff, POWER, grid)]
     return eff, seeds, opts
 
 
@@ -190,8 +191,7 @@ def test_accelerated_ascent_reaches_plain_mm_optimum():
     cases = []
     for seed in range(20):
         h = iid_frequency_channel(8, 2, seed=400 + seed)
-        seeds = [w.weights for w in _seed_candidates(h, POWER, _grid(8),
-                                                     opts)]
+        seeds = [w.weights for w in _seed_candidates(h, POWER, _grid(8))]
         cases.append(([h.h], seeds))
     for seed in range(12):
         n, m = (3, 1) if seed % 2 == 0 else (4, 2)
@@ -200,7 +200,7 @@ def test_accelerated_ascent_reaches_plain_mm_optimum():
         seeds = [ass_multi(hs, [1.0, 1.0], POWER, _grid(n)).weights]
         for h_u in hs:
             seeds += [w.weights for w in _seed_candidates(
-                ChannelRealization(h_u), POWER, _grid(n), opts)]
+                ChannelRealization(h_u), POWER, _grid(n))]
         cases.append((hs, seeds))
     for hs, seeds in cases:
         obj = _WeightedDC(hs, [1.0] * len(hs), P4)
@@ -218,8 +218,7 @@ def test_cycle_never_ends_below_two_plain_steps():
     for seed in range(10):
         h = iid_frequency_channel(8, 2, seed=400 + seed)
         obj = _WeightedDC([h.h], [1.0], P4)
-        for w in [w.weights for w in _seed_candidates(h, POWER, _grid(8),
-                                                       one_cycle)]:
+        for w in [w.weights for w in _seed_candidates(h, POWER, _grid(8))]:
             for _ in range(20):
                 _, grad = obj.value_grad(w)
                 for _ in range(2):
@@ -359,28 +358,54 @@ def test_papr_eta_two_concentrates_power():
 
 
 def test_papr_pieces_match_pairwise_loop():
+    # each peak constraint is sum_+ c s_n0 s_n1 over its denominator
+    # (limit/2) ||s_m||^2 + sum_- |c| s_n0 s_n1, condensed at the anchor
     rng = np.random.default_rng(8)
-    n, m, ant = 3, 2, 1
-    cos = rng.uniform(-1.0, 1.0, (6, n))
-    cos[0, 1] = 0.0  # zero products join neither part
-    cos[1] = np.abs(cos[1])  # no negative part
-    for cq, (pos, neg) in zip(cos, _papr_signomial_pieces(cos, ant, n, m)):
-        want = {True: ([], []), False: ([], [])}
-        for n0 in range(n):
-            for n1 in range(n):
-                c = cq[n0] * cq[n1]
-                if c != 0.0:
-                    e = np.zeros(n * m)
-                    e[n0 * m + ant] += 1.0
-                    e[n1 * m + ant] += 1.0
-                    want[c > 0][0].append(abs(c))
-                    want[c > 0][1].append(e)
-        for part, (coeffs, rows) in ((pos, want[True]), (neg, want[False])):
-            if not coeffs:
-                assert part is None
-                continue
-            assert np.array_equal(part.coefficients, coeffs)
-            assert np.array_equal(part.exponents, np.array(rows))
+    n, m, limit = 3, 2, 2.7
+    tables = [rng.uniform(-1.0, 1.0, (6, n)) for _ in range(m)]
+    tables[1][0, 1] = 0.0  # zero products join neither part
+    tables[1][1] = np.abs(tables[1][1])  # no negative part
+    tables[0][2] = 0.0  # no positive part: no constraint
+    anchor = rng.uniform(0.2, 1.5, n * m)
+    log_c, A, sizes = _PeakConstraints(tables, n).rows(np.log(anchor), limit)
+    want = []
+    for ant, cos in enumerate(tables):
+        for cq in cos:
+            pos, den = [], []
+            for n0 in range(n):
+                e = np.zeros(n * m)
+                e[n0 * m + ant] = 2.0
+                den.append((limit / 2.0, e))
+            for n0 in range(n):
+                for n1 in range(n):
+                    c = cq[n0] * cq[n1]
+                    if c != 0.0:
+                        e = np.zeros(n * m)
+                        e[n0 * m + ant] += 1.0
+                        e[n1 * m + ant] += 1.0
+                        (pos if c > 0 else den).append((abs(c), e))
+            if pos:
+                want.append((pos, den))
+    assert len(sizes) == len(want) == 2 * 6 - 1
+
+    def posy(terms, x):
+        return sum(c * np.prod(x ** e) for c, e in terms)
+
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    points = [anchor] + [rng.uniform(0.1, 2.0, n * m) for _ in range(5)]
+    for i, (pos, den) in enumerate(want):
+        assert sizes[i] == len(pos)
+        rows = slice(starts[i], starts[i + 1])
+        gamma = [c * np.prod(anchor ** e) / posy(den, anchor) for c, e in den]
+        for x in points:
+            condensed = np.prod([(c * np.prod(x ** e) / g) ** g
+                                 for (c, e), g in zip(den, gamma)])
+            got = np.sum(np.exp(log_c[rows]) * np.prod(x ** A[rows], axis=1))
+            assert np.isclose(got, posy(pos, x) / condensed, rtol=1e-12)
+        # tight at the anchor: the condensed denominator is exact there
+        got = np.sum(np.exp(log_c[rows]) * np.prod(anchor ** A[rows], axis=1))
+        assert np.isclose(got, posy(pos, anchor) / posy(den, anchor),
+                          rtol=1e-12)
 
 
 def test_papr_solver_fallback_reports_unconverged():
@@ -395,18 +420,20 @@ def test_papr_solver_fallback_reports_unconverged():
 
 
 def test_kkt_residual_flags_saddle_corner():
-    # from the `ass` seed the ascent stays on the single-tone corner, a
+    # from the `ass` weights the ascent stays on the single-tone corner, a
     # saddle 7.5% below the default design; its zero amplitudes carry no
     # log-gradient share, so only the corner terms of the residual see it
     h = iid_frequency_channel(4, 4, seed=9027).h
     eff = ChannelRealization(np.sqrt(np.sum(np.abs(h) ** 2, axis=1)))
     power = 1e-4
-    corner = optimize(eff, power, P4, _grid(4),
-                      OptimizerOptions(initialization="ass"))
+    w, history, _ = _mm_ascent(_WeightedDC([eff.h], [1.0], P4),
+                               ass(eff, power, _grid(4)).weights, power,
+                               OptimizerOptions(max_iterations=1))
     best = optimize(eff, power, P4, _grid(4))
-    assert np.count_nonzero(corner.waveform.amplitudes) == 1
-    assert corner.zdc < 0.93 * best.zdc
-    assert corner.kkt_residual > 0.1
+    assert np.count_nonzero(w) == 1
+    assert history[-1] < 0.93 * best.zdc
+    assert _kkt_residual_power_only(_AlignedDC(np.abs(eff.h), P4),
+                                    np.abs(w).ravel(), power) > 0.1
     assert best.kkt_residual <= 1e-5
 
 
