@@ -26,8 +26,8 @@ from .gp import GPSolverError
 from .optimizer import (OptimizerOptions, baseline_waveform, optimize,
                         optimize_decoupled, optimize_multi, optimize_papr,
                         toy_n2)
-from .rectenna import (DiodeParams, RectennaParams, Waveform, antenna_paprs,
-                       iout_fixed_point, load_waveform_text,
+from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
+                       antenna_paprs, iout_fixed_point, load_waveform_text,
                        received_tone_coefficients, save_waveform_text,
                        zdc_analytic)
 from .scaling import ScalingScenario, closed_form, monte_carlo
@@ -305,6 +305,9 @@ def cmd_papr(args) -> int:
 def _scaling_row(sc: ScalingScenario, trials: int, seed: int) -> tuple:
     """(closed-form low, high, Monte Carlo mean, stderr) of one scenario;
     a closed form that is a single value gives low = high."""
+    if trials < 100:
+        raise ConfigError(f"trials = {trials}: the Monte Carlo check needs "
+                          "trials >= 100")
     cf = closed_form(sc)
     lo, hi = (cf, cf) if np.isscalar(cf) else cf
     return (lo, hi, *monte_carlo(sc, trials, seed))
@@ -313,11 +316,18 @@ def _scaling_row(sc: ScalingScenario, trials: int, seed: int) -> tuple:
 def cmd_scaling(args) -> int:
     cfg = validate_config(parse_config_file(args.config))
     _apply_overrides(cfg, args)
+    if cfg["taylor_order"] != 4:
+        raise ConfigError("taylor_order must be 4: the scaling laws are "
+                          "derived for a fourth-order model")
     rows = []
     for strategy in cfg["strategies"]:
         if strategy not in ("ss", "up", "ass", "upmf"):
             raise ConfigError(
                 f"strategy '{strategy}' has no closed-form scaling law")
+        if cfg["n_antennas"] > 1 and strategy != "upmf":
+            raise ConfigError(f"n_antennas = {cfg['n_antennas']}: "
+                              "multi-antenna scaling laws cover only upmf, "
+                              f"not '{strategy}'")
         sc = ScalingScenario(strategy, cfg["regime"], cfg["n_tones"],
                              cfg["n_antennas"], power=_power_w(cfg),
                              params=_params(cfg))
@@ -369,7 +379,7 @@ def _ensemble_p_dc(per_trial: list, cfg: dict, grid: FrequencyGrid,
 
 
 def _steady_trace(waveform: Waveform, channel: ChannelRealization,
-                  circuit: CircuitParams, cfg: dict, strategy: str):
+                  circuit: CircuitParams, strategy: str):
     trace = simulate(waveform, channel, circuit)
     if not trace.steady:
         raise SteadyStateError(f"strategy {strategy} trace: Newton cap hit")
@@ -400,7 +410,7 @@ def cmd_simulate(args) -> int:
     if args.trace:
         channel = _channel(cfg, grid, stream=0)
         waveform, _ = build_waveform(cfg["strategies"][0], cfg, channel, grid)
-        trace = _steady_trace(waveform, channel, circuit, cfg,
+        trace = _steady_trace(waveform, channel, circuit,
                               cfg["strategies"][0])
         export_trace_csv(trace, os.path.join(out, "trace.csv"),
                          cfg["trace_decimation"])
@@ -425,15 +435,13 @@ def _preset_fig2(out: str, seed: int, trials: int) -> None:
     cfg = validate_config(default_config())
     params = _params(cfg)
     power = 1e-4
-    rows = []
-    for a1 in np.arange(0.0, 2.0 + 1e-9, 0.05):
-        _, z_best = toy_n2(1.0, a1, power, params)
-        k2, k4 = params.k
-        r = params.diode.r_ant
-        kt2, kt4 = k2 * r / 2.0, 3.0 * k4 * r * r / 8.0
-        z0 = kt2 * 2 * power * 1.0 + kt4 * (2 * power) ** 2  # all on tone 0
-        z1 = kt2 * 2 * power * a1 ** 2 + kt4 * (2 * power * a1 ** 2) ** 2
-        rows.append((a1, z0, z1, z_best))
+    kernel = DCKernel(params)
+    a1s = np.arange(0.0, 2.0 + 1e-9, 0.05)
+    # all power on tone 0 (unit gain) or all on tone 1 (gain a1)
+    z0 = kernel.value(np.array([np.sqrt(2.0 * power)]))
+    z1 = kernel.value(np.sqrt(2.0 * power) * a1s[:, None])
+    rows = [(a1, z0, z1_a, toy_n2(1.0, a1, power, params)[1])
+            for a1, z1_a in zip(a1s, z1)]
     _write_csv(os.path.join(out, "fig2.csv"),
                "preset fig2: two-tone optimum vs single-tone corners "
                "(parallels: figure 2)",
@@ -542,7 +550,7 @@ def _preset_fig8_trace(out: str, seed: int, trials: int) -> None:
     circuit = _circuit(cfg)
     for strategy in ("up", "opt"):
         waveform, _ = build_waveform(strategy, cfg, channel, grid)
-        trace = _steady_trace(waveform, channel, circuit, cfg, strategy)
+        trace = _steady_trace(waveform, channel, circuit, strategy)
         export_trace_csv(
             trace, os.path.join(out, f"fig8-trace-{strategy}.csv"),
             header_comment=f"preset fig8-trace [{strategy}]: steady-state "

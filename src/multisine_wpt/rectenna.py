@@ -147,7 +147,9 @@ class DCKernel:
     sum_sigma |(r*r*r)_sigma|^2, which sidesteps the O(N^3)/O(N^5) tuple
     enumeration kept in the posynomial view.  The gradient, and for real r
     (aligned phases) the Hessian, follow from correlations of the same
-    convolutions.  The Taylor constants are computed once, at construction.
+    convolutions.  `value` also takes a (rows, N) batch, as the Monte Carlo
+    scaling checks draw it.  The Taylor constants are computed once, at
+    construction.
     """
 
     def __init__(self, params: RectennaParams):
@@ -161,8 +163,21 @@ class DCKernel:
         return self._k[order] * (_DC_PREFACTOR[order]
                                  * float(np.sum(np.abs(conv) ** 2)))
 
-    def value(self, r: np.ndarray) -> float:
-        """z_dc for complex (or real) tone coefficients r."""
+    def value(self, r: np.ndarray) -> float | np.ndarray:
+        """z_dc for complex (or real) tone coefficients r.
+
+        A 1-D r gives a float.  A (rows, N) batch gives one z_dc per row
+        from one zero-padded FFT R of each row, of length
+        L = (order/2)(N-1)+1: no self-convolution up to the truncation order
+        wraps around at that length, so by Parseval the order-i sum is
+        mean_f |R_f|^i, with no inverse transform.
+        """
+        r = np.asarray(r)
+        if r.ndim > 1:
+            n_fft = self.truncation_order // 2 * (r.shape[-1] - 1) + 1
+            power = np.abs(np.fft.fft(r, n=n_fft, axis=-1)) ** 2
+            return sum(w * np.mean(power ** (i // 2), axis=-1)
+                       for i, w in self._w.items())
         z = self._term(2, r)
         if self.truncation_order >= 4:
             c2 = np.convolve(r, r)

@@ -5,7 +5,8 @@ surrogate for one waveform strategy, either over frequency-flat Rayleigh
 fading (one common gain for all tones) or frequency-selective fading
 (independent unit-variance gains per tone and antenna).  `monte_carlo`
 re-derives the same averages by drawing channels, building the strategy's
-closed-form waveform and evaluating the DC surrogate trial by trial.
+closed-form waveform and evaluating the DC surrogate of each trial with
+`rectenna.DCKernel`, the same kernel the designs use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import _rng
-from .rectenna import RectennaParams
+from .rectenna import DCKernel, RectennaParams
 
 EULER_GAMMA = float(np.euler_gamma)
 # second constant in the harmonic-sum expansion around log N
@@ -150,27 +151,6 @@ def asymptotic_form(sc: ScalingScenario) -> float:
     return t2 * m + t4 * n * m ** 2
 
 
-def _quartic_dc_sum(r: np.ndarray) -> np.ndarray:
-    """sum over equal-sum index quadruples of r r r* r*, batched over rows.
-
-    Equals the squared norm of the row-wise self-convolution of r.
-    """
-    # batched FFT: a per-row DCKernel convolve loop is slower on 20k-row chunks
-    n = r.shape[1]
-    f = np.fft.fft(r, n=2 * n - 1, axis=1)
-    conv = np.fft.ifft(f * f, axis=1)
-    return np.sum(np.abs(conv) ** 2, axis=1)
-
-
-def _zdc_from_tone_rows(r: np.ndarray, params: RectennaParams) -> np.ndarray:
-    """Fourth-order DC surrogate per row of received tone coefficients."""
-    k2, k4 = params.k
-    r_ant = params.diode.r_ant
-    e2 = 0.5 * np.sum(np.abs(r) ** 2, axis=1)
-    e4 = (3.0 / 8.0) * _quartic_dc_sum(r)
-    return k2 * r_ant * e2 + k4 * r_ant ** 2 * e4
-
-
 def _draw_complex(rng, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
         / np.sqrt(2.0)
@@ -181,44 +161,32 @@ def monte_carlo(sc: ScalingScenario, trials: int, seed: int = 0,
     """Sample mean and standard error of the per-realization DC surrogate.
 
     Channels are drawn per the scenario's regime, the strategy's
-    closed-form waveform is applied, and the fourth-order surrogate is
-    evaluated realization by realization (vectorized in chunks).
+    closed-form waveform is applied, and the fourth-order surrogate of each
+    realization is evaluated by `DCKernel`, one batch of tone rows per
+    chunk.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
     if sc.n_rectennas > 1:
         raise ValueError("run per-rectenna trials and scale by the count")
     rng = _rng(seed, 0)
+    kernel = DCKernel(sc.params)
     n, m, p = sc.n_tones, sc.n_antennas, sc.power
+    # a flat channel and the single sinewave need one gain per trial
+    n_draw = 1 if sc.regime == "flat" or sc.strategy == "ss" else n
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < trials:
         size = min(chunk, trials - done)
-        if sc.regime == "flat" and sc.strategy in ("ss", "ass", "up"):
-            amp = np.abs(_draw_complex(rng, size))
-            if sc.strategy in ("ss", "ass"):
-                r = np.sqrt(2.0 * p)[None] * amp[:, None]  # one active tone
-            else:
-                r = np.sqrt(2.0 * p / n) * amp[:, None] * np.ones((size, n))
-        elif sc.regime == "flat":  # upmf
-            h = _draw_complex(rng, (size, m))
-            norm = np.linalg.norm(h, axis=1)
-            r = np.sqrt(2.0 * p / n) * norm[:, None] * np.ones((size, n))
-        elif sc.strategy == "ss":
-            r = np.sqrt(2.0 * p) * np.abs(_draw_complex(rng, (size, 1)))
-        elif sc.strategy == "up":
-            h = _draw_complex(rng, (size, n))
-            r = np.sqrt(2.0 * p / n) * h  # zero phases: r_n = s_n h_n
-        elif sc.strategy == "ass":
-            gains = np.abs(_draw_complex(rng, (size, n))) ** 2
-            best = np.sqrt(np.max(gains, axis=1))
-            r = np.sqrt(2.0 * p)[None] * best[:, None]
-        else:  # upmf over selective fading
-            h = _draw_complex(rng, (size, n, m))
-            norms = np.linalg.norm(h, axis=2)
-            r = np.sqrt(2.0 * p / n) * norms
-        z = _zdc_from_tone_rows(r, sc.params)
+        h = _draw_complex(rng, (size, n_draw, m))
+        gains = np.linalg.norm(h, axis=2)
+        if sc.strategy in ("ss", "ass"):  # all power on the strongest tone
+            r = np.sqrt(2.0 * p) * np.max(gains, axis=1, keepdims=True)
+        else:  # up keeps the channel phases (r_n = s_n h_n); upmf matches them
+            r = np.sqrt(2.0 * p / n) * np.broadcast_to(
+                h[:, :, 0] if sc.strategy == "up" else gains, (size, n))
+        z = kernel.value(r)
         total += float(np.sum(z))
         total_sq += float(np.sum(z ** 2))
         done += size
@@ -239,11 +207,8 @@ def hardening_curve(antenna_counts, n_tones: int, power: float,
     counts = list(antenna_counts)
     if counts != sorted(counts):
         raise ValueError("antenna counts must be ascending")
-    params = RectennaParams()
-    k2, k4 = params.k
-    r_ant = params.diode.r_ant
+    kernel = DCKernel(RectennaParams())
     n = n_tones
-    quartic_density = (2.0 * n ** 2 + 1.0) / (2.0 * n)
     rows = []
     for idx, m in enumerate(counts):
         rng = _rng(seed, idx)
@@ -251,9 +216,8 @@ def hardening_curve(antenna_counts, n_tones: int, power: float,
         norms = np.linalg.norm(h, axis=2)
         gain_dev = np.sqrt(np.mean((norms / np.sqrt(m) - 1.0) ** 2, axis=1))
         r = np.sqrt(2.0 * power / n) * norms
-        z = _zdc_from_tone_rows(r, params)
-        z_hard = (k2 * r_ant * power * m
-                  + k4 * r_ant ** 2 * power ** 2 * quartic_density * m ** 2)
+        z = kernel.value(r)
+        z_hard = kernel.value(np.full(n, np.sqrt(2.0 * power * m / n)))
         z_dev = np.abs(z - z_hard) / z_hard
         rows.append({"n_antennas": m,
                      "gain_deviation": float(np.median(gain_dev)),

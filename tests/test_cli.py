@@ -102,6 +102,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["scaling", ok, "--trials", "0"]) == 2
     assert main(["preset", "does-not-exist"]) == 2
     capsys.readouterr()
+    # scaling settings the laws or the Monte Carlo do not cover, by key
+    two_ant = _write(tmp_path, "m2.cfg", "strategies = up\nn_antennas = 2\n")
+    order6 = _write(tmp_path, "o6.cfg", "strategies = up\ntaylor_order = 6\n")
+    for argv, key in ((["scaling", ok, "--trials", "50"], "trials"),
+                      (["preset", "table1", "--trials", "50",
+                        "--out", str(tmp_path / "t1")], "trials"),
+                      (["scaling", two_ant], "n_antennas"),
+                      (["scaling", order6], "taylor_order")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error"), argv
+        assert key in err, argv
     # input files: missing, malformed, or a channel of the wrong shape
     wave = str(tmp_path / "w.txt")
     save_waveform_text(wave, up(FrequencyGrid(3, 48e6, 1e6), 2, 1e-5))

@@ -52,6 +52,30 @@ def test_rectenna_does_not_import_gp():
                 if mod and (mod == "gp" or mod.endswith(".gp"))], modules
 
 
+def _name_parts(node) -> set[str]:
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Import):
+        return {part for alias in node.names for part in alias.name.split(".")}
+    if isinstance(node, ast.ImportFrom):
+        return (set((node.module or "").split("."))
+                | {alias.name for alias in node.names})
+    return set()
+
+
+def test_only_rectenna_uses_fft():
+    # the DC kernel's batch path is the package's one FFT; another module
+    # reaching for one is a second z_dc evaluator
+    users = [str(path.relative_to(ROOT))
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "rectenna.py"
+             and any("fft" in _name_parts(node)
+                     for node in ast.walk(ast.parse(path.read_text())))]
+    assert not users, users
+
+
 def test_package_import_leaves_out_scipy_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from multisine_wpt.channel import flat_channel, FrequencyGrid
+from multisine_wpt.channel import (FrequencyGrid, flat_channel,
+                                   iid_frequency_channel)
 from multisine_wpt.optimizer import toy_n2, up
-from multisine_wpt.rectenna import RectennaParams, zdc_analytic, \
-    received_tone_coefficients
+from multisine_wpt.rectenna import (DCKernel, RectennaParams, Waveform,
+                                    received_tone_coefficients, zdc_analytic)
 from multisine_wpt.scaling import (EULER_GAMMA, ScalingScenario,
-                                   _zdc_from_tone_rows, asymptotic_form,
-                                   closed_form, hardening_curve, harmonic_h,
+                                   asymptotic_form, closed_form,
+                                   hardening_curve, harmonic_h,
                                    harmonic_h_alternating, harmonic_s,
                                    harmonic_s_alternating, monte_carlo)
 
@@ -108,13 +109,29 @@ def test_monte_carlo_requires_enough_trials():
 
 
 def test_tone_row_evaluator_matches_zdc_analytic():
-    # the vectorized Monte Carlo evaluator and the per-waveform path agree
-    grid = FrequencyGrid(4, 100e6, 1e6)
-    w = up(grid, 1, 1e-5)
-    h = flat_channel(1.3, 0.4, 4, 1)
-    r = received_tone_coefficients(w, h)
-    batched = _zdc_from_tone_rows(r[None, :], PARAMS)[0]
-    assert np.isclose(batched, zdc_analytic(w, h, PARAMS), rtol=1e-12)
+    # the batched kernel the Monte Carlo uses and the per-waveform path
+    # agree on every row of one (rows, N) batch: real rows (zero phases over
+    # a zero-phase flat channel), a common-phase flat row and complex rows
+    # over iid channels, at every truncation order and N = 1..6
+    rng = np.random.default_rng(8)
+    for order in (2, 4, 6):
+        params = RectennaParams(truncation_order=order)
+        kernel = DCKernel(params)
+        for n in range(1, 7):
+            grid = FrequencyGrid(n, 100e6, 1e6)
+            real = Waveform(rng.uniform(0.0, 4e-3, n), np.zeros(n), grid)
+            cases = [(real, flat_channel(1.3, 0.0, n, 1)),
+                     (up(grid, 1, 1e-5), flat_channel(1.3, 0.4, n, 1))]
+            cases += [(up(grid, 2, 1e-5), iid_frequency_channel(n, 2, seed=s))
+                      for s in range(3)]
+            rows = np.array([received_tone_coefficients(w, h)
+                             for w, h in cases])
+            batched = kernel.value(rows)
+            assert batched.shape == (len(cases),)
+            for z, row, (w, h) in zip(batched, rows, cases):
+                assert np.isclose(z, kernel.value(row), rtol=1e-12, atol=0)
+                assert np.isclose(z, zdc_analytic(w, h, params), rtol=1e-12,
+                                  atol=0)
 
 
 def test_quartic_gap_lower_bound_small_n():
