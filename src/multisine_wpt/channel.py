@@ -15,6 +15,7 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0
 
 _POWER_SUM_TOL = 1e-12
+_CARRIER_TOL = 1e-6  # largest distance of f0/spacing from an integer
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -66,6 +67,8 @@ class PowerDelayProfile:
         Default stand-in for the 18-tap indoor NLOS profile used in the
         evaluation presets; all three parameters are configurable.
         """
+        if decay <= 0:
+            raise ValueError("decay must be positive")
         delays = spacing * np.arange(n_taps)
         powers = np.exp(-delays / decay)
         return cls(delays, powers / powers.sum())
@@ -114,11 +117,11 @@ class FrequencyGrid:
         """Common period of the multisine envelope, 1/spacing."""
         return 1.0 / self.spacing
 
-    def carrier_multiple(self, tol: float = 1e-6) -> int:
+    def carrier_multiple(self) -> int:
         """f0/spacing as an integer; raises if the grid is not commensurate."""
         ratio = self.f0 / self.spacing
         g = int(round(ratio))
-        if abs(ratio - g) > tol:
+        if abs(ratio - g) > _CARRIER_TOL:
             raise ValueError(
                 f"f0={self.f0} is not an integer multiple of spacing={self.spacing}")
         return g
@@ -209,11 +212,14 @@ def sample_tap_gains(profile: PowerDelayProfile, seed: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    g = _rng(seed, stream)
-    scale = np.sqrt(profile.powers / 2.0)
-    re = g.standard_normal((count, profile.n_taps))
-    im = g.standard_normal((count, profile.n_taps))
-    return (re + 1j * im) * scale
+    return _tap_gains(_rng(seed, stream), profile, count)
+
+
+def _tap_gains(rng, profile: PowerDelayProfile, count: int) -> np.ndarray:
+    """(count, L) gains: all real parts, then all imaginary parts."""
+    re = rng.standard_normal((count, profile.n_taps))
+    im = rng.standard_normal((count, profile.n_taps))
+    return (re + 1j * im) * np.sqrt(profile.powers / 2.0)
 
 
 def generate_taps(profile: PowerDelayProfile, seed: int,
@@ -267,9 +273,7 @@ def multipath_channel(profile: PowerDelayProfile, array: ArrayConfig,
     trials can fan out over streams.
     """
     rng = _rng(seed, stream)
-    scale = np.sqrt(profile.powers / 2.0)
-    gains = (rng.standard_normal(profile.n_taps)
-             + 1j * rng.standard_normal(profile.n_taps)) * scale
+    gains = _tap_gains(rng, profile, 1)[0]
     directions = rng.uniform(0.0, np.pi, profile.n_taps)
     return frequency_response(TapSet(gains, profile.delays), array,
                               directions, grid)

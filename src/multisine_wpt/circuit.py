@@ -35,21 +35,14 @@ _CHUNK_ENTRIES = 1 << 16  # rows x steps per banded system; cache-sized
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Diode constants plus the output smoothing capacitor and DC load."""
+    """The diode, whose r_load is the DC load, and the smoothing capacitor."""
 
     diode: DiodeParams = DiodeParams()
     c_out: float = 100e-12
-    r_load: float | None = None  # defaults to the diode's DC load
 
     def __post_init__(self):
         if self.c_out <= 0:
             raise ValueError("c_out must be positive")
-        if self.r_load is not None and self.r_load <= 0:
-            raise ValueError("r_load must be positive")
-
-    @property
-    def load(self) -> float:
-        return self.diode.r_load if self.r_load is None else self.r_load
 
 
 @dataclass
@@ -75,7 +68,7 @@ class SteadyStateError(RuntimeError):
 def _default_dt(grid: FrequencyGrid, circuit: CircuitParams) -> float:
     """min(1/(200 f_max), R_L C/50): resolves the carrier and the RC pole."""
     f_max = grid.frequencies[-1]
-    rc_step = circuit.load * circuit.c_out / 50.0
+    rc_step = circuit.diode.r_load * circuit.c_out / 50.0
     if f_max <= 0:  # constant drive: only the RC pole sets the scale
         return rc_step
     return min(1.0 / (200.0 * f_max), rc_step)
@@ -131,7 +124,7 @@ def _periodic_newton(vin: np.ndarray, circuit: CircuitParams, dt: float,
     inv_nvt = 1.0 / (d.ideality * d.v_t)
     half = dt / (2.0 * circuit.c_out)
     a = half * d.i_s
-    b = half / circuit.load
+    b = half / d.r_load
     rows, steps = vin.shape
     v = np.empty_like(vin)
     passed = np.zeros(rows, dtype=bool)
@@ -208,7 +201,7 @@ def simulate(waveform: Waveform, channel: ChannelRealization,
     i_d = _diode_current(v_in - v_out, circuit.diode)
     return SimTrace(time=times[idx], v_in=v_in, v_out=v_out, i_d=i_d,
                     period_mean_vout=np.array(means), steady=bool(passed[0]),
-                    dt=dt, store_every=store_every, load=circuit.load,
+                    dt=dt, store_every=store_every, load=circuit.diode.r_load,
                     newton_cap_hits=int(not passed[0]))
 
 
@@ -231,7 +224,7 @@ def simulate_ensemble(tone_rows: np.ndarray, grid: FrequencyGrid,
                                     circuit, float(times[0]))
         means.append(vout.mean(axis=1))
         passed.append(ok)
-    return np.concatenate(means) ** 2 / circuit.load, \
+    return np.concatenate(means) ** 2 / circuit.diode.r_load, \
         bool(np.all(np.concatenate(passed)))
 
 
@@ -242,7 +235,7 @@ def dc_operating_point(v_source: float, circuit: CircuitParams) -> float:
     Newton-bisection; the left side grows in v, so the root is unique.
     """
     d = circuit.diode
-    r_load = circuit.load
+    r_load = d.r_load
     nvt = d.ideality * d.v_t
     if v_source == 0.0:
         return 0.0

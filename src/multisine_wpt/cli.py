@@ -45,37 +45,43 @@ def _parse_strategies(raw: str) -> list[str]:
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):  # nan and inf set nothing
+        raise ValueError(raw)
+    return value
+
+
 # key -> (parser, default)
 _SCHEMA = {
     "channel_type": (str, "multipath"),          # multipath | iid | flat
     "n_tones": (int, 8),
     "n_antennas": (int, 1),
     "n_rectennas": (int, 1),
-    "bandwidth_hz": (float, 10e6),
-    "tone_spacing_hz": (float, 0.0),             # 0 = bandwidth/n_tones
+    "bandwidth_hz": (_finite, 10e6),
     "carrier_multiple": (int, 0),                # f0/spacing; 0 = 16*n_tones
-    "power_dbm": (float, -20.0),
+    "power_dbm": (_finite, -20.0),
     "taylor_order": (int, 4),
     "strategies": (_parse_strategies, ["opt"]),
-    "weights": (lambda s: [float(t) for t in s.split(",")], None),
+    "weights": (lambda s: [_finite(t) for t in s.split(",")], None),
     "trials": (int, 100),
     "seed": (int, 1),
     "regime": (str, "selective"),                # scaling only
-    "flat_amplitude": (float, 1.0),
-    "flat_phase_rad": (float, 0.0),
+    "flat_amplitude": (_finite, 1.0),
+    "flat_phase_rad": (_finite, 0.0),
     "pdp_taps": (int, 18),
-    "pdp_spacing_s": (float, 20e-9),
-    "pdp_decay_s": (float, 60e-9),
-    "papr_eta": (float, 0.0),                    # 0 = unconstrained
+    "pdp_spacing_s": (_finite, 20e-9),
+    "pdp_decay_s": (_finite, 60e-9),
+    "papr_eta": (_finite, 0.0),                  # 0 = unconstrained
     "papr_oversampling": (int, 8),
-    "sca_eps": (float, 1e-8),
+    "sca_eps": (_finite, 1e-8),
     "sca_max_iterations": (int, 100),
-    "diode_is_a": (float, 5e-6),
-    "diode_ideality": (float, 1.05),
-    "diode_vt_v": (float, 25.86e-3),
-    "r_antenna_ohm": (float, 50.0),
-    "r_load_ohm": (float, 1600.0),
-    "c_out_f": (float, 100e-12),
+    "diode_is_a": (_finite, 5e-6),
+    "diode_ideality": (_finite, 1.05),
+    "diode_vt_v": (_finite, 25.86e-3),
+    "r_antenna_ohm": (_finite, 50.0),
+    "r_load_ohm": (_finite, 1600.0),
+    "c_out_f": (_finite, 100e-12),
     "trace_decimation": (int, 1),
 }
 
@@ -112,33 +118,46 @@ def parse_config_file(path: str) -> dict:
 
 
 def validate_config(cfg: dict) -> dict:
+    """Check every key, building once each object the config describes; a
+    value its constructor rejects is a ConfigError naming the object's keys."""
     if cfg["channel_type"] not in ("multipath", "iid", "flat"):
         raise ConfigError("channel_type must be multipath, iid or flat")
+    if not cfg["strategies"]:
+        raise ConfigError("key 'strategies' names no strategy")
     for s in cfg["strategies"]:
         if s not in _KNOWN_STRATEGIES:
             raise ConfigError(f"unknown strategy '{s}' in key 'strategies'")
     if cfg["n_tones"] < 1 or cfg["n_antennas"] < 1 or cfg["n_rectennas"] < 1:
         raise ConfigError("n_tones, n_antennas, n_rectennas must be >= 1")
-    if cfg["bandwidth_hz"] <= 0:
-        raise ConfigError("bandwidth_hz must be positive")
-    if cfg["tone_spacing_hz"]:
-        expect = cfg["tone_spacing_hz"] * cfg["n_tones"]
-        if abs(expect - cfg["bandwidth_hz"]) > 1e-6 * cfg["bandwidth_hz"]:
-            raise ConfigError("bandwidth_hz must equal n_tones * tone_spacing_hz")
-    if cfg["taylor_order"] not in (2, 4, 6):
-        raise ConfigError("taylor_order must be 2, 4 or 6")
     if cfg["trials"] < 1:
         raise ConfigError("trials must be >= 1")
     if cfg["regime"] not in ("flat", "selective"):
         raise ConfigError("regime must be flat or selective")
+    if cfg["flat_amplitude"] < 0:
+        raise ConfigError("flat_amplitude must be >= 0")
+    if cfg["weights"] is not None and (min(cfg["weights"]) < 0
+                                       or max(cfg["weights"]) <= 0):
+        raise ConfigError("weights must be nonnegative, not all zero")
+    if cfg["trace_decimation"] < 1:
+        raise ConfigError("trace_decimation must be >= 1")
+    for keys, build in (
+            (("bandwidth_hz", "carrier_multiple"), _grid),
+            (("diode_is_a", "diode_ideality", "diode_vt_v", "r_antenna_ohm",
+              "r_load_ohm", "taylor_order"), _params),
+            (("sca_eps", "sca_max_iterations", "papr_oversampling"), _options),
+            (("c_out_f",), _circuit),
+            (("pdp_taps", "pdp_spacing_s", "pdp_decay_s"), _profile)):
+        try:
+            build(cfg)
+        except ValueError as e:
+            raise ConfigError(f"{', '.join(keys)}: {e}") from None
     return cfg
 
 
 def _grid(cfg: dict) -> FrequencyGrid:
-    n = cfg["n_tones"]
-    spacing = cfg["tone_spacing_hz"] or cfg["bandwidth_hz"] / n
-    cm = cfg["carrier_multiple"] or 16 * n
-    return FrequencyGrid(n, cm * spacing, spacing)
+    return FrequencyGrid.from_bandwidth(
+        cfg["n_tones"], cfg["bandwidth_hz"],
+        cfg["carrier_multiple"] or 16 * cfg["n_tones"])
 
 
 def _power_w(cfg: dict) -> float:
@@ -188,8 +207,8 @@ def build_waveform(strategy: str, cfg: dict, channel: ChannelRealization,
     opts = _options(cfg)
     meta = {"iterations": 0, "converged": True}
     if strategy in ("ss", "up", "ass", "mf", "upmf", "maxpapr"):
-        ch = channel.rectenna(0) if channel.n_rectennas > 1 else channel
-        return baseline_waveform(strategy, ch, power, grid), meta
+        return baseline_waveform(strategy, channel.rectenna(0), power,
+                                 grid), meta
     if strategy == "opt":
         trace = optimize(channel, power, params, grid, opts)
     elif strategy == "opt-decoupled":
@@ -230,8 +249,7 @@ def _write_csv(path: str, header_comment: str, columns: list[str],
 def _report_rows(cfg: dict, waveform: Waveform,
                  channel: ChannelRealization, meta: dict) -> tuple:
     params = _params(cfg)
-    ch = channel.rectenna(0) if channel.n_rectennas > 1 else channel
-    z = zdc_analytic(waveform, ch, params)
+    z = zdc_analytic(waveform, channel.rectenna(0), params)
     worst = max(antenna_paprs(waveform, cfg["papr_oversampling"]).values(),
                 default=0.0)
     return (z, iout_fixed_point(z, params), worst,
@@ -239,8 +257,7 @@ def _report_rows(cfg: dict, waveform: Waveform,
 
 
 def cmd_optimize(args) -> int:
-    cfg = validate_config(parse_config_file(args.config))
-    _apply_overrides(cfg, args)
+    cfg = _command_config(args)
     grid = _grid(cfg)
     channel = _channel(cfg, grid, stream=0)
     out = args.out or "out"
@@ -251,8 +268,7 @@ def cmd_optimize(args) -> int:
         save_waveform_text(os.path.join(out, f"waveform_{strategy}.txt"),
                            waveform)
         rows.append((strategy,) + _report_rows(cfg, waveform, channel, meta))
-    save_channel_text(os.path.join(out, "channel.txt"),
-                      channel.rectenna(0) if channel.n_rectennas > 1 else channel)
+    save_channel_text(os.path.join(out, "channel.txt"), channel.rectenna(0))
     _write_csv(os.path.join(out, "optimize_report.csv"),
                "single-realization waveform designs",
                ["strategy", "zdc_a", "iout_a", "papr", "iterations",
@@ -270,9 +286,7 @@ def _load_input(loader, path):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = validate_config(parse_config_file(args.config)) if args.config \
-        else validate_config(default_config())
-    _apply_overrides(cfg, args)
+    cfg = _command_config(args)
     waveform = _load_input(load_waveform_text, args.waveform)
     if args.channel:
         channel = _load_input(load_channel_text, args.channel)
@@ -314,11 +328,13 @@ def _scaling_row(sc: ScalingScenario, trials: int, seed: int) -> tuple:
 
 
 def cmd_scaling(args) -> int:
-    cfg = validate_config(parse_config_file(args.config))
-    _apply_overrides(cfg, args)
+    cfg = _command_config(args)
     if cfg["taylor_order"] != 4:
         raise ConfigError("taylor_order must be 4: the scaling laws are "
                           "derived for a fourth-order model")
+    if cfg["n_rectennas"] > 1:
+        raise ConfigError(f"n_rectennas = {cfg['n_rectennas']}: the scaling "
+                          "laws are checked for one rectenna")
     rows = []
     for strategy in cfg["strategies"]:
         if strategy not in ("ss", "up", "ass", "upmf"):
@@ -357,8 +373,7 @@ def _simulate_trial(payload) -> list[np.ndarray]:
 
 
 def _circuit(cfg: dict) -> CircuitParams:
-    return CircuitParams(_params(cfg).diode, cfg["c_out_f"],
-                         cfg["r_load_ohm"])
+    return CircuitParams(_params(cfg).diode, cfg["c_out_f"])
 
 
 def _ensemble_p_dc(per_trial: list, cfg: dict, grid: FrequencyGrid,
@@ -387,8 +402,7 @@ def _steady_trace(waveform: Waveform, channel: ChannelRealization,
 
 
 def cmd_simulate(args) -> int:
-    cfg = validate_config(parse_config_file(args.config))
-    _apply_overrides(cfg, args)
+    cfg = _command_config(args)
     trials = cfg["trials"]
     payloads = [(cfg, t) for t in range(trials)]
     if args.workers > 1:
@@ -418,13 +432,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _apply_overrides(cfg: dict, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise ConfigError("--trials must be >= 1")
-        cfg["trials"] = args.trials
+def _command_config(args) -> dict:
+    """The validated config of a command, with its --seed and --trials."""
+    cfg = parse_config_file(args.config) if args.config else default_config()
+    for key in ("seed", "trials"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
+    return validate_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -591,24 +605,26 @@ def main(argv=None) -> int:
                     "power transfer")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("config", help="key = value configuration file")
-        else:
-            p.add_argument("--config", default=None)
+    def common(p, config=None):
+        if config:
+            p.add_argument(config, help="key = value configuration file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--workers", type=int, default=1)
+
+    def ensemble(p, config=None):
+        common(p, config)
+        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("optimize", help="design waveforms for one realization")
-    common(p)
+    common(p, "config")
+    p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_optimize)
 
     p = sub.add_parser("evaluate", help="evaluate a stored waveform")
     p.add_argument("waveform")
     p.add_argument("--channel", default=None)
-    common(p, config_required=False)
+    common(p, "--config")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("papr", help="report a stored waveform's PAPR")
@@ -617,21 +633,18 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_papr)
 
     p = sub.add_parser("scaling", help="closed forms vs Monte Carlo")
-    common(p)
+    ensemble(p, "config")
     p.set_defaults(fn=cmd_scaling)
 
     p = sub.add_parser("simulate", help="rectifier ensemble simulation")
-    common(p)
+    ensemble(p, "config")
     p.add_argument("--trace", action="store_true",
                    help="also export one realization's time trace")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("preset", help="run a named experiment preset")
     p.add_argument("name")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default=None)
+    ensemble(p)
     p.set_defaults(fn=cmd_preset)
 
     args = parser.parse_args(argv)

@@ -30,6 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# primal-dual stopping tolerances, and the Newton step cap of each phase
+_GAP_TOL = 1e-9
+_KKT_TOL = 1e-6
+_FEAS_TOL = 1e-8
+_MAX_NEWTON = 200
+
 
 def condense(log_c: np.ndarray, A: np.ndarray,
              log_anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,9 +226,8 @@ def _phase_one(stack, y0, margin, max_steps):
     raise GPSolverError(f"phase I reached its step cap ({max_steps} steps)")
 
 
-def solve_gp(objective: np.ndarray, stack: tuple, x0: np.ndarray,
-             gap_tol: float = 1e-9, kkt_tol: float = 1e-6,
-             feas_tol: float = 1e-8, max_newton: int = 200) -> SolveReport:
+def solve_gp(objective: np.ndarray, stack: tuple,
+             x0: np.ndarray) -> SolveReport:
     """Minimize the monomial prod x^objective subject to `constraints`.
 
     `stack` is a `stack_constraints` set.  The start need not be
@@ -232,7 +237,7 @@ def solve_gp(objective: np.ndarray, stack: tuple, x0: np.ndarray,
     with the near-degenerate corners the waveform designs produce (many
     peak constraints active at once).  Raises GPSolverError when phase I
     certifies that no point lies 1e-9 inside every constraint, or reaches
-    its `max_newton` step cap without finding one.
+    its `_MAX_NEWTON` step cap without finding one.
     """
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
@@ -241,18 +246,18 @@ def solve_gp(objective: np.ndarray, stack: tuple, x0: np.ndarray,
     n = b0.size
     m = stack[2].size  # one start per constraint
 
-    y = _phase_one(stack, np.log(x0), margin=1e-9, max_steps=max_newton)
+    y = _phase_one(stack, np.log(x0), margin=1e-9, max_steps=_MAX_NEWTON)
 
     g_vals, J, _ = _evaluate(stack, y)
     lam = 1.0 / np.maximum(-g_vals, 1e-12)
     mu = 10.0
     steps = 0
     stop = "iteration cap reached"
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         g_vals, J, hess_of = _evaluate(stack, y)
         gap = float(-lam @ g_vals)
         r_dual = b0 + J.T @ lam
-        if gap <= gap_tol and np.abs(r_dual).max() <= min(kkt_tol, 1e-9):
+        if gap <= _GAP_TOL and np.abs(r_dual).max() <= min(_KKT_TOL, 1e-9):
             stop = "tolerances not met"
             break
         t = mu * m / gap
@@ -294,8 +299,8 @@ def solve_gp(objective: np.ndarray, stack: tuple, x0: np.ndarray,
     kkt = float(np.abs(b0 + J.T @ lam).max())
     x = np.exp(y)
     cons_vals = np.exp(g_vals)  # log-domain values, overflow-safe
-    feasible = bool(np.all(cons_vals <= 1.0 + feas_tol))
-    converged = feasible and gap <= gap_tol * 10 and kkt <= kkt_tol
+    feasible = bool(np.all(cons_vals <= 1.0 + _FEAS_TOL))
+    converged = feasible and gap <= _GAP_TOL * 10 and kkt <= _KKT_TOL
     return SolveReport(x=x, constraint_values=cons_vals, iterations=steps,
                        converged=converged, kkt_residual=kkt,
                        duality_gap=gap, message="" if converged else stop)

@@ -216,6 +216,29 @@ class _WeightedDC:
         return z, grad
 
 
+def _monotone(iterate, state, z: float, options: OptimizerOptions):
+    """(state, z history, stop reason) of (state, z) <- iterate(state) from
+    a state scoring z, the one stopping rule of the iterative designs.
+
+    The history holds one z per accepted iteration.  The run stops with
+    `tol` when an iteration changes z by less than eps*z, with `max_iter`
+    after `max_iterations` iterations, and with `stall` when an iteration
+    lowers z by more than that (rounding at a stationary point), which is
+    rejected.
+    """
+    history = [z]
+    for _ in range(options.max_iterations):
+        state_new, z_new = iterate(state)
+        converged = abs(z_new - history[-1]) < options.eps * max(z_new, _TINY)
+        if z_new < history[-1]:
+            return state, np.asarray(history), "tol" if converged else "stall"
+        state = state_new
+        history.append(z_new)
+        if converged:
+            return state, np.asarray(history), "tol"
+    return state, np.asarray(history), "max_iter"
+
+
 def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
                options: OptimizerOptions):
     """SQUAREM-accelerated MM ascent from the weights w: (w, z history,
@@ -233,11 +256,7 @@ def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
     otherwise (also when v = 0), so it cannot lower z either; it costs at
     most four gradient evaluations.
 
-    The history holds one z per accepted cycle.  The run stops with `tol`
-    when a cycle changes z by less than eps*z, with `max_iter` after
-    `max_iterations` cycles, and with `stall` when a cycle lowers z anyway
-    (rounding at a stationary point) by more than that: such a cycle is
-    rejected.
+    One cycle is one iteration of `_monotone`.
     """
     radius = np.sqrt(2.0 * power)
 
@@ -245,9 +264,8 @@ def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
         w_next = radius * grad / np.linalg.norm(grad)
         return (w_next, *obj.value_grad(w_next))
 
-    z, grad = obj.value_grad(w)
-    history = [z]
-    for _ in range(options.max_iterations):
+    def cycle(state):
+        w, grad = state
         w1, _, grad1 = step(grad)
         w_new, z_new, grad_new = step(grad1)
         r = w1 - w
@@ -261,14 +279,11 @@ def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
             w3, z3, grad3 = step(grad_ext)
             if z3 > z_new:
                 w_new, z_new, grad_new = w3, z3, grad3
-        converged = abs(z_new - z) < options.eps * max(z_new, _TINY)
-        if z_new < z:
-            return w, np.asarray(history), "tol" if converged else "stall"
-        w, z, grad = w_new, z_new, grad_new
-        history.append(z)
-        if converged:
-            return w, np.asarray(history), "tol"
-    return w, np.asarray(history), "max_iter"
+        return (w_new, grad_new), z_new
+
+    z, grad = obj.value_grad(w)
+    (w, _), history, stop_reason = _monotone(cycle, (w, grad), z, options)
+    return w, history, stop_reason
 
 
 def _ascents(obj: _WeightedDC, seeds: list[np.ndarray], power: float,
@@ -646,8 +661,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         return seeds
 
     def run(anchor: np.ndarray, limit: float):
-        history = [obj.value(anchor)]
-        for _ in range(options.max_iterations):
+        def solve(anchor):
             log_c, A, sizes = peaks.rows(np.log(anchor), limit)
             report = solve_gp(-_condensed_monomial(obj, anchor),
                               stack_constraints(
@@ -655,32 +669,20 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                                   np.vstack([base_A, A]),
                                   np.concatenate([base_sizes, sizes])),
                               anchor)
-            z_new = obj.value(report.x)
-            converged = bool(abs(z_new - history[-1])
-                             < options.eps * max(z_new, _TINY))
-            if z_new < history[-1]:
-                return (anchor, np.asarray(history),
-                        "tol" if converged else "stall")
-            anchor = report.x
-            history.append(z_new)
-            if converged:
-                return anchor, np.asarray(history), "tol"
-        return anchor, np.asarray(history), "max_iter"
+            return report.x, obj.value(report.x)
+
+        try:
+            return _monotone(solve, anchor, obj.value(anchor), options)
+        except GPSolverError:
+            # feasible set has (numerically) no interior around this seed,
+            # e.g. the single-tone corner at eta = 2; keep the seed itself
+            # as this run's result
+            return anchor, np.array([obj.value(anchor)]), "solver_fallback"
 
     limit = eta
     for _ in range(3):
-        best = None
-        for seed in feasible_seeds(limit):
-            try:
-                out = run(seed, limit)
-            except GPSolverError:
-                # feasible set has (numerically) no interior around this
-                # seed, e.g. the single-tone corner at eta = 2; keep the
-                # seed itself as this run's result
-                out = (seed, np.array([obj.value(seed)]), "solver_fallback")
-            if best is None or out[1][-1] > best[1][-1]:
-                best = out
-        s, history, stop_reason = best
+        s, history, stop_reason = _best_run(
+            [run(seed, limit) for seed in feasible_seeds(limit)])
         wf = Waveform(s.reshape(n, m), phi_star, grid, power_budget=power)
         fine = worst_papr(s, 4 * options.papr_oversampling)
         if fine <= eta * (1.0 + 1e-6):

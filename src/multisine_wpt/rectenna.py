@@ -23,6 +23,7 @@ import numpy as np
 from .channel import ChannelRealization, FrequencyGrid
 
 _POWER_FEAS_RTOL = 1e-9
+_ORACLE_OVERSAMPLE = 16  # samples per top harmonic of y^i in the oracle
 
 # combinatorial prefactors of the DC component of y^i for i = 2, 4, 6
 _DC_PREFACTOR = {2: 0.5, 4: 3.0 / 8.0, 6: 5.0 / 16.0}
@@ -245,7 +246,7 @@ def received_signal(waveform: Waveform, channel: ChannelRealization,
 
 
 def zdc_time_average(waveform: Waveform, channel: ChannelRealization,
-                     params: RectennaParams, oversample: int = 16) -> float:
+                     params: RectennaParams) -> float:
     """Independent z_dc oracle: synthesize y(t) and average its powers.
 
     Requires a commensurate grid (f0 an integer multiple of the spacing) so
@@ -256,7 +257,7 @@ def zdc_time_average(waveform: Waveform, channel: ChannelRealization,
     grid = waveform.grid
     carrier = grid.carrier_multiple()
     n_o = params.truncation_order
-    n_samples = oversample * n_o * (carrier + grid.n_tones)
+    n_samples = _ORACLE_OVERSAMPLE * n_o * (carrier + grid.n_tones)
     t = np.arange(n_samples) * (grid.period / n_samples)
     y = received_signal(waveform, channel, t)
     r_ant = params.diode.r_ant

@@ -27,6 +27,7 @@ STIELTJES_GAMMA1 = -0.0728158454836767
 
 _STRATEGIES = ("ss", "up", "ass", "upmf")
 _REGIMES = ("flat", "selective")
+_MC_CHUNK = 20000  # Monte Carlo trials per channel draw
 
 
 @lru_cache(maxsize=None)
@@ -49,26 +50,6 @@ def harmonic_h(n: int) -> float:
 def harmonic_s(n: int) -> float:
     """S_n = sum_{k<=n} H_k/k, accumulated exactly and rounded once."""
     return float(_harmonic_fractions(n)[1])
-
-
-def harmonic_h_alternating(n: int) -> float:
-    """Alternating-binomial form of H_n.
-
-    Cancels catastrophically for n beyond ~20; kept only to cross-check the
-    recursion at small n.
-    """
-    k = np.arange(n)
-    terms = ((-1.0) ** (k + n - 1) * [math.comb(n - 1, int(j)) for j in k]
-             / (n - k) ** 2)
-    return float(n * np.sum(terms))
-
-
-def harmonic_s_alternating(n: int) -> float:
-    """Alternating-binomial form of S_n (same caveat as the H_n variant)."""
-    k = np.arange(n)
-    terms = ((-1.0) ** (k + n - 1) * [math.comb(n - 1, int(j)) for j in k]
-             / (n - k) ** 3)
-    return float(n * np.sum(terms))
 
 
 @dataclass(frozen=True)
@@ -156,8 +137,8 @@ def _draw_complex(rng, shape) -> np.ndarray:
         / np.sqrt(2.0)
 
 
-def monte_carlo(sc: ScalingScenario, trials: int, seed: int = 0,
-                chunk: int = 20000) -> tuple[float, float]:
+def monte_carlo(sc: ScalingScenario, trials: int,
+                seed: int = 0) -> tuple[float, float]:
     """Sample mean and standard error of the per-realization DC surrogate.
 
     Channels are drawn per the scenario's regime, the strategy's
@@ -178,7 +159,7 @@ def monte_carlo(sc: ScalingScenario, trials: int, seed: int = 0,
     total_sq = 0.0
     done = 0
     while done < trials:
-        size = min(chunk, trials - done)
+        size = min(_MC_CHUNK, trials - done)
         h = _draw_complex(rng, (size, n_draw, m))
         gains = np.linalg.norm(h, axis=2)
         if sc.strategy in ("ss", "ass"):  # all power on the strongest tone

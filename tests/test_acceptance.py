@@ -23,8 +23,8 @@ from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
                                     taylor_coefficients, zdc_analytic,
                                     zdc_time_average)
 from multisine_wpt.scaling import (ScalingScenario, closed_form, harmonic_h,
-                                   harmonic_h_alternating, harmonic_s,
-                                   harmonic_s_alternating, monte_carlo)
+                                   harmonic_s, monte_carlo)
+from harmonic_oracle import harmonic_h_alternating, harmonic_s_alternating
 
 DIODE = DiodeParams()
 P4 = RectennaParams(DIODE, 4)

@@ -18,7 +18,7 @@ def _step_constants(circuit, dt):
     """a = (dt/2C) i_s, b = (dt/2C)/R_L and 1/(n v_t) of the trapezoidal rule."""
     d = circuit.diode
     half = dt / (2.0 * circuit.c_out)
-    return half * d.i_s, half / circuit.load, 1.0 / (d.ideality * d.v_t)
+    return half * d.i_s, half / d.r_load, 1.0 / (d.ideality * d.v_t)
 
 
 def _plain_period(v, vin, circuit, dt):
@@ -70,7 +70,7 @@ def test_zero_source_stays_at_zero():
 
 def test_initial_charge_decays():
     # small initial charge, zero drive: v_out decays below a nanovolt
-    rc = CIRCUIT.load * CIRCUIT.c_out
+    rc = CIRCUIT.diode.r_load * CIRCUIT.c_out
     dt = rc / 200.0
     steps = int(12 * rc / dt)
     v, _ = _plain_period(np.array([1e-4]), np.zeros((steps + 1, 1)),
@@ -88,11 +88,11 @@ def test_dc_operating_point_properties():
         v = dc_operating_point(v_src, CIRCUIT)
         assert v > previous  # monotone in the drive
         previous = v
-        residual = d.i_s * np.expm1((v_src - v) / nvt) - v / CIRCUIT.load
+        residual = d.i_s * np.expm1((v_src - v) / nvt) - v / d.r_load
         assert abs(residual) <= 1e-14
     for v_src in rng.uniform(0.0, 0.4, 20):
         v = dc_operating_point(float(v_src), CIRCUIT)
-        residual = d.i_s * np.expm1((v_src - v) / nvt) - v / CIRCUIT.load
+        residual = d.i_s * np.expm1((v_src - v) / nvt) - v / d.r_load
         assert abs(residual) <= 1e-14
 
 
@@ -106,7 +106,7 @@ def test_dc_operating_point_under_hard_drive():
         v = dc_operating_point(v_src, CIRCUIT)
         assert previous < v < v_src
         previous = v
-        residual = d.i_s * np.expm1((v_src - v) / nvt) - v / CIRCUIT.load
+        residual = d.i_s * np.expm1((v_src - v) / nvt) - v / d.r_load
         assert abs(residual) <= 1e-14
 
 
@@ -141,7 +141,7 @@ def test_passivity_and_output_floor():
         r = received_tone_coefficients(w, h)
         delivered = 0.5 * float(np.sum(np.abs(r) ** 2))
         assert harvested_dc_power(trace) <= delivered + 1e-12
-        floor = -CIRCUIT.diode.i_s * CIRCUIT.load - 1e-9
+        floor = -CIRCUIT.diode.i_s * CIRCUIT.diode.r_load - 1e-9
         assert trace.v_out.min() >= floor
 
 
@@ -205,7 +205,7 @@ def test_periodic_solve_matches_long_plain_iteration():
         pytest.fail("plain iteration did not settle")
     p_dc, steady = simulate_ensemble(tones, grid, circuit, dt=dt)
     assert steady
-    np.testing.assert_allclose(np.sqrt(p_dc * circuit.load), means[-1],
+    np.testing.assert_allclose(np.sqrt(p_dc * circuit.diode.r_load), means[-1],
                                rtol=1e-9, atol=0)
 
 
@@ -294,7 +294,3 @@ def test_trace_export(tmp_path):
 def test_circuit_params_validation():
     with pytest.raises(ValueError):
         CircuitParams(c_out=0.0)
-    with pytest.raises(ValueError):
-        CircuitParams(r_load=-5.0)
-    assert CircuitParams(r_load=800.0).load == 800.0
-    assert CircuitParams().load == 1600.0

@@ -256,16 +256,21 @@ def test_phase_one_reports_its_step_cap_apart_from_a_certificate():
     assert _log_sums(_margin_pair(-1.0), y)[0].max() <= -1e-9
 
 
-def test_solve_report_names_why_the_primal_dual_loop_stopped():
+def test_solve_report_names_why_the_primal_dual_loop_stopped(monkeypatch):
     p = 2.5
     objective, stack = np.array([-2.0, -2.0]), _stack([_power(2, p)])
     x0 = np.array([0.3, 1.9])  # strictly feasible: no phase I
     assert solve_gp(objective, stack, x0).message == ""
-    capped = solve_gp(objective, stack, x0, max_newton=2)
+    with monkeypatch.context() as patch:
+        patch.setattr(gp, "_MAX_NEWTON", 2)
+        capped = solve_gp(objective, stack, x0)
     assert not capped.converged and capped.iterations == 2
     assert capped.message == "iteration cap reached"
-    # the loop's own test passes, but the point misses feas_tol
-    strict = solve_gp(objective, stack, x0, feas_tol=-0.5)
+    # the loop's own test passes, but the point misses the feasibility
+    # tolerance
+    with monkeypatch.context() as patch:
+        patch.setattr(gp, "_FEAS_TOL", -0.5)
+        strict = solve_gp(objective, stack, x0)
     assert not strict.converged and strict.message == "tolerances not met"
     # zero tolerances cannot be met; this problem's residual stops falling
     # before the cap, and the 50-halving line search gives up
@@ -274,7 +279,8 @@ def test_solve_report_names_why_the_primal_dual_loop_stopped():
     cons = [_power(3, 1.0)] + _floors(3, positivity_floor(1.0))
     cons.append((rng.uniform(0.1, 2.0, 4),
                  rng.integers(0, 3, (4, 3)).astype(float)))
-    stalled = solve_gp(-b, _stack(cons), np.full(3, 0.1), gap_tol=0.0,
-                       kkt_tol=0.0)
+    monkeypatch.setattr(gp, "_GAP_TOL", 0.0)
+    monkeypatch.setattr(gp, "_KKT_TOL", 0.0)
+    stalled = solve_gp(-b, _stack(cons), np.full(3, 0.1))
     assert stalled.iterations < 200
     assert stalled.message == "line search stalled"

@@ -85,3 +85,19 @@ def test_package_import_leaves_out_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_every_config_key_is_read():
+    # a key the CLI accepts but never reads as cfg["<key>"] is a setting
+    # that does nothing
+    tree = ast.parse((ROOT / "src" / "multisine_wpt" / "cli.py").read_text())
+    schema = next(node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["_SCHEMA"])
+    keys = {key.value for key in schema.keys}
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+            and isinstance(node.slice, ast.Constant)}
+    assert keys and not keys - read, sorted(keys - read)

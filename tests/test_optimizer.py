@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multisine_wpt import cli
+from multisine_wpt import cli, optimizer
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
 from multisine_wpt.optimizer import (OptimizerOptions, _AlignedDC, _ascents,
@@ -14,8 +14,8 @@ from multisine_wpt.optimizer import (OptimizerOptions, _AlignedDC, _ascents,
                                      optimize_decoupled, optimize_multi,
                                      optimize_papr, ss, toy_n2, up, upmf)
 from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
-                                    papr, received_tone_coefficients,
-                                    zdc_analytic)
+                                    antenna_paprs, papr,
+                                    received_tone_coefficients, zdc_analytic)
 
 P4 = RectennaParams()
 POWER = 1e-5
@@ -417,6 +417,28 @@ def test_papr_solver_fallback_reports_unconverged():
     assert tr.n_iterations == 0
     assert not tr.converged
     assert tr.stop_reason == "solver_fallback"
+
+
+def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
+    # the first round's design meets eta on the design grid but not on the
+    # 4x grid; the re-solve at a tightened limit must certify
+    opts = OptimizerOptions(eps=1e-8, max_iterations=40)
+    fine = 4 * opts.papr_oversampling
+    checks = []
+
+    def counting(waveform, oversampling=8):
+        checks.append(oversampling)
+        return antenna_paprs(waveform, oversampling)
+
+    monkeypatch.setattr(optimizer, "antenna_paprs", counting)
+    eta = 2.5
+    tr = optimize_papr(iid_frequency_channel(3, 2, seed=6), POWER, eta, P4,
+                       _grid(3), opts)
+    assert checks.count(fine) == 2
+    assert tr.papr_certified
+    worst = max(antenna_paprs(tr.waveform, fine).values())
+    assert worst == tr.achieved_papr
+    assert worst <= eta * (1 + 1e-6)
 
 
 def test_kkt_residual_flags_saddle_corner():

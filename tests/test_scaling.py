@@ -9,8 +9,8 @@ from multisine_wpt.rectenna import (DCKernel, RectennaParams, Waveform,
 from multisine_wpt.scaling import (EULER_GAMMA, ScalingScenario,
                                    asymptotic_form, closed_form,
                                    hardening_curve, harmonic_h,
-                                   harmonic_h_alternating, harmonic_s,
-                                   harmonic_s_alternating, monte_carlo)
+                                   harmonic_s, monte_carlo)
+from harmonic_oracle import harmonic_h_alternating, harmonic_s_alternating
 
 PARAMS = RectennaParams()
 
