@@ -18,9 +18,9 @@ The package splits into:
 """
 
 from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
-                      PowerDelayProfile, TapSet, flat_channel,
-                      frequency_response, generate_taps, iid_frequency_channel,
-                      load_channel_text, multipath_channel, save_channel_text)
+                      PowerDelayProfile, flat_channel, frequency_response,
+                      iid_frequency_channel, load_channel_text,
+                      multipath_channel, save_channel_text)
 from .circuit import (CircuitParams, SimTrace, SteadyStateError,
                       dc_operating_point, export_trace_csv,
                       harvested_dc_power, simulate, simulate_ensemble)

@@ -56,10 +56,6 @@ class PowerDelayProfile:
         return self.delays.size
 
     @classmethod
-    def single_tap(cls) -> "PowerDelayProfile":
-        return cls(np.zeros(1), np.ones(1))
-
-    @classmethod
     def exponential(cls, n_taps: int = 18, spacing: float = 20e-9,
                     decay: float = 60e-9) -> "PowerDelayProfile":
         """Exponentially decaying profile, normalized to unit total power.
@@ -135,26 +131,6 @@ class FrequencyGrid:
 
 
 @dataclass(frozen=True)
-class TapSet:
-    """Complex per-path gains paired with the profile's delays."""
-
-    gains: np.ndarray
-    delays: np.ndarray
-
-    def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=complex)
-        delays = np.asarray(self.delays, dtype=float)
-        if gains.shape != delays.shape or gains.ndim != 1:
-            raise ValueError("gains and delays must be matching 1-D arrays")
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "delays", delays)
-
-    @property
-    def n_taps(self) -> int:
-        return self.gains.size
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """Complex frequency response, shape (N, M) or (N, M, U) for U rectennas."""
 
@@ -171,24 +147,12 @@ class ChannelRealization:
         object.__setattr__(self, "h", h)
 
     @property
-    def n_tones(self) -> int:
-        return self.h.shape[0]
-
-    @property
     def n_antennas(self) -> int:
         return self.h.shape[1]
 
     @property
     def n_rectennas(self) -> int:
         return 1 if self.h.ndim == 2 else self.h.shape[2]
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.abs(self.h)
-
-    @property
-    def phases(self) -> np.ndarray:
-        return np.angle(self.h)
 
     def rectenna(self, u: int) -> "ChannelRealization":
         if self.h.ndim == 2:
@@ -203,49 +167,34 @@ class ChannelRealization:
         return self.h if self.h.ndim == 2 else self.h[:, :, 0]
 
 
-def sample_tap_gains(profile: PowerDelayProfile, seed: int,
-                     count: int, stream: int = 0) -> np.ndarray:
-    """Draw `count` independent gain vectors, shape (count, L).
-
-    Each path gain is circularly symmetric complex Gaussian with variance
-    equal to the tap's mean power.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return _tap_gains(_rng(seed, stream), profile, count)
-
-
 def _tap_gains(rng, profile: PowerDelayProfile, count: int) -> np.ndarray:
-    """(count, L) gains: all real parts, then all imaginary parts."""
+    """(count, L) gains, each circularly symmetric complex Gaussian with
+    the tap's mean power: all real parts drawn first, then all imaginary
+    parts."""
     re = rng.standard_normal((count, profile.n_taps))
     im = rng.standard_normal((count, profile.n_taps))
     return (re + 1j * im) * np.sqrt(profile.powers / 2.0)
 
 
-def generate_taps(profile: PowerDelayProfile, seed: int,
-                  stream: int = 0) -> TapSet:
-    """One multipath realization: complex gains for each tap of the profile."""
-    gains = sample_tap_gains(profile, seed, 1, stream)[0]
-    return TapSet(gains, profile.delays.copy())
-
-
-def frequency_response(taps: TapSet, array: ArrayConfig,
-                       directions: np.ndarray | float,
+def frequency_response(gains: np.ndarray, delays: np.ndarray,
+                       array: ArrayConfig, directions: np.ndarray | float,
                        grid: FrequencyGrid) -> ChannelRealization:
-    """Per-tone response of a ULA over the given paths.
+    """Per-tone response of a ULA over paths of complex `gains`, `delays`
+    (seconds) and departure `directions` (radians, or one for all paths).
 
     h[n, m] = sum_l g_l * exp(j*(-w_n*tau_l + 2*pi*m*(d/lambda_n)*cos(theta_l)))
     with m = 0 for the reference element.
     """
+    gains = np.asarray(gains, dtype=complex)
     directions = np.broadcast_to(np.asarray(directions, dtype=float),
-                                 (taps.n_taps,))
+                                 gains.shape)
     w = grid.omegas[:, None, None]                      # (N,1,1)
     inv_lambda = (grid.frequencies / SPEED_OF_LIGHT)[:, None, None]
     m = np.arange(array.n_antennas)[None, :, None]      # (1,M,1)
-    tau = taps.delays[None, None, :]                    # (1,1,L)
+    tau = np.asarray(delays, dtype=float)[None, None, :]  # (1,1,L)
     cos_theta = np.cos(directions)[None, None, :]
     phase = -w * tau + 2.0 * np.pi * m * array.spacing * inv_lambda * cos_theta
-    h = np.sum(taps.gains[None, None, :] * np.exp(1j * phase), axis=2)
+    h = np.sum(gains[None, None, :] * np.exp(1j * phase), axis=2)
     return ChannelRealization(h)
 
 
@@ -275,8 +224,7 @@ def multipath_channel(profile: PowerDelayProfile, array: ArrayConfig,
     rng = _rng(seed, stream)
     gains = _tap_gains(rng, profile, 1)[0]
     directions = rng.uniform(0.0, np.pi, profile.n_taps)
-    return frequency_response(TapSet(gains, profile.delays), array,
-                              directions, grid)
+    return frequency_response(gains, profile.delays, array, directions, grid)
 
 
 def flat_channel(amplitude: float, phase: float, n_tones: int,

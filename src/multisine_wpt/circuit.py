@@ -12,8 +12,8 @@ Aprille & Trick, Proc. IEEE 1972; Kundert, White & Sangiovanni-
 Vincentelli, 1990).  The Newton Jacobian is lower bidiagonal plus one
 corner entry, so every row of a batch goes into one banded solve per
 iteration; the CLI, the presets and the demos put every strategy's rows
-into one batch.  A row whose solve stops at the iteration cap is counted
-and makes the run not steady.
+into one batch.  A row whose solve stops at the iteration cap makes the
+run not steady.
 """
 
 from __future__ import annotations
@@ -47,18 +47,17 @@ class CircuitParams:
 
 @dataclass
 class SimTrace:
-    """One steady period, possibly decimated, plus each Newton iterate's mean."""
+    """One steady period, every max(1, K // 4096)-th of its K steps, plus
+    each Newton iterate's mean."""
 
     time: np.ndarray
     v_in: np.ndarray
     v_out: np.ndarray
     i_d: np.ndarray
     period_mean_vout: np.ndarray
-    steady: bool
+    steady: bool  # False when the periodic Newton solve hit its cap
     dt: float
-    store_every: int
     load: float
-    newton_cap_hits: int  # rows whose periodic Newton solve hit its cap
 
 
 class SteadyStateError(RuntimeError):
@@ -177,8 +176,7 @@ def _sample_times(grid: FrequencyGrid, circuit: CircuitParams,
 
 
 def simulate(waveform: Waveform, channel: ChannelRealization,
-             circuit: CircuitParams, dt: float | None = None,
-             store_every: int | None = None) -> SimTrace:
+             circuit: CircuitParams, dt: float | None = None) -> SimTrace:
     """Steady-state rectifier trace over one period of the received multisine.
 
     One periodic Newton solve gives v_out at t = dt, ..., T; the period
@@ -193,16 +191,13 @@ def simulate(waveform: Waveform, channel: ChannelRealization,
                                           math.sqrt(circuit.diode.r_ant)))
     means = []
     vout, passed = _periodic_newton(vin, circuit, dt, means)
-    if store_every is None:
-        store_every = max(1, times.size // 4096)
-    idx = np.arange(0, times.size, store_every)
+    idx = np.arange(0, times.size, max(1, times.size // 4096))
     v_in = vin[0, idx]
     v_out = vout[0, idx]
     i_d = _diode_current(v_in - v_out, circuit.diode)
     return SimTrace(time=times[idx], v_in=v_in, v_out=v_out, i_d=i_d,
                     period_mean_vout=np.array(means), steady=bool(passed[0]),
-                    dt=dt, store_every=store_every, load=circuit.diode.r_load,
-                    newton_cap_hits=int(not passed[0]))
+                    dt=dt, load=circuit.diode.r_load)
 
 
 def simulate_ensemble(tone_rows: np.ndarray, grid: FrequencyGrid,
@@ -258,15 +253,13 @@ def harvested_dc_power(trace: SimTrace) -> float:
     return mean_v ** 2 / trace.load
 
 
-def export_trace_csv(trace: SimTrace, path, decimation: int = 1,
+def export_trace_csv(trace: SimTrace, path,
                      header_comment: str | None = None) -> None:
-    """CSV dump of (t, v_in, v_out, i_d), optionally decimated further."""
-    if decimation < 1:
-        raise ValueError("decimation must be >= 1")
+    """CSV dump of the trace's (t, v_in, v_out, i_d) rows."""
     with open(path, "w") as f:
         if header_comment:
             f.write(f"# {header_comment}\n")
         f.write("t_s,v_in_v,v_out_v,i_d_a\n")
-        for k in range(0, trace.time.size, decimation):
+        for k in range(trace.time.size):
             f.write(f"{trace.time[k]:.17g},{trace.v_in[k]:.17g},"
                     f"{trace.v_out[k]:.17g},{trace.i_d[k]:.17g}\n")

@@ -82,7 +82,6 @@ _SCHEMA = {
     "r_antenna_ohm": (_finite, 50.0),
     "r_load_ohm": (_finite, 1600.0),
     "c_out_f": (_finite, 100e-12),
-    "trace_decimation": (int, 1),
 }
 
 _KNOWN_STRATEGIES = ("ss", "up", "ass", "mf", "upmf", "maxpapr",
@@ -138,8 +137,6 @@ def validate_config(cfg: dict) -> dict:
     if cfg["weights"] is not None and (min(cfg["weights"]) < 0
                                        or max(cfg["weights"]) <= 0):
         raise ConfigError("weights must be nonnegative, not all zero")
-    if cfg["trace_decimation"] < 1:
-        raise ConfigError("trace_decimation must be >= 1")
     for keys, build in (
             (("bandwidth_hz", "carrier_multiple"), _grid),
             (("diode_is_a", "diode_ideality", "diode_vt_v", "r_antenna_ohm",
@@ -316,40 +313,35 @@ def cmd_papr(args) -> int:
     return 0
 
 
-def _scaling_row(sc: ScalingScenario, trials: int, seed: int) -> tuple:
-    """(closed-form low, high, Monte Carlo mean, stderr) of one scenario;
-    a closed form that is a single value gives low = high."""
-    if trials < 100:
-        raise ConfigError(f"trials = {trials}: the Monte Carlo check needs "
-                          "trials >= 100")
+def _scaling_row(trials: int, seed: int, *scenario, **kwargs) -> tuple:
+    """(closed-form low, high, Monte Carlo mean, stderr) of the
+    `ScalingScenario(*scenario, **kwargs)`; a closed form that is a single
+    value gives low = high.  A value `scaling` rejects is a ConfigError
+    naming the keys the scenario and the trials come from."""
+    try:
+        sc = ScalingScenario(*scenario, **kwargs)
+        mc = monte_carlo(sc, trials, seed)
+    except ValueError as e:
+        raise ConfigError("strategies, regime, n_tones, n_antennas, "
+                          f"taylor_order, trials: {e}") from None
     cf = closed_form(sc)
     lo, hi = (cf, cf) if np.isscalar(cf) else cf
-    return (lo, hi, *monte_carlo(sc, trials, seed))
+    return (lo, hi, *mc)
 
 
 def cmd_scaling(args) -> int:
     cfg = _command_config(args)
-    if cfg["taylor_order"] != 4:
-        raise ConfigError("taylor_order must be 4: the scaling laws are "
-                          "derived for a fourth-order model")
     if cfg["n_rectennas"] > 1:
         raise ConfigError(f"n_rectennas = {cfg['n_rectennas']}: the scaling "
                           "laws are checked for one rectenna")
     rows = []
     for strategy in cfg["strategies"]:
-        if strategy not in ("ss", "up", "ass", "upmf"):
-            raise ConfigError(
-                f"strategy '{strategy}' has no closed-form scaling law")
-        if cfg["n_antennas"] > 1 and strategy != "upmf":
-            raise ConfigError(f"n_antennas = {cfg['n_antennas']}: "
-                              "multi-antenna scaling laws cover only upmf, "
-                              f"not '{strategy}'")
-        sc = ScalingScenario(strategy, cfg["regime"], cfg["n_tones"],
-                             cfg["n_antennas"], power=_power_w(cfg),
-                             params=_params(cfg))
         rows.append((strategy, cfg["regime"], cfg["n_tones"],
                      cfg["n_antennas"])
-                    + _scaling_row(sc, cfg["trials"], cfg["seed"]))
+                    + _scaling_row(cfg["trials"], cfg["seed"], strategy,
+                                   cfg["regime"], cfg["n_tones"],
+                                   cfg["n_antennas"], power=_power_w(cfg),
+                                   params=_params(cfg)))
     out = args.out or "out"
     _write_csv(os.path.join(out, "scaling.csv"),
                "ensemble-average DC surrogate: closed form vs Monte Carlo",
@@ -426,8 +418,7 @@ def cmd_simulate(args) -> int:
         waveform, _ = build_waveform(cfg["strategies"][0], cfg, channel, grid)
         trace = _steady_trace(waveform, channel, circuit,
                               cfg["strategies"][0])
-        export_trace_csv(trace, os.path.join(out, "trace.csv"),
-                         cfg["trace_decimation"])
+        export_trace_csv(trace, os.path.join(out, "trace.csv"))
     print(f"wrote simulate.csv to {out}/")
     return 0
 
@@ -445,7 +436,7 @@ def _command_config(args) -> dict:
 # presets (desk-scale reproductions; each names the figure it parallels)
 # ---------------------------------------------------------------------------
 
-def _preset_fig2(out: str, seed: int, trials: int) -> None:
+def _preset_fig2(out: str) -> None:
     cfg = validate_config(default_config())
     params = _params(cfg)
     power = 1e-4
@@ -462,7 +453,7 @@ def _preset_fig2(out: str, seed: int, trials: int) -> None:
                ["a1", "zdc_tone0_only", "zdc_tone1_only", "zdc_optimal"], rows)
 
 
-def _preset_fig3_top(out: str, seed: int, trials: int) -> None:
+def _preset_fig3_top(out: str) -> None:
     cfg = validate_config(default_config())
     cfg.update(channel_type="flat", power_dbm=-20.0)
     params = _params(cfg)
@@ -483,7 +474,7 @@ def _preset_fig3_top(out: str, seed: int, trials: int) -> None:
                ["n_tones", "zdc_up", "zdc_opt"], rows)
 
 
-def _preset_fig3_middle(out: str, seed: int, trials: int) -> None:
+def _preset_fig3_middle(out: str) -> None:
     cfg = validate_config(default_config())
     cfg.update(channel_type="flat", n_tones=8)
     params = _params(cfg)
@@ -510,8 +501,8 @@ def _preset_table1(out: str, seed: int, trials: int) -> None:
                                    ("ass", "selective", 8, 1),
                                    ("upmf", "flat", 8, 2),
                                    ("upmf", "selective", 8, 2)]:
-        rows.append((strategy, regime, n, m) + _scaling_row(
-            ScalingScenario(strategy, regime, n, m), trials, seed))
+        rows.append((strategy, regime, n, m)
+                    + _scaling_row(trials, seed, strategy, regime, n, m))
     _write_csv(os.path.join(out, "table1.csv"),
                "preset table1: scaling-law rows, closed form vs Monte Carlo "
                "(parallels: Table I)",
@@ -527,8 +518,8 @@ def _preset_fig_scalinglaws(out: str, seed: int, trials: int) -> None:
     rows = []
     for n in (2, 4, 8, 16, 32, 64, 128, 256):
         for strategy in ("up", "ass", "upmf"):
-            rows.append((strategy, n) + _scaling_row(
-                ScalingScenario(strategy, "selective", n), trials, seed))
+            rows.append((strategy, n)
+                        + _scaling_row(trials, seed, strategy, "selective", n))
     _write_csv(os.path.join(out, "fig-scalinglaws.csv"),
                "preset fig-scalinglaws: selective-fading averages vs tone "
                "count (parallels: figure 6)",
@@ -556,7 +547,7 @@ def _preset_fig9_like(out: str, seed: int, trials: int) -> None:
                ["n_tones", "strategy", "trials", "mean_p_dc_w"], rows)
 
 
-def _preset_fig8_trace(out: str, seed: int, trials: int) -> None:
+def _preset_fig8_trace(out: str, seed: int) -> None:
     cfg = validate_config(default_config())
     cfg.update(n_tones=16, seed=seed, sca_eps=1e-7, sca_max_iterations=60)
     grid = _grid(cfg)
@@ -573,14 +564,16 @@ def _preset_fig8_trace(out: str, seed: int, trials: int) -> None:
                            "n_tones/bandwidth seconds (parallels: figure 8)")
 
 
+# name -> (function, defaults of the --seed and --trials it reads)
 _PRESETS = {
-    "fig2": (_preset_fig2, 100),
-    "fig3-top": (_preset_fig3_top, 1),
-    "fig3-middle": (_preset_fig3_middle, 1),
-    "table1": (_preset_table1, 100_000),
-    "fig-scalinglaws": (_preset_fig_scalinglaws, 50_000),
-    "fig9-like": (_preset_fig9_like, 20),
-    "fig8-trace": (_preset_fig8_trace, 1),
+    "fig2": (_preset_fig2, {}),
+    "fig3-top": (_preset_fig3_top, {}),
+    "fig3-middle": (_preset_fig3_middle, {}),
+    "table1": (_preset_table1, {"seed": 1, "trials": 100_000}),
+    "fig-scalinglaws": (_preset_fig_scalinglaws,
+                        {"seed": 1, "trials": 50_000}),
+    "fig9-like": (_preset_fig9_like, {"seed": 1, "trials": 20}),
+    "fig8-trace": (_preset_fig8_trace, {"seed": 1}),
 }
 
 
@@ -588,12 +581,16 @@ def cmd_preset(args) -> int:
     if args.name not in _PRESETS:
         raise ConfigError(f"unknown preset '{args.name}'; available: "
                           + ", ".join(sorted(_PRESETS)))
-    fn, default_trials = _PRESETS[args.name]
+    fn, defaults = _PRESETS[args.name]
+    given = {flag: getattr(args, flag) for flag in ("seed", "trials")
+             if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in defaults:
+            raise ConfigError(f"--{flag}: preset '{args.name}' does not "
+                              "read it")
     out = args.out or "out"
     os.makedirs(out, exist_ok=True)
-    trials = args.trials if args.trials is not None else default_trials
-    seed = args.seed if args.seed is not None else 1
-    fn(out, seed, trials)
+    fn(out, **{**defaults, **given})
     print(f"preset {args.name} written to {out}/")
     return 0
 
@@ -609,7 +606,6 @@ def main(argv=None) -> int:
         if config:
             p.add_argument(config, help="key = value configuration file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
 
     def ensemble(p, config=None):
         common(p, config)
@@ -638,6 +634,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("simulate", help="rectifier ensemble simulation")
     ensemble(p, "config")
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--trace", action="store_true",
                    help="also export one realization's time trace")
     p.set_defaults(fn=cmd_simulate)
@@ -645,6 +642,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("preset", help="run a named experiment preset")
     p.add_argument("name")
     ensemble(p)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_preset)
 
     args = parser.parse_args(argv)

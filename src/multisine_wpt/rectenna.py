@@ -167,25 +167,19 @@ class DCKernel:
     def value(self, r: np.ndarray) -> float | np.ndarray:
         """z_dc for complex (or real) tone coefficients r.
 
-        A 1-D r gives a float.  A (rows, N) batch gives one z_dc per row
-        from one zero-padded FFT R of each row, of length
-        L = (order/2)(N-1)+1: no self-convolution up to the truncation order
-        wraps around at that length, so by Parseval the order-i sum is
-        mean_f |R_f|^i, with no inverse transform.
+        A 1-D r gives the float of `value_grad_hess`.  A (rows, N) batch
+        gives one z_dc per row from one zero-padded FFT R of each row, of
+        length L = (order/2)(N-1)+1: no self-convolution up to the
+        truncation order wraps around at that length, so by Parseval the
+        order-i sum is mean_f |R_f|^i, with no inverse transform.
         """
         r = np.asarray(r)
-        if r.ndim > 1:
-            n_fft = self.truncation_order // 2 * (r.shape[-1] - 1) + 1
-            power = np.abs(np.fft.fft(r, n=n_fft, axis=-1)) ** 2
-            return sum(w * np.mean(power ** (i // 2), axis=-1)
-                       for i, w in self._w.items())
-        z = self._term(2, r)
-        if self.truncation_order >= 4:
-            c2 = np.convolve(r, r)
-            z += self._term(4, c2)
-        if self.truncation_order >= 6:
-            z += self._term(6, np.convolve(c2, r))
-        return z
+        if r.ndim <= 1:
+            return self.value_grad_hess(r)[0]
+        n_fft = self.truncation_order // 2 * (r.shape[-1] - 1) + 1
+        power = np.abs(np.fft.fft(r, n=n_fft, axis=-1)) ** 2
+        return sum(w * np.mean(power ** (i // 2), axis=-1)
+                   for i, w in self._w.items())
 
     def value_grad_hess(self, r: np.ndarray, want_hess: bool = False):
         """(z, gradient, Hessian or None) of z_dc in the tone coefficients r.

@@ -58,7 +58,6 @@ class ScalingScenario:
     regime: str
     n_tones: int
     n_antennas: int = 1
-    n_rectennas: int = 1
     power: float = 1e-5
     params: RectennaParams = RectennaParams()
 
@@ -67,12 +66,10 @@ class ScalingScenario:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         if self.regime not in _REGIMES:
             raise ValueError(f"regime must be one of {_REGIMES}")
-        if min(self.n_tones, self.n_antennas, self.n_rectennas) < 1:
+        if min(self.n_tones, self.n_antennas) < 1:
             raise ValueError("dimensions must be >= 1")
         if self.n_antennas > 1 and self.strategy != "upmf":
             raise ValueError("multi-antenna scaling laws cover only upmf")
-        if self.n_rectennas > 1 and self.strategy != "up":
-            raise ValueError("multi-rectenna scaling covers only the up sum")
         if self.params.truncation_order != 4:
             raise ValueError("scaling laws are derived for a fourth-order model")
 
@@ -87,15 +84,14 @@ def closed_form(sc: ScalingScenario):
     """Ensemble-average DC surrogate; a (lower, upper) pair where only
     bounds are known (upmf over selective fading at finite M)."""
     t2, t4 = _base_terms(sc)
-    n, m, u = sc.n_tones, sc.n_antennas, sc.n_rectennas
+    n, m = sc.n_tones, sc.n_antennas
     quartic_density = (2.0 * n ** 2 + 1.0) / (2.0 * n)
 
     if sc.strategy == "ss":
         return t2 + 3.0 * t4
     if sc.strategy == "up":
-        per_rectenna = (t2 + 2.0 * t4 * quartic_density
-                        if sc.regime == "flat" else t2 + 3.0 * t4)
-        return u * per_rectenna
+        return (t2 + 2.0 * t4 * quartic_density
+                if sc.regime == "flat" else t2 + 3.0 * t4)
     if sc.strategy == "ass":
         if sc.regime == "flat":
             return t2 + 3.0 * t4
@@ -119,12 +115,11 @@ def asymptotic_form(sc: ScalingScenario) -> float:
     S_N ~ log^2(N)/2 + EULER_GAMMA*log N + EULER_GAMMA^2 + STIELTJES_GAMMA1.
     """
     t2, t4 = _base_terms(sc)
-    n, m, u = sc.n_tones, sc.n_antennas, sc.n_rectennas
+    n, m = sc.n_tones, sc.n_antennas
     if sc.strategy == "ss":
         return t2 + 3.0 * t4
     if sc.strategy == "up":
-        per = t2 + 2.0 * t4 * n if sc.regime == "flat" else t2 + 3.0 * t4
-        return u * per
+        return t2 + 2.0 * t4 * n if sc.regime == "flat" else t2 + 3.0 * t4
     if sc.strategy == "ass":
         if sc.regime == "flat":
             return t2 + 3.0 * t4
@@ -148,8 +143,6 @@ def monte_carlo(sc: ScalingScenario, trials: int,
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    if sc.n_rectennas > 1:
-        raise ValueError("run per-rectenna trials and scale by the count")
     rng = _rng(seed, 0)
     kernel = DCKernel(sc.params)
     n, m, p = sc.n_tones, sc.n_antennas, sc.power

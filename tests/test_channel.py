@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from multisine_wpt.channel import (ArrayConfig, FrequencyGrid,
-                                   PowerDelayProfile, TapSet, flat_channel,
-                                   frequency_response, generate_taps,
+                                   PowerDelayProfile, _rng, _tap_gains,
+                                   flat_channel, frequency_response,
                                    iid_frequency_channel, load_channel_text,
-                                   multipath_channel, sample_tap_gains,
-                                   save_channel_text)
+                                   multipath_channel, save_channel_text)
 
 
 def test_profile_validation():
@@ -22,8 +21,8 @@ def test_profile_validation():
 
 
 def test_single_tap_moments_match_exponential_distribution():
-    profile = PowerDelayProfile.single_tap()
-    gains = sample_tap_gains(profile, seed=1, count=10 ** 6)
+    profile = PowerDelayProfile(np.zeros(1), np.ones(1))
+    gains = _tap_gains(_rng(1), profile, 10 ** 6)
     a2 = np.abs(gains[:, 0]) ** 2
     # |gain|^2 is exponential(1): second moment 2, so var(a2) = 1, var(a4) = 20
     se2 = a2.std(ddof=1) / np.sqrt(a2.size)
@@ -35,19 +34,10 @@ def test_single_tap_moments_match_exponential_distribution():
 
 def test_profile_power_sum_montecarlo():
     profile = PowerDelayProfile.exponential()
-    gains = sample_tap_gains(profile, seed=9, count=10 ** 5)
+    gains = _tap_gains(_rng(9), profile, 10 ** 5)
     total = np.sum(np.abs(gains) ** 2, axis=1)
     se = total.std(ddof=1) / np.sqrt(total.size)
     assert abs(total.mean() - 1.0) < 3 * se
-
-
-def test_tap_generation_deterministic():
-    profile = PowerDelayProfile.exponential(4)
-    t1 = generate_taps(profile, seed=7, stream=3)
-    t2 = generate_taps(profile, seed=7, stream=3)
-    assert np.array_equal(t1.gains, t2.gains)
-    t3 = generate_taps(profile, seed=7, stream=4)
-    assert not np.array_equal(t1.gains, t3.gains)
 
 
 def _grid(n=4):
@@ -55,21 +45,21 @@ def _grid(n=4):
 
 
 def test_single_unit_path_gives_unit_response():
-    taps = TapSet(np.array([1.0 + 0j]), np.array([0.0]))
-    ch = frequency_response(taps, ArrayConfig(1), 0.3, _grid())
+    ch = frequency_response(np.array([1.0 + 0j]), np.array([0.0]),
+                            ArrayConfig(1), 0.3, _grid())
     assert np.allclose(ch.h, 1.0)
 
 
 def test_broadside_ula_has_identical_antennas():
-    taps = TapSet(np.array([0.7 - 0.2j]), np.array([5e-9]))
-    ch = frequency_response(taps, ArrayConfig(2), np.pi / 2, _grid())
+    ch = frequency_response(np.array([0.7 - 0.2j]), np.array([5e-9]),
+                            ArrayConfig(2), np.pi / 2, _grid())
     assert np.allclose(ch.h[:, 0], ch.h[:, 1], rtol=0, atol=1e-15)
 
 
 def test_first_antenna_free_of_array_phase():
-    taps = TapSet(np.array([1.0 + 0j]), np.array([0.0]))
     for theta in (0.1, 1.0, 2.5):
-        ch = frequency_response(taps, ArrayConfig(3), theta, _grid())
+        ch = frequency_response(np.array([1.0 + 0j]), np.array([0.0]),
+                                ArrayConfig(3), theta, _grid())
         assert np.allclose(ch.h[:, 0], 1.0)
 
 
@@ -79,7 +69,7 @@ def test_two_tap_response_matches_direct_sum():
     delays = np.array([1e-9, 40e-9])
     thetas = np.array([0.4, 2.0])
     array = ArrayConfig(2, spacing=0.03)
-    ch = frequency_response(TapSet(gains, delays), array, thetas, grid)
+    ch = frequency_response(gains, delays, array, thetas, grid)
     c = 299_792_458.0
     for n, f in enumerate(grid.frequencies):
         for m in range(2):
@@ -94,14 +84,12 @@ def test_two_tap_response_matches_direct_sum():
 def test_response_linear_in_taps():
     grid = _grid(3)
     array = ArrayConfig(2)
-    g1 = TapSet(np.array([0.2 + 1j]), np.array([3e-9]))
-    g2 = TapSet(np.array([-0.5 + 0.4j]), np.array([11e-9]))
-    both = TapSet(np.concatenate([g1.gains, g2.gains]),
-                  np.concatenate([g1.delays, g2.delays]))
+    gains = np.array([0.2 + 1j, -0.5 + 0.4j])
+    delays = np.array([3e-9, 11e-9])
     thetas = np.array([0.7, 1.9])
-    h1 = frequency_response(g1, array, thetas[0], grid).h
-    h2 = frequency_response(g2, array, thetas[1], grid).h
-    hb = frequency_response(both, array, thetas, grid).h
+    h1 = frequency_response(gains[:1], delays[:1], array, thetas[0], grid).h
+    h2 = frequency_response(gains[1:], delays[1:], array, thetas[1], grid).h
+    hb = frequency_response(gains, delays, array, thetas, grid).h
     assert np.allclose(hb, h1 + h2, rtol=1e-12)
 
 
@@ -110,7 +98,7 @@ def test_mean_tone_power_equals_profile_power():
     grid = _grid(2)
     trials = 10 ** 5
     # per-realization |h_n|^2 for M = 1 (array phases vanish on antenna 0)
-    gains = sample_tap_gains(profile, seed=4, count=trials)
+    gains = _tap_gains(_rng(4), profile, trials)
     phases = np.exp(-1j * 2 * np.pi * np.outer(grid.frequencies,
                                                profile.delays))
     h = gains @ phases.T
@@ -158,6 +146,8 @@ def test_multipath_channel_deterministic():
     c1 = multipath_channel(profile, ArrayConfig(2), grid, seed=11, stream=2)
     c2 = multipath_channel(profile, ArrayConfig(2), grid, seed=11, stream=2)
     assert np.array_equal(c1.h, c2.h)
+    c3 = multipath_channel(profile, ArrayConfig(2), grid, seed=11, stream=3)
+    assert not np.array_equal(c1.h, c3.h)
 
 
 def test_channel_text_roundtrip(tmp_path):

@@ -126,15 +126,30 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("input error: "), argv
     assert main(["simulate", missing]) == 2
-    # --workers: parallel runs exist only for simulate; 1 stays accepted
-    for argv in (["optimize", ok], ["evaluate", wave], ["scaling", ok],
-                 ["preset", "fig2"]):
-        assert main(argv + ["--workers", "2"]) == 2, argv
+    # --workers: only simulate runs in parallel; preset keeps the flag and
+    # accepts 1, and the other commands have no such flag
+    for argv in (["optimize", ok], ["evaluate", wave], ["scaling", ok]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv + ["--workers", "2"])
+        assert stop.value.code == 2, argv
         assert "--workers" in capsys.readouterr().err, argv
+    assert main(["preset", "fig2", "--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
     assert main(["simulate", ok, "--workers", "0"]) == 2
     assert "--workers" in capsys.readouterr().err
     out = str(tmp_path / "fig2")
     assert main(["preset", "fig2", "--workers", "1", "--out", out]) == 0
+    # a preset refuses the --seed or --trials it does not read, before it
+    # writes anything
+    for name, flag in (("fig2", "--seed"), ("fig2", "--trials"),
+                       ("fig3-top", "--seed"), ("fig3-top", "--trials"),
+                       ("fig3-middle", "--seed"), ("fig3-middle", "--trials"),
+                       ("fig8-trace", "--trials")):
+        unread = tmp_path / f"unread-{name}{flag}"
+        assert main(["preset", name, flag, "5", "--out", str(unread)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and flag in err, (name, err)
+        assert not unread.exists()
 
 
 @pytest.mark.parametrize("line", [
@@ -142,8 +157,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     "diode_is_a = 0", "diode_ideality = -1", "diode_vt_v = 0",
     "r_antenna_ohm = 0", "r_load_ohm = 0", "taylor_order = 3",
     "pdp_taps = 0", "pdp_spacing_s = -1e-9", "bandwidth_hz = 0",
-    "carrier_multiple = -1", "c_out_f = 0", "trace_decimation = 0",
-    "flat_amplitude = -1", "weights = -1, 2", "strategies = ,",
+    "carrier_multiple = -1", "c_out_f = 0", "flat_amplitude = -1",
+    "weights = -1, 2", "strategies = ,",
     "pdp_decay_s = 0", "power_dbm = nan", "sca_eps = inf"])
 def test_bad_config_value_exits_2_naming_its_key(tmp_path, capsys, line):
     # each value is rejected up front, before any command runs, and the
@@ -223,8 +238,7 @@ def test_unsteady_trace_exits_4(tmp_path, monkeypatch, capsys):
     def unsteady(waveform, channel, circuit, *args, **kwargs):
         return SimTrace(time=np.zeros(1), v_in=np.zeros(1), v_out=np.zeros(1),
                         i_d=np.zeros(1), period_mean_vout=np.zeros(2),
-                        steady=False, dt=1e-9, store_every=1,
-                        load=circuit.diode.r_load, newton_cap_hits=3)
+                        steady=False, dt=1e-9, load=circuit.diode.r_load)
 
     monkeypatch.setattr(cli, "simulate", unsteady)
     cfg = _write(tmp_path, "sim.cfg", SIM)
@@ -238,7 +252,8 @@ def test_unsteady_trace_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_removed_simulation_keys_are_unknown(tmp_path, capsys):
-    for key in ("sim_max_periods = 300", "sim_steady_tol = 1e-6"):
+    for key in ("sim_max_periods = 300", "sim_steady_tol = 1e-6",
+                "trace_decimation = 1"):
         cfg = _write(tmp_path, "old.cfg", SIM + key + "\n")
         assert main(["simulate", cfg, "--out", str(tmp_path / "old")]) == 2
         assert key.split()[0] in capsys.readouterr().err

@@ -101,3 +101,36 @@ def test_every_config_key_is_read():
             and isinstance(node.value, ast.Name) and node.value.id == "cfg"
             and isinstance(node.slice, ast.Constant)}
     assert keys and not keys - read, sorted(keys - read)
+
+
+# public names only tests use, kept on purpose as references: the DC
+# operating point and harvested power the rectifier tests compare against,
+# and the large-N trend of the paper's Table I
+_TEST_REFERENCES = {"dc_operating_point", "harvested_dc_power",
+                    "asymptotic_form"}
+
+
+def _references(node, skip=frozenset()) -> set[str]:
+    """Names, attributes and imported names under `node`, leaving out a
+    definition's references to itself."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        skip = skip | {node.name}
+    found = _name_parts(node) - skip
+    for child in ast.iter_child_nodes(node):
+        found |= _references(child, skip)
+    return found
+
+
+def test_every_public_name_is_used_outside_tests():
+    # a name the package exports that no module, demo or benchmark reaches
+    # is code only tests run
+    init = ROOT / "src" / "multisine_wpt" / "__init__.py"
+    exported = {alias.name for node in ast.walk(ast.parse(init.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for folder in ("src", "demos", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path != init:
+                used |= _references(ast.parse(path.read_text()))
+    assert exported and not exported - used - _TEST_REFERENCES, \
+        sorted(exported - used - _TEST_REFERENCES)

@@ -53,12 +53,6 @@ def test_closed_form_expressions():
                       rel=1e-14)
     assert closed_form(ScalingScenario("ass", "selective", 4)) == \
         pytest.approx(t2 * harmonic_h(4) + 3 * t4 * harmonic_s(4), rel=1e-14)
-    # the up row is the only one that scales with the rectenna count
-    one = closed_form(ScalingScenario("up", "flat", n))
-    three = closed_form(ScalingScenario("up", "flat", n, n_rectennas=3))
-    assert three == pytest.approx(3 * one, rel=1e-14)
-    with pytest.raises(ValueError):
-        ScalingScenario("ass", "flat", 4, n_rectennas=2)
     with pytest.raises(ValueError):
         ScalingScenario("ass", "flat", 4, n_antennas=2)
 
