@@ -30,6 +30,12 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-variance circular complex Gaussian draws of the given shape."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        / np.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class PowerDelayProfile:
     """Per-path delays (seconds) and mean powers, normalized to unit sum."""
@@ -204,9 +210,7 @@ def iid_frequency_channel(n_tones: int, n_antennas: int = 1,
     """Unit-variance i.i.d. complex Gaussian fading per tone/antenna/rectenna."""
     if min(n_tones, n_antennas, n_rectennas) < 1:
         raise ValueError("all dimensions must be >= 1")
-    g = _rng(seed, stream)
-    shape = (n_tones, n_antennas, n_rectennas)
-    h = (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
+    h = _complex_normal(_rng(seed, stream), (n_tones, n_antennas, n_rectennas))
     if n_rectennas == 1:
         h = h[:, :, 0]
     return ChannelRealization(h)

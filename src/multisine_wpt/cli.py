@@ -214,7 +214,6 @@ def build_waveform(strategy: str, cfg: dict, channel: ChannelRealization,
         if cfg["papr_eta"] < 2.0:
             raise ConfigError("opt-papr requires key 'papr_eta' >= 2")
         trace = optimize_papr(channel, power, cfg["papr_eta"], params, grid, opts)
-        meta["achieved_papr"] = trace.achieved_papr
     elif strategy == "opt-multi":
         weights = cfg["weights"] or [1.0] * channel.n_rectennas
         if len(weights) != channel.n_rectennas:
@@ -250,7 +249,7 @@ def _report_rows(cfg: dict, waveform: Waveform,
     worst = max(antenna_paprs(waveform, cfg["papr_oversampling"]).values(),
                 default=0.0)
     return (z, iout_fixed_point(z, params), worst,
-            meta.get("iterations", 0), meta.get("converged", True))
+            meta["iterations"], meta["converged"])
 
 
 def cmd_optimize(args) -> int:

@@ -59,9 +59,11 @@ def condense(log_c: np.ndarray, A: np.ndarray,
 
 @dataclass
 class SolveReport:
-    """A `solve_gp` result.  `message` is empty when converged, and
-    otherwise names why the primal-dual loop stopped: its iteration cap,
-    a stalled line search, or a stop whose point missed the tolerances."""
+    """A `solve_gp` result.  `converged` means that the primal-dual
+    loop's own stopping test passed and the point meets the feasibility
+    tolerance.  `message` is empty when converged, and otherwise names why
+    the loop stopped: its iteration cap, a stalled line search, or a
+    passed test whose point missed the feasibility tolerance."""
 
     x: np.ndarray
     constraint_values: np.ndarray
@@ -248,17 +250,19 @@ def solve_gp(objective: np.ndarray, stack: tuple,
 
     y = _phase_one(stack, np.log(x0), margin=1e-9, max_steps=_MAX_NEWTON)
 
-    g_vals, J, _ = _evaluate(stack, y)
-    lam = 1.0 / np.maximum(-g_vals, 1e-12)
+    lam = 1.0 / np.maximum(-_log_sums(stack, y)[0], 1e-12)
     mu = 10.0
     steps = 0
-    stop = "iteration cap reached"
-    for _ in range(_MAX_NEWTON):
+    # the stopping test runs on every iterate, the last one included
+    for _ in range(_MAX_NEWTON + 1):
         g_vals, J, hess_of = _evaluate(stack, y)
         gap = float(-lam @ g_vals)
         r_dual = b0 + J.T @ lam
         if gap <= _GAP_TOL and np.abs(r_dual).max() <= min(_KKT_TOL, 1e-9):
-            stop = "tolerances not met"
+            stop = ""
+            break
+        if steps == _MAX_NEWTON:
+            stop = "iteration cap reached"
             break
         t = mu * m / gap
         r_cent = -lam * g_vals - 1.0 / t
@@ -294,16 +298,13 @@ def solve_gp(objective: np.ndarray, stack: tuple,
             break
         y, lam = y_new, lam_new
 
-    g_vals, J, _ = _evaluate(stack, y)
-    gap = float(-lam @ g_vals)
-    kkt = float(np.abs(b0 + J.T @ lam).max())
-    x = np.exp(y)
     cons_vals = np.exp(g_vals)  # log-domain values, overflow-safe
-    feasible = bool(np.all(cons_vals <= 1.0 + _FEAS_TOL))
-    converged = feasible and gap <= _GAP_TOL * 10 and kkt <= _KKT_TOL
-    return SolveReport(x=x, constraint_values=cons_vals, iterations=steps,
-                       converged=converged, kkt_residual=kkt,
-                       duality_gap=gap, message="" if converged else stop)
+    if not np.all(cons_vals <= 1.0 + _FEAS_TOL):
+        stop = stop or "tolerances not met"
+    return SolveReport(x=np.exp(y), constraint_values=cons_vals,
+                       iterations=steps, converged=not stop,
+                       kkt_residual=float(np.abs(r_dual).max()),
+                       duality_gap=gap, message=stop)
 
 
 def positivity_floor(power_budget: float) -> float:

@@ -1,10 +1,13 @@
 """Waveform design strategies, from closed-form baselines to iterative designs.
 
 Closed-form strategies (`ss`, `up`, `ass`, `mf`, `upmf`, `max_papr`) place
-amplitudes directly.  The joint, decoupled and multi-rectenna designs share
-one minorize-maximize (MM) ascent over the complex weights: z_dc, and any
-nonnegatively weighted sum of it over rectennas, is convex in the weights,
-so its linearization at the current point is a global lower bound, and
+amplitudes directly.  Every iterative design maximizes one objective,
+`_WeightedDC`, a nonnegatively weighted sum of z_dc over rectennas on the
+rectenna's DC kernel.  The joint, decoupled and multi-rectenna designs
+share one minorize-maximize (MM) ascent on it: the first two over the real
+amplitudes on the gains |h| at the aligned phases, the third over the
+complex weights.  The objective is convex in the weights, so its
+linearization at the current point is a global lower bound, and
 maximizing that bound over the power ball gives the closed-form, monotone
 update w <- sqrt(2P) grad / ||grad||.  That map converges only linearly, so
 the ascent extrapolates it by SQUAREM (Varadhan & Roland 2008) and keeps an
@@ -14,10 +17,9 @@ the ascent is restarted from every closed-form baseline and the best
 endpoint is kept; a baseline that still beats it is returned instead, so
 every design dominates its seeds by construction.  Only the
 PAPR-constrained design needs the geometric-program solver.  Per SCA
-iteration it condenses z_dc from the rectenna's DC kernel into a monomial
-objective, condenses the denominators of all sampled peak constraints by
-AM-GM in one call, and solves the GP whose constraints are rows of one
-stacked term matrix.
+iteration it condenses the same objective into a monomial, condenses the
+denominators of all sampled peak constraints by AM-GM in one call, and
+solves the GP whose constraints are rows of one stacked term matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .channel import ChannelRealization, FrequencyGrid
 from .gp import (GPSolverError, condense, positivity_floor, solve_gp,
                  stack_constraints)
 from .rectenna import (DCKernel, RectennaParams, Waveform, antenna_paprs,
-                       papr_sample_times, zdc_analytic)
+                       papr_sample_times)
 
 _TINY = 1e-300
 
@@ -195,25 +197,38 @@ def baseline_waveform(name: str, channel: ChannelRealization, power: float,
 # ---------------------------------------------------------------------------
 
 class _WeightedDC:
-    """z(w) = sum_u v_u z_dc(h_u . w) over complex weights w of shape (N, M).
+    """z(w) = sum_u v_u z_dc(h_u . w) over weights w of shape (N, M), the
+    one objective of every design.
 
     Rectenna u receives tone n as r_un = sum_m h_unm w_nm, so the kernel's
     gradient 2 dz/d conj(r) maps back to the weights through conj(h_u).
+    The weights are complex, or real amplitudes on real gains |h|, the
+    aligned-phase view; only the latter has a Hessian.
     """
 
     def __init__(self, hs: list[np.ndarray], weights, params: RectennaParams):
         self.terms = list(zip(weights, hs))
         self.kernel = DCKernel(params)
 
-    def value_grad(self, w: np.ndarray) -> tuple[float, np.ndarray]:
-        """(z, 2 dz/d conj(w)), the ascent direction in the weights."""
-        z, grad = 0.0, np.zeros(w.shape, dtype=complex)
+    def value(self, w: np.ndarray) -> float:
+        """z(w), the same sum as the weighted sum of `zdc_analytic`."""
+        return self.value_grad_hess(w)[0]
+
+    def value_grad_hess(self, w: np.ndarray, want_hess: bool = False):
+        """(z, 2 dz/d conj(w), Hessian or None): the gradient is the ascent
+        direction in the weights; the Hessian, for real gains and weights,
+        has shape (N, M, N, M), entry (n, m, p, q) = h_nm H_np h_pq with H
+        the kernel's Hessian in the received tones."""
+        z, grad, hess = 0.0, 0.0, 0.0
         for v, h in self.terms:
-            z_u, g_u, _ = self.kernel.value_grad_hess(
-                np.einsum("nm,nm->n", h, w))
+            z_u, g_u, hess_u = self.kernel.value_grad_hess(
+                np.einsum("nm,nm->n", h, w), want_hess)
             z += v * z_u
-            grad += v * np.conj(h) * g_u[:, None]
-        return z, grad
+            grad = grad + v * np.conj(h) * g_u[:, None]
+            if want_hess:
+                hess = hess + v * h[:, :, None, None] \
+                    * hess_u[:, None, :, None] * h
+        return z, grad, hess if want_hess else None
 
 
 def _monotone(iterate, state, z: float, options: OptimizerOptions):
@@ -262,7 +277,7 @@ def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
 
     def step(grad):
         w_next = radius * grad / np.linalg.norm(grad)
-        return (w_next, *obj.value_grad(w_next))
+        return (w_next, *obj.value_grad_hess(w_next)[:2])
 
     def cycle(state):
         w, grad = state
@@ -274,14 +289,14 @@ def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
         if v_norm > 0:
             alpha = min(-np.linalg.norm(r) / v_norm, -1.0)
             w_ext = w - 2.0 * alpha * r + alpha ** 2 * v
-            _, grad_ext = obj.value_grad(radius * w_ext
-                                         / np.linalg.norm(w_ext))
+            _, grad_ext, _ = obj.value_grad_hess(radius * w_ext
+                                                 / np.linalg.norm(w_ext))
             w3, z3, grad3 = step(grad_ext)
             if z3 > z_new:
                 w_new, z_new, grad_new = w3, z3, grad3
         return (w_new, grad_new), z_new
 
-    z, grad = obj.value_grad(w)
+    z, grad, _ = obj.value_grad_hess(w)
     (w, _), history, stop_reason = _monotone(cycle, (w, grad), z, options)
     return w, history, stop_reason
 
@@ -293,7 +308,7 @@ def _ascents(obj: _WeightedDC, seeds: list[np.ndarray], power: float,
     z(0) = 0 and convexity give Re<grad, w> >= z(w), so a positive start
     keeps the gradient nonzero for the whole run.
     """
-    seeds = [w for w in seeds if obj.value_grad(w)[0] > 0]
+    seeds = [w for w in seeds if obj.value(w) > 0]
     if not seeds:
         raise ValueError("no seed reaches a rectenna: the channel is zero")
     return [_mm_ascent(obj, w, power, options) for w in seeds]
@@ -304,30 +319,7 @@ def _best_run(runs: list):
     return max(runs, key=lambda run: run[1][-1])
 
 
-class _AlignedDC:
-    """z_dc over the flattened amplitudes at the aligned phases.
-
-    Received tone n is r_n = sum_m |h_nm| s_nm (variable j = n*M + m), so
-    the amplitude gradient and Hessian follow from the tone-domain kernel
-    by the chain rule through the (N, N*M) map J.
-    """
-
-    def __init__(self, gains: np.ndarray, params: RectennaParams):
-        n, m = gains.shape
-        self.jac = np.zeros((n, n * m))
-        self.jac[np.repeat(np.arange(n), m), np.arange(n * m)] = gains.ravel()
-        self.kernel = DCKernel(params)
-
-    def value(self, s: np.ndarray) -> float:
-        return self.kernel.value(self.jac @ s)
-
-    def value_grad_hess(self, s: np.ndarray, want_hess: bool = False):
-        z, g, h = self.kernel.value_grad_hess(self.jac @ s, want_hess)
-        hess = self.jac.T @ h @ self.jac if want_hess else None
-        return z, self.jac.T @ g, hess
-
-
-def _stationarity_gap(obj: _AlignedDC, s: np.ndarray,
+def _stationarity_gap(obj: _WeightedDC, s: np.ndarray,
                       power: float) -> tuple[float, float]:
     """(max |b - nu c|, nu) for max log z s.t. power <= P, in log variables.
 
@@ -338,11 +330,11 @@ def _stationarity_gap(obj: _AlignedDC, s: np.ndarray,
     z, grad, _ = obj.value_grad_hess(s)
     b = s * grad / z
     c = s ** 2 / power
-    nu = float(b @ c) / float(c @ c)
+    nu = float(np.vdot(b, c)) / float(np.vdot(c, c))
     return float(np.max(np.abs(b - nu * c))), nu
 
 
-def _kkt_residual_power_only(obj: _AlignedDC, s: np.ndarray,
+def _kkt_residual_power_only(obj: _WeightedDC, s: np.ndarray,
                              power: float) -> float:
     """The stationarity gap, or a larger KKT violation at a zero amplitude.
 
@@ -358,7 +350,7 @@ def _kkt_residual_power_only(obj: _AlignedDC, s: np.ndarray,
         return gap
     z, grad, hess = obj.value_grad_hess(s, want_hess=True)
     first = np.sqrt(power) * grad[zero] / z
-    second = power * np.diag(hess)[zero] / z - nu
+    second = power * np.diag(hess[zero][:, zero]) / z - nu
     return max(gap, float(first.max()), float(second.max()))
 
 
@@ -384,7 +376,7 @@ def _seed_candidates(channel, power, grid) -> list[Waveform]:
 _POLISH_MIN_SHARE = 1e-14
 
 
-def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray,
+def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
                            power: float) -> np.ndarray:
     """Newton refinement of the stationarity system at the ascent endpoint.
 
@@ -416,7 +408,7 @@ def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray,
                                / (2.0 * power)]])
         if np.max(np.abs(res)) <= 1e-13:
             break
-        hess_b = (np.outer(s_free, s_free) * hess[np.ix_(free, free)] / z
+        hess_b = (np.outer(s_free, s_free) * hess[free][:, free] / z
                   + np.diag(b) - np.outer(b, b))
         jac = np.zeros((n_free + 1, n_free + 1))
         jac[:n_free, :n_free] = hess_b - np.diag(2.0 * nu * c)
@@ -444,7 +436,7 @@ def _kkt_polish_power_only(obj: _AlignedDC, s: np.ndarray,
     return s
 
 
-def _polished(obj: _AlignedDC, s: np.ndarray, history: np.ndarray,
+def _polished(obj: _WeightedDC, s: np.ndarray, history: np.ndarray,
               stop_reason: str, power: float):
     """(s, history, stop reason) of an ascent run after the KKT polish.
 
@@ -459,23 +451,17 @@ def _polished(obj: _AlignedDC, s: np.ndarray, history: np.ndarray,
 
 
 def _dominant_result(waveform: Waveform, seeds: list[Waveform],
-                     hs: list[np.ndarray], weights, params: RectennaParams):
+                     obj: _WeightedDC):
     """(waveform, z): the endpoint, or a closed-form seed that beats it.
 
-    z is the weighted sum over rectennas of `zdc_analytic`, the evaluation
-    path external checks use.  Rounding can place a refined endpoint an
-    ulp below an exact seed; keeping the seed then makes the design
-    dominate every seed exactly.
+    z is `obj.value` of the complex weights on the complex channels, the
+    weighted `zdc_analytic` sum that external checks use.  Rounding can
+    place a refined endpoint an ulp below an exact seed; keeping the seed
+    then makes the design dominate every seed exactly.
     """
-    channels = [ChannelRealization(h) for h in hs]
-
-    def score(w):
-        return sum(v * zdc_analytic(w, ch, params)
-                   for v, ch in zip(weights, channels))
-
-    best_z = score(waveform)
+    best_z = obj.value(waveform.weights)
     for w in seeds:
-        z = score(w)
+        z = obj.value(w.weights)
         if z > best_z:
             waveform, best_z = w, z
     return waveform, best_z
@@ -486,27 +472,24 @@ def optimize(channel: ChannelRealization, power: float,
              options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
     """Joint space-frequency amplitude design at the aligned phases.
 
-    The MM ascent starts from each closed-form baseline's amplitudes at the
-    aligned phases.  The map keeps them (the received tones stay real and
-    positive); an extrapolated step can flip the sign of an amplitude
-    against them, which is safe: z is scored on the complex weights, and
+    At the aligned phases tone n arrives as sum_m |h_nm| s_nm, so the MM
+    ascent runs over the real amplitudes on the gains |h|, from each
+    closed-form baseline's amplitudes.  The map keeps them nonnegative; an
+    extrapolated step can flip the sign of an amplitude, which is safe:
     the magnitudes kept here score no lower.  A Newton polish of the
     amplitudes' stationarity conditions then finishes every run, not only
     the best: the best unpolished endpoint can be a saddle corner.
     """
     h = channel.require_single_rectenna()
-    phases = optimal_phases(channel)
     seeds = _seed_candidates(channel, power, grid)
-    runs = _ascents(_WeightedDC([h], [1.0], params),
-                    [seed.amplitudes * np.exp(1j * phases) for seed in seeds],
-                    power, options)
-    obj = _AlignedDC(np.abs(h), params)
+    obj = _WeightedDC([np.abs(h)], [1.0], params)
     s, history, stop_reason = _best_run(
-        [_polished(obj, np.abs(w).ravel(), history, reason, power)
-         for w, history, reason in runs])
-    waveform = Waveform(s.reshape(h.shape), phases, grid, power_budget=power)
-    waveform, history[-1] = _dominant_result(waveform, seeds, [h], [1.0],
-                                             params)
+        [_polished(obj, np.abs(w), history, reason, power)
+         for w, history, reason in _ascents(
+             obj, [seed.amplitudes for seed in seeds], power, options)])
+    waveform = Waveform(s, optimal_phases(channel), grid, power_budget=power)
+    waveform, history[-1] = _dominant_result(
+        waveform, seeds, _WeightedDC([h], [1.0], params))
     return SCATrace(history, waveform, stop_reason,
                     kkt_residual=_kkt_residual_power_only(obj, s, power))
 
@@ -529,25 +512,14 @@ def optimize_decoupled(channel: ChannelRealization, power: float,
     waveform = Waveform(trace.waveform.amplitudes * spatial,
                         optimal_phases(channel), grid, power_budget=power)
     trace.waveform, trace.zdc_history[-1] = _dominant_result(
-        waveform, _seed_candidates(channel, power, grid), [h], [1.0], params)
+        waveform, _seed_candidates(channel, power, grid),
+        _WeightedDC([h], [1.0], params))
     return trace
 
 
 # ---------------------------------------------------------------------------
 # PAPR-constrained design
 # ---------------------------------------------------------------------------
-
-def _condensed_monomial(obj: _AlignedDC, s: np.ndarray) -> np.ndarray:
-    """Exponents of the best monomial lower bound of z_dc at the anchor s.
-
-    They are the gradient of log z in log s, b_j = s_j dz/ds_j / z: the
-    AM-GM condensation of the enumerated posynomial, without enumerating
-    it.  Its coefficient scales the GP objective and does not move the
-    optimum.
-    """
-    z, grad, _ = obj.value_grad_hess(s)
-    return s * grad / z
-
 
 class _PeakConstraints:
     """Every antenna's sampled peak constraints as stacked GP rows.
@@ -617,7 +589,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     h = channel.require_single_rectenna()
     n, m = h.shape
     n_vars = n * m
-    obj = _AlignedDC(np.abs(h), params)
+    obj = _WeightedDC([np.abs(h)], [1.0], params)
     floor = positivity_floor(power)
     phi_star = optimal_phases(channel)
     t_q = papr_sample_times(grid, options.papr_oversampling)
@@ -630,9 +602,17 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     base_A = np.vstack([2.0 * np.eye(n_vars), -np.eye(n_vars)])
     base_sizes = np.concatenate([[n_vars], np.ones(n_vars, dtype=int)])
 
-    def worst_papr(amps_flat: np.ndarray, oversampling: int) -> float:
-        wf = Waveform(amps_flat.reshape(n, m), phi_star, grid)
+    def worst_papr(amps: np.ndarray, oversampling: int) -> float:
+        wf = Waveform(amps, phi_star, grid)
         return max(antenna_paprs(wf, oversampling).values(), default=0.0)
+
+    # the baselines' z and PAPR do not depend on the limit: score them once
+    baselines = [np.maximum(w.amplitudes, floor)
+                 for w in _seed_candidates(channel, power, grid)]
+    paprs = [worst_papr(s, options.papr_oversampling) for s in baselines]
+    s_best, p_best = max(zip(baselines, paprs),
+                         key=lambda pair: obj.value(pair[0]))
+    safe = np.maximum(ass(channel, power, grid).amplitudes, floor)
 
     def feasible_seeds(limit: float) -> list[np.ndarray]:
         """Baselines under the limit, plus a blend rescuing the best one.
@@ -641,16 +621,8 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         scaled into feasibility; blending it toward a compliant one keeps
         its allocation shape while meeting the limit.
         """
-        scored = []
-        for w in _seed_candidates(channel, power, grid):
-            s = np.maximum(w.amplitudes.ravel(), floor)
-            scored.append((obj.value(s), worst_papr(
-                s, options.papr_oversampling), s))
-        safe = np.maximum(ass(channel, power, grid).amplitudes.ravel(), floor)
-        seeds = [s for _, p, s in scored if p <= limit * (1.0 - 1e-9)]
-        if not seeds:
-            seeds = [safe]
-        z_best, p_best, s_best = max(scored, key=lambda t: t[0])
+        seeds = [s for s, p in zip(baselines, paprs)
+                 if p <= limit * (1.0 - 1e-9)] or [safe]
         if p_best > limit * (1.0 - 1e-9):
             for t in np.linspace(0.0, 1.0, 33)[1:]:
                 blend = (1.0 - t) * s_best + t * safe
@@ -662,14 +634,20 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
 
     def run(anchor: np.ndarray, limit: float):
         def solve(anchor):
-            log_c, A, sizes = peaks.rows(np.log(anchor), limit)
-            report = solve_gp(-_condensed_monomial(obj, anchor),
+            # the best monomial lower bound of z at the anchor has the
+            # exponents s dz/ds / z, the AM-GM condensation of z without
+            # enumerating its posynomial; its coefficient does not move
+            # the optimum
+            z, grad, _ = obj.value_grad_hess(anchor)
+            log_c, A, sizes = peaks.rows(np.log(anchor).ravel(), limit)
+            report = solve_gp(-(anchor * grad / z).ravel(),
                               stack_constraints(
                                   np.concatenate([base_log_c, log_c]),
                                   np.vstack([base_A, A]),
                                   np.concatenate([base_sizes, sizes])),
-                              anchor)
-            return report.x, obj.value(report.x)
+                              anchor.ravel())
+            x = report.x.reshape(n, m)
+            return x, obj.value(x)
 
         try:
             return _monotone(solve, anchor, obj.value(anchor), options)
@@ -683,7 +661,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     for _ in range(3):
         s, history, stop_reason = _best_run(
             [run(seed, limit) for seed in feasible_seeds(limit)])
-        wf = Waveform(s.reshape(n, m), phi_star, grid, power_budget=power)
+        wf = Waveform(s, phi_star, grid, power_budget=power)
         fine = worst_papr(s, 4 * options.papr_oversampling)
         if fine <= eta * (1.0 + 1e-6):
             return SCATrace(history, wf, stop_reason,
@@ -770,12 +748,11 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
     seeds = [ass_multi(hs, weights, power, grid)]
     for h_u in hs:
         seeds += _seed_candidates(ChannelRealization(h_u), power, grid)
+    obj = _WeightedDC(hs, weights, params)
     w, history, stop_reason = _best_run(_ascents(
-        _WeightedDC(hs, weights, params), [seed.weights for seed in seeds],
-        power, options))
+        obj, [seed.weights for seed in seeds], power, options))
     waveform = Waveform(np.abs(w), np.angle(w), grid, power_budget=power)
-    waveform, history[-1] = _dominant_result(waveform, seeds, hs, weights,
-                                             params)
+    waveform, history[-1] = _dominant_result(waveform, seeds, obj)
     return SCATrace(history, waveform, stop_reason)
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import _rng
+from .channel import _complex_normal, _rng
 from .rectenna import DCKernel, RectennaParams
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -127,11 +127,6 @@ def asymptotic_form(sc: ScalingScenario) -> float:
     return t2 * m + t4 * n * m ** 2
 
 
-def _draw_complex(rng, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
-        / np.sqrt(2.0)
-
-
 def monte_carlo(sc: ScalingScenario, trials: int,
                 seed: int = 0) -> tuple[float, float]:
     """Sample mean and standard error of the per-realization DC surrogate.
@@ -153,7 +148,7 @@ def monte_carlo(sc: ScalingScenario, trials: int,
     done = 0
     while done < trials:
         size = min(_MC_CHUNK, trials - done)
-        h = _draw_complex(rng, (size, n_draw, m))
+        h = _complex_normal(rng, (size, n_draw, m))
         gains = np.linalg.norm(h, axis=2)
         if sc.strategy in ("ss", "ass"):  # all power on the strongest tone
             r = np.sqrt(2.0 * p) * np.max(gains, axis=1, keepdims=True)
@@ -186,7 +181,7 @@ def hardening_curve(antenna_counts, n_tones: int, power: float,
     rows = []
     for idx, m in enumerate(counts):
         rng = _rng(seed, idx)
-        h = _draw_complex(rng, (trials, n, m))
+        h = _complex_normal(rng, (trials, n, m))
         norms = np.linalg.norm(h, axis=2)
         gain_dev = np.sqrt(np.mean((norms / np.sqrt(m) - 1.0) ** 2, axis=1))
         r = np.sqrt(2.0 * power / n) * norms

@@ -266,6 +266,14 @@ def test_solve_report_names_why_the_primal_dual_loop_stopped(monkeypatch):
         capped = solve_gp(objective, stack, x0)
     assert not capped.converged and capped.iterations == 2
     assert capped.message == "iteration cap reached"
+    # at a cap of 13 steps the last iterate's gap, 3.5e-9, is within ten
+    # times the gap tolerance but fails the loop's own test: still capped
+    with monkeypatch.context() as patch:
+        patch.setattr(gp, "_MAX_NEWTON", 13)
+        capped = solve_gp(objective, stack, x0)
+    assert not capped.converged and capped.iterations == 13
+    assert capped.message == "iteration cap reached"
+    assert gp._GAP_TOL < capped.duality_gap <= 10 * gp._GAP_TOL
     # the loop's own test passes, but the point misses the feasibility
     # tolerance
     with monkeypatch.context() as patch:

@@ -76,6 +76,22 @@ def test_only_rectenna_uses_fft():
     assert not users, users
 
 
+def test_optimizer_has_one_dc_objective():
+    # every design scores z_dc through one object that builds the DC
+    # kernel; a second construction or a `zdc_analytic` call is a second
+    # evaluation path
+    tree = ast.parse((ROOT / "src" / "multisine_wpt" / "optimizer.py")
+                     .read_text())
+    builds = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and "DCKernel" in _name_parts(node.func)]
+    assert len(builds) == 1, builds
+    assert not any("zdc_analytic" in _name_parts(node)
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom,
+                                        ast.Name, ast.Attribute)))
+
+
 def test_package_import_leaves_out_scipy_optimize():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
