@@ -31,9 +31,13 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circular complex Gaussian draws of the given shape."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
-        / np.sqrt(2.0)
+    """Unit-variance circular complex Gaussian draws of the given shape,
+    real parts first, written into one complex array scaled in place."""
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 @dataclass(frozen=True)

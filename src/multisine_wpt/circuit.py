@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
 
 from .channel import ChannelRealization, FrequencyGrid
 from .rectenna import (DiodeParams, Waveform, monotone_root,
@@ -119,6 +118,9 @@ def _periodic_newton(vin: np.ndarray, circuit: CircuitParams, dt: float,
     passed flags; `means` collects each iterate's period mean of a
     single-row call.
     """
+    # imported here, not at module level: only the rectifier needs scipy
+    from scipy.linalg.lapack import dtbtrs
+
     d = circuit.diode
     inv_nvt = 1.0 / (d.ideality * d.v_t)
     half = dt / (2.0 * circuit.c_out)

@@ -107,15 +107,16 @@ def _log_sums(stack, y):
     return top + np.log(total), e, total
 
 
-def _evaluate(stack, y):
+def _evaluate(stack, y, sums=None):
     """(g, J, hess) of the log constraint values at y.
 
-    g comes from `_log_sums`; J holds the gradients A^T p_i, with p the
+    g comes from `_log_sums`, or is `sums` when the caller already holds
+    `_log_sums(stack, y)`; J holds the gradients A^T p_i, with p the
     terms' shares of their constraint; hess(w) = sum_i w_i hess g_i =
     A^T diag(w[seg] p) A - J^T diag(w) J.
     """
     _, A, starts, seg = stack
-    g, e, total = _log_sums(stack, y)
+    g, e, total = _log_sums(stack, y) if sums is None else sums
     p = e / total[seg]
     J = np.add.reduceat(p[:, None] * A, starts, axis=0)
 
@@ -250,12 +251,12 @@ def solve_gp(objective: np.ndarray, stack: tuple,
 
     y = _phase_one(stack, np.log(x0), margin=1e-9, max_steps=_MAX_NEWTON)
 
-    lam = 1.0 / np.maximum(-_log_sums(stack, y)[0], 1e-12)
+    g_vals, J, hess_of = _evaluate(stack, y)
+    lam = 1.0 / np.maximum(-g_vals, 1e-12)
     mu = 10.0
     steps = 0
     # the stopping test runs on every iterate, the last one included
     for _ in range(_MAX_NEWTON + 1):
-        g_vals, J, hess_of = _evaluate(stack, y)
         gap = float(-lam @ g_vals)
         r_dual = b0 + J.T @ lam
         if gap <= _GAP_TOL and np.abs(r_dual).max() <= min(_KKT_TOL, 1e-9):
@@ -281,11 +282,14 @@ def solve_gp(objective: np.ndarray, stack: tuple,
             step = min(1.0, 0.99 * np.min(-lam[shrink] / dlam[shrink]))
         res0 = np.linalg.norm(np.concatenate([r_dual, r_cent]))
         accepted = False
+        # a trial outside the constraints is rejected on its values alone,
+        # and the accepted trial's derivatives serve the next iteration
         for _ in range(50):
             y_new = y + step * dy
             lam_new = lam + step * dlam
-            vals_new, grads_new, _ = _evaluate(stack, y_new)
-            if np.all(vals_new < 0):
+            sums = _log_sums(stack, y_new)
+            if np.all(sums[0] < 0):
+                vals_new, grads_new, hess_new = _evaluate(stack, y_new, sums)
                 r_new = np.concatenate([b0 + grads_new.T @ lam_new,
                                         -lam_new * vals_new - 1.0 / t])
                 if np.linalg.norm(r_new) <= (1.0 - 0.01 * step) * res0:
@@ -297,6 +301,7 @@ def solve_gp(objective: np.ndarray, stack: tuple,
             stop = "line search stalled"
             break
         y, lam = y_new, lam_new
+        g_vals, J, hess_of = vals_new, grads_new, hess_new
 
     cons_vals = np.exp(g_vals)  # log-domain values, overflow-safe
     if not np.all(cons_vals <= 1.0 + _FEAS_TOL):

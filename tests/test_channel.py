@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from multisine_wpt.channel import (ArrayConfig, FrequencyGrid,
-                                   PowerDelayProfile, _rng, _tap_gains,
+                                   PowerDelayProfile, _complex_normal, _rng,
+                                   _tap_gains,
                                    flat_channel, frequency_response,
                                    iid_frequency_channel, load_channel_text,
                                    multipath_channel, save_channel_text)
@@ -122,6 +123,18 @@ def test_iid_channel_moments():
     assert np.array_equal(iid_frequency_channel(8, 2, seed=5).h,
                           iid_frequency_channel(8, 2, seed=5).h)
     assert ch.n_antennas == 4
+
+
+def test_complex_normal_draw_matches_the_complex_expression():
+    # real parts first, then imaginary parts, scaled in place: the same
+    # numbers as the expression that builds two complex temporaries
+    for shape in [(5,), (7, 3, 2), (0, 4)]:
+        rng = _rng(11, 3)
+        want = (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        got = _complex_normal(_rng(11, 3), shape)
+        assert got.dtype == complex and got.shape == shape
+        assert np.array_equal(got, want)
 
 
 def test_flat_channel_values():

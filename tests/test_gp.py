@@ -195,6 +195,25 @@ def test_stacked_evaluator_matches_per_constraint_formulas():
         assert np.allclose(hess(w), want_h, rtol=1e-12, atol=1e-12 * scale)
 
 
+def test_line_search_builds_derivatives_only_at_feasible_points(monkeypatch):
+    # a trial outside the constraints is rejected on its values alone
+    seen = []
+
+    def feasible_only(stack, y, *args):
+        g = _log_sums(stack, y)[0]
+        assert np.all(g < 0), g.max()
+        seen.append(g.max())
+        return _evaluate(stack, y, *args)
+
+    monkeypatch.setattr(gp, "_evaluate", feasible_only)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        b = rng.uniform(0.5, 4.0, 4)
+        report = solve_gp(-b, _stack([_power(4, 0.8)]), np.full(4, 0.1))
+        assert report.converged
+    assert seen
+
+
 def test_solve_gp_all_single_term_constraints():
     # maximize s0 * s1 under s0 <= 2, s1 <= 3, s1/s0 <= 1: s = (2, 2)
     cons = [(np.array([0.5]), np.array([[1.0, 0.0]])),

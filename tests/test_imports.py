@@ -12,6 +12,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -92,12 +94,16 @@ def test_optimizer_has_one_dc_objective():
                                         ast.Name, ast.Attribute)))
 
 
-def test_package_import_leaves_out_scipy_optimize():
+@pytest.mark.parametrize("package", ["multisine_wpt", "multisine_wpt.cli"])
+@pytest.mark.parametrize("scipy_module", ["scipy.optimize", "scipy.linalg"])
+def test_package_import_leaves_out_scipy_optimize(package, scipy_module):
+    # only the rectifier's banded solve needs scipy, and it imports
+    # scipy.linalg at its first call
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = ("import sys, multisine_wpt; "
-            "print('scipy.optimize' in sys.modules)")
+    code = (f"import sys, {package}; "
+            f"print({scipy_module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
