@@ -139,8 +139,10 @@ def _newton_center(stack, t, b0, y, max_steps, tol):
         return t * (b0 @ yv) - np.sum(np.log(-g)) if np.all(g < 0) else np.inf
 
     steps = 0
+    sums = _log_sums(stack, y)
+    # the accepted trial's values serve the next step's derivatives
     for _ in range(max_steps):
-        g, J, hess_of = _evaluate(stack, y)
+        g, J, hess_of = _evaluate(stack, y, sums)
         if not np.all(g < 0):
             raise GPSolverError("iterate left the feasible region")
         w = 1.0 / -g
@@ -163,7 +165,8 @@ def _newton_center(stack, t, b0, y, max_steps, tol):
         step = 1.0
         while step > 1e-14:
             y_new = y + step * d
-            f_new = objective(y_new, _log_sums(stack, y_new)[0])
+            sums = _log_sums(stack, y_new)
+            f_new = objective(y_new, sums[0])
             if f_new <= f0 - 0.25 * step * decrement:
                 break
             step *= 0.5
@@ -183,7 +186,8 @@ def _phase_one(stack, y0, margin, max_steps):
     margin is met.  That exit bounds the work, not the distance travelled:
     the slack starts a whole unit above the worst g, so a start already
     within rounding of the margin can end far from where it began, and
-    well inside the margin.
+    well inside the margin.  `solve_gp` runs it only on cold starts, at
+    some g_i >= 0; a warm start strictly inside skips it.
 
     One step per t leaves the iterates uncentred, and the duality bound
     p* >= s - m/t on the least worst g (Boyd & Vandenberghe, Convex
@@ -234,13 +238,15 @@ def solve_gp(objective: np.ndarray, stack: tuple,
     """Minimize the monomial prod x^objective subject to `constraints`.
 
     `stack` is a `stack_constraints` set.  The start need not be
-    strictly feasible (a phase-I search runs first when it is not), but
-    the problem must be feasible.  The engine is a primal-dual
-    interior-point iteration on the log-domain convex program, which copes
-    with the near-degenerate corners the waveform designs produce (many
-    peak constraints active at once).  Raises GPSolverError when phase I
-    certifies that no point lies 1e-9 inside every constraint, or reaches
-    its `_MAX_NEWTON` step cap without finding one.
+    strictly feasible (a phase-I search runs first when it is not; a
+    strictly feasible start, however close to a constraint, is the
+    primal-dual loop's start), but the problem must be feasible.  The
+    engine is a primal-dual interior-point iteration on the log-domain
+    convex program, which copes with the near-degenerate corners the
+    waveform designs produce (many peak constraints active at once).
+    Raises GPSolverError when phase I certifies that no point lies 1e-9
+    inside every constraint, or reaches its `_MAX_NEWTON` step cap without
+    finding one.
     """
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
@@ -249,10 +255,17 @@ def solve_gp(objective: np.ndarray, stack: tuple,
     n = b0.size
     m = stack[2].size  # one start per constraint
 
-    y = _phase_one(stack, np.log(x0), margin=1e-9, max_steps=_MAX_NEWTON)
+    y = np.log(x0)
+    sums = _log_sums(stack, y)
+    if not np.all(sums[0] < 0):
+        y = _phase_one(stack, y, margin=1e-9, max_steps=_MAX_NEWTON)
+        sums = _log_sums(stack, y)
 
-    g_vals, J, hess_of = _evaluate(stack, y)
-    lam = 1.0 / np.maximum(-g_vals, 1e-12)
+    g_vals, J, hess_of = _evaluate(stack, y, sums)
+    # a row 5e-12 inside would start at lambda = 2e11, and such a start
+    # makes the first Newton systems useless; of the floors 1e-3 to 1,
+    # 1e-2 took the fewest iterations on the PAPR designs
+    lam = 1.0 / np.maximum(-g_vals, 1e-2)
     mu = 10.0
     steps = 0
     # the stopping test runs on every iterate, the last one included

@@ -582,7 +582,8 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     condensation of its denominator turns each sample into a posynomial
     constraint, and the resulting GP is solved per SCA iteration.  A
     post-hoc check on a 4x finer grid triggers a re-solve with a tightened
-    limit when sampling missed a peak.
+    limit when sampling missed a peak.  A closed-form baseline that passes
+    the same check and scores higher replaces a certified design.
     """
     if eta < 2.0:
         raise ValueError("eta below 2 is infeasible (single-tone PAPR is 2)")
@@ -610,8 +611,9 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     baselines = [np.maximum(w.amplitudes, floor)
                  for w in _seed_candidates(channel, power, grid)]
     paprs = [worst_papr(s, options.papr_oversampling) for s in baselines]
-    s_best, p_best = max(zip(baselines, paprs),
-                         key=lambda pair: obj.value(pair[0]))
+    zs = [obj.value(s) for s in baselines]
+    best = int(np.argmax(zs))
+    s_best, p_best = baselines[best], paprs[best]
     safe = np.maximum(ass(channel, power, grid).amplitudes, floor)
 
     def feasible_seeds(limit: float) -> list[np.ndarray]:
@@ -657,18 +659,28 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             # as this run's result
             return anchor, np.array([obj.value(anchor)]), "solver_fallback"
 
+    ceiling = eta * (1.0 + 1e-6)
     limit = eta
     for _ in range(3):
         s, history, stop_reason = _best_run(
             [run(seed, limit) for seed in feasible_seeds(limit)])
-        wf = Waveform(s, phi_star, grid, power_budget=power)
         fine = worst_papr(s, 4 * options.papr_oversampling)
-        if fine <= eta * (1.0 + 1e-6):
-            return SCATrace(history, wf, stop_reason,
-                            achieved_papr=fine, papr_certified=True)
+        if fine <= ceiling:
+            # the seeds stay 1e-9 inside the limit, so a baseline at the
+            # limit can beat the design; the best one whose fine check
+            # passes takes its place
+            for k in sorted(range(len(zs)), key=lambda k: -zs[k]):
+                if zs[k] > history[-1] and paprs[k] <= ceiling:
+                    fine_k = worst_papr(baselines[k],
+                                        4 * options.papr_oversampling)
+                    if fine_k <= ceiling:
+                        s, history[-1], fine = baselines[k], zs[k], fine_k
+                        break
+            break
         limit *= 0.999 * eta / fine
-    return SCATrace(history, wf, stop_reason,
-                    achieved_papr=fine, papr_certified=False)
+    return SCATrace(history, Waveform(s, phi_star, grid, power_budget=power),
+                    stop_reason, achieved_papr=fine,
+                    papr_certified=fine <= ceiling)
 
 
 # ---------------------------------------------------------------------------

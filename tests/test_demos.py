@@ -1,7 +1,4 @@
-"""Run the quick demos in-process so a rename they depend on fails here.
-
-Demo 03 (PAPR sweep, about a minute) is left out for its run time.
-"""
+"""Run every demo in-process so a rename it depends on fails here."""
 
 import contextlib
 import io
@@ -16,6 +13,7 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 @pytest.mark.parametrize("name", ["01_two_tone_power_split.py",
                                   "02_waveform_strategy_gallery.py",
+                                  "03_papr_constrained_design.py",
                                   "04_scaling_laws.py",
                                   "05_circuit_validation.py"])
 def test_demo_runs(name):

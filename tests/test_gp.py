@@ -214,6 +214,32 @@ def test_line_search_builds_derivatives_only_at_feasible_points(monkeypatch):
     assert seen
 
 
+def test_warm_start_within_rounding_of_a_constraint_skips_phase_one(
+        monkeypatch):
+    # an SCA iteration starts from the previous solution, which the
+    # re-condensed constraints leave about 1e-12 inside: strictly feasible,
+    # so the primal-dual loop starts there without phase I
+    def no_phase_one(*args, **kwargs):
+        raise AssertionError("phase I ran")
+
+    rng = np.random.default_rng(3)
+    p = 0.8
+    stack = _stack([_power(4, p)] + _floors(4, positivity_floor(p)))
+    for _ in range(5):
+        b = rng.uniform(0.5, 4.0, 4)
+        previous = solve_gp(-b, stack, np.full(4, 0.1)).x
+        b = b * rng.uniform(0.9, 1.1, 4)
+        deep = solve_gp(-b, stack, np.full(4, 0.1))
+        x0 = previous * np.sqrt(2 * p / np.sum(previous ** 2)) * (1 - 2e-13)
+        g = _log_sums(stack, np.log(x0))[0]
+        assert -1e-12 <= g.max() < 0
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "_phase_one", no_phase_one)
+            report = solve_gp(-b, stack, x0)
+        assert report.converged
+        assert np.allclose(report.x, deep.x, rtol=1e-7, atol=0.0)
+
+
 def test_solve_gp_all_single_term_constraints():
     # maximize s0 * s1 under s0 <= 2, s1 <= 3, s1/s0 <= 1: s = (2, 2)
     cons = [(np.array([0.5]), np.array([[1.0, 0.0]])),

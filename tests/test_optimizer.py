@@ -16,6 +16,7 @@ from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
 from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
                                     antenna_paprs, papr,
                                     received_tone_coefficients, zdc_analytic)
+from test_gp import _counting_centering
 
 P4 = RectennaParams()
 POWER = 1e-5
@@ -439,6 +440,22 @@ def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
     worst = max(antenna_paprs(tr.waveform, fine).values())
     assert worst == tr.achieved_papr
     assert worst <= eta * (1 + 1e-6)
+
+
+def test_papr_warm_starts_skip_phase_one_and_match_the_baseline(
+        monkeypatch):
+    # flat N = 2 at eta = 4: uniform power sits exactly at the limit (PAPR
+    # 2N), so the design must score no lower than `up`; every SCA solve
+    # after the first starts strictly inside and needs no phase I
+    steps = _counting_centering(monkeypatch)
+    grid = _grid(2)
+    h = flat_channel(1.0, 0.0, 2, 1)
+    tr = optimize_papr(h, POWER, 4.0, P4, grid,
+                       OptimizerOptions(eps=1e-8, max_iterations=40))
+    assert steps[0] <= 20
+    assert tr.papr_certified
+    assert tr.zdc >= zdc_analytic(up(grid, 1, POWER), h, P4)
+    assert np.isclose(zdc_analytic(tr.waveform, h, P4), tr.zdc, rtol=1e-12)
 
 
 def test_kkt_residual_flags_saddle_corner():
