@@ -13,10 +13,11 @@ values, their Jacobian and the weighted sum of their Hessians come from
 segment reductions and matrix products, whatever the number of
 constraints; single-term (monomial) constraints are rows like any other.
 
-`solve_gp` is a primal-dual interior-point method, preceded by a barrier
-phase I when the start is not strictly feasible; phase I stops early,
-from a duality bound, once it can prove that no strictly feasible point
-exists.
+`solve_gp` is a primal-dual interior-point method.  It needs a strictly
+feasible start and refuses any other: its one caller, the PAPR design,
+knows such a point by construction, so there is no phase I (Boyd &
+Vandenberghe, Convex Optimization, section 11.4, need one only when no
+strictly feasible point is known).
 
 The arithmetic-geometric mean condensation `condense` replaces each of
 many posynomials over one exponent matrix by its best monomial lower
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# primal-dual stopping tolerances, and the Newton step cap of each phase
+# primal-dual stopping tolerances, and the loop's iteration cap
 _GAP_TOL = 1e-9
 _KKT_TOL = 1e-6
 _FEAS_TOL = 1e-8
@@ -75,7 +76,8 @@ class SolveReport:
 
 
 class GPSolverError(RuntimeError):
-    """Raised when the barrier solver cannot produce a usable point."""
+    """Raised for a start that `solve_gp` refuses: one that is not
+    strictly positive or not strictly feasible."""
 
 
 def stack_constraints(log_c: np.ndarray, A: np.ndarray, sizes) -> tuple:
@@ -126,127 +128,17 @@ def _evaluate(stack, y, sums=None):
     return g, J, hess
 
 
-def _newton_center(stack, t, b0, y, max_steps, tol):
-    """Damped Newton for t*(b0.y) - sum log(-g_i(y)); y must start interior.
-
-    Returns (y, steps, centred): centred means the Newton decrement of the
-    returned y met `tol`.  The backtracking line search evaluates the
-    constraint values only.
-    """
-    n = y.size
-
-    def objective(yv, g):
-        return t * (b0 @ yv) - np.sum(np.log(-g)) if np.all(g < 0) else np.inf
-
-    steps = 0
-    sums = _log_sums(stack, y)
-    # the accepted trial's values serve the next step's derivatives
-    for _ in range(max_steps):
-        g, J, hess_of = _evaluate(stack, y, sums)
-        if not np.all(g < 0):
-            raise GPSolverError("iterate left the feasible region")
-        w = 1.0 / -g
-        grad = t * b0 + J.T @ w
-        hess = hess_of(w) + (J * (w * w)[:, None]).T @ J
-        try:
-            d = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            reg = 1e-10 * max(1.0, np.trace(hess) / n)
-            d = np.linalg.solve(hess + reg * np.eye(n), -grad)
-        decrement = float(-grad @ d)
-        if decrement < 0:  # numerical loss of positive definiteness
-            reg = 1e-8 * max(1.0, np.trace(hess) / n)
-            d = np.linalg.solve(hess + reg * np.eye(n), -grad)
-            decrement = float(-grad @ d)
-        steps += 1
-        if decrement / 2.0 <= tol:
-            return y, steps, True
-        f0 = objective(y, g)
-        step = 1.0
-        while step > 1e-14:
-            y_new = y + step * d
-            sums = _log_sums(stack, y_new)
-            f_new = objective(y_new, sums[0])
-            if f_new <= f0 - 0.25 * step * decrement:
-                break
-            step *= 0.5
-        else:
-            return y, steps, False  # stalled line search
-        y = y_new
-    return y, steps, False
-
-
-def _phase_one(stack, y0, margin, max_steps):
-    """Find y with all g_i(y) <= -margin starting from (possibly) infeasible y0.
-
-    A barrier method on min s subject to g_i(y) <= s: the slack s enters
-    every term as exp(-s), one extra column of -1 in the stacked exponent
-    matrix, and starts at the worst g plus one.  Each round takes one
-    damped Newton step, then raises t by 1.5, and returns as soon as the
-    margin is met.  That exit bounds the work, not the distance travelled:
-    the slack starts a whole unit above the worst g, so a start already
-    within rounding of the margin can end far from where it began, and
-    well inside the margin.  `solve_gp` runs it only on cold starts, at
-    some g_i >= 0; a warm start strictly inside skips it.
-
-    One step per t leaves the iterates uncentred, and the duality bound
-    p* >= s - m/t on the least worst g (Boyd & Vandenberghe, Convex
-    Optimization, section 11.4) holds only at a centred point.  Once
-    s - m/t > -margin at an iterate, the iterate is centred at that t; if
-    the centred bound still exceeds -margin, no point meets the margin and
-    GPSolverError says so.  With a point inside the margin, p* <= -margin,
-    so the centred bound never exceeds it (up to the centring tolerance).
-    """
-    n = y0.size
-    worst = _log_sums(stack, y0)[0].max()
-    if worst <= -margin:
-        return y0
-    log_c, A, starts, seg = stack
-    m = starts.size
-    aug = (log_c, np.hstack([A, -np.ones((A.shape[0], 1))]), starts, seg)
-    z = np.concatenate([y0, [worst + 1.0]])
-    b0 = np.zeros(n + 1)
-    b0[-1] = 1.0
-    t = 1.0
-    steps = 0
-    while steps < max_steps:
-        z, _, _ = _newton_center(aug, t, b0, z, max_steps=1, tol=1e-12)
-        steps += 1
-        worst = _log_sums(stack, z[:n])[0].max()
-        if worst <= -margin:
-            return z[:n]
-        if z[-1] - m / t > -margin:
-            z, taken, centred = _newton_center(aug, t, b0, z,
-                                               max_steps - steps, tol=1e-12)
-            steps += taken
-            worst = _log_sums(stack, z[:n])[0].max()
-            if worst <= -margin:
-                return z[:n]
-            bound = z[-1] - m / t
-            if centred and bound > -margin:
-                raise GPSolverError(
-                    f"certified: no strictly feasible point (bound "
-                    f"{bound:.3g} after {steps} steps)")
-        if z[-1] - worst > 2.0:  # slack variable lagging; re-anchor it
-            z[-1] = worst + 1.0
-        t *= 1.5
-    raise GPSolverError(f"phase I reached its step cap ({max_steps} steps)")
-
-
 def solve_gp(objective: np.ndarray, stack: tuple,
              x0: np.ndarray) -> SolveReport:
     """Minimize the monomial prod x^objective subject to `constraints`.
 
-    `stack` is a `stack_constraints` set.  The start need not be
-    strictly feasible (a phase-I search runs first when it is not; a
-    strictly feasible start, however close to a constraint, is the
-    primal-dual loop's start), but the problem must be feasible.  The
-    engine is a primal-dual interior-point iteration on the log-domain
-    convex program, which copes with the near-degenerate corners the
-    waveform designs produce (many peak constraints active at once).
-    Raises GPSolverError when phase I certifies that no point lies 1e-9
-    inside every constraint, or reaches its `_MAX_NEWTON` step cap without
-    finding one.
+    `stack` is a `stack_constraints` set.  The start must be strictly
+    feasible, every g_i < 0 however close to 0; the caller builds such a
+    point.  The engine is a primal-dual interior-point iteration on the
+    log-domain convex program, which copes with the near-degenerate
+    corners the waveform designs produce (many peak constraints active at
+    once).  Raises GPSolverError for a start that is not strictly positive
+    or has some g_i >= 0, naming the worst row and its value.
     """
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
@@ -257,9 +149,10 @@ def solve_gp(objective: np.ndarray, stack: tuple,
 
     y = np.log(x0)
     sums = _log_sums(stack, y)
-    if not np.all(sums[0] < 0):
-        y = _phase_one(stack, y, margin=1e-9, max_steps=_MAX_NEWTON)
-        sums = _log_sums(stack, y)
+    worst = int(np.argmax(sums[0]))
+    if not sums[0][worst] < 0:
+        raise GPSolverError(f"start not strictly feasible: constraint "
+                            f"{worst} has g = {sums[0][worst]:.3g}")
 
     g_vals, J, hess_of = _evaluate(stack, y, sums)
     # a row 5e-12 inside would start at lambda = 2e11, and such a start

@@ -68,7 +68,8 @@ class SCATrace:
     `stop_reason` is `tol` (the last iteration changed z by less than
     eps*z), `max_iter` (the iteration cap), `stall` (an iteration would
     have lowered z by more than that and was rejected) or `solver_fallback`
-    (the GP solver failed and the run kept its seed).
+    (the GP solver refused a start that was not strictly inside its
+    constraints, and the run kept its seed).
     """
 
     zdc_history: np.ndarray
@@ -642,21 +643,28 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             # the optimum
             z, grad, _ = obj.value_grad_hess(anchor)
             log_c, A, sizes = peaks.rows(np.log(anchor).ravel(), limit)
+            # solve_gp needs a strictly feasible start.  The anchor may sit
+            # on its floor rows (a clipped amplitude) and within rounding of
+            # the power row, and a start about 1e-12 inside a row can crawl;
+            # lifting to twice the floor and shrinking the power by 1e-6
+            # puts it well inside both.  PAPR is scale-invariant, so the
+            # shrink leaves the peak rows as they are.
+            start = np.maximum(anchor, 2.0 * floor) * np.sqrt(1.0 - 1e-6)
             report = solve_gp(-(anchor * grad / z).ravel(),
                               stack_constraints(
                                   np.concatenate([base_log_c, log_c]),
                                   np.vstack([base_A, A]),
                                   np.concatenate([base_sizes, sizes])),
-                              anchor.ravel())
+                              start.ravel())
             x = report.x.reshape(n, m)
             return x, obj.value(x)
 
         try:
             return _monotone(solve, anchor, obj.value(anchor), options)
         except GPSolverError:
-            # feasible set has (numerically) no interior around this seed,
-            # e.g. the single-tone corner at eta = 2; keep the seed itself
-            # as this run's result
+            # the start is not strictly inside its peak rows, e.g. the
+            # single-tone corner at eta = 2, which touches them; keep the
+            # seed itself as this run's result
             return anchor, np.array([obj.value(anchor)]), "solver_fallback"
 
     ceiling = eta * (1.0 + 1e-6)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from multisine_wpt import gp
-from multisine_wpt.gp import (GPSolverError, _evaluate, _log_sums, _phase_one,
-                              condense, positivity_floor, solve_gp,
-                              stack_constraints)
+from multisine_wpt.gp import (GPSolverError, _evaluate, _log_sums, condense,
+                              positivity_floor, solve_gp, stack_constraints)
 
 
 def _random_posynomial(rng, n_terms, n_vars, max_exp=3):
@@ -116,12 +115,25 @@ def test_solve_gp_with_floor_constraints_and_infeasible_start():
     floor = positivity_floor(p)
     objective = np.array([-2.0, 0.0])
     stack = _stack([_power(2, p)] + _floors(2, floor))
-    # start violates the power budget; phase I must recover
-    report = solve_gp(objective, stack, np.array([3.0, 3.0]))
+    report = solve_gp(objective, stack, np.array([0.5, 0.5]))
     assert report.converged
     assert np.isclose(report.x[0], np.sqrt(2 * p), rtol=1e-6)
+    # a start that is not strictly inside is refused, and the error names
+    # the worst row
     with pytest.raises(GPSolverError):
         solve_gp(objective, stack, np.array([-1.0, 1.0]))
+    with pytest.raises(GPSolverError, match="constraint 0 has g = 2.2"):
+        solve_gp(objective, stack, np.array([3.0, 3.0]))
+    # an amplitude clipped to the floor sits exactly on its row
+    on_floor = np.array([1.0, floor])
+    assert _log_sums(stack, np.log(on_floor))[0][2] == 0.0
+    with pytest.raises(GPSolverError, match="constraint 2 has g = 0"):
+        solve_gp(objective, stack, on_floor)
+    # full power, whose row reads a rounding error above 0
+    full = np.sqrt(2 * p) * np.array([0.6, 0.8])
+    assert 0.0 < _log_sums(stack, np.log(full))[0][0] <= 1e-15
+    with pytest.raises(GPSolverError, match="constraint 0 has g = "):
+        solve_gp(objective, stack, full)
 
 
 def _condensed_fraction(numer, denom, anchor):
@@ -214,14 +226,10 @@ def test_line_search_builds_derivatives_only_at_feasible_points(monkeypatch):
     assert seen
 
 
-def test_warm_start_within_rounding_of_a_constraint_skips_phase_one(
-        monkeypatch):
+def test_warm_start_within_rounding_of_a_constraint_converges():
     # an SCA iteration starts from the previous solution, which the
     # re-condensed constraints leave about 1e-12 inside: strictly feasible,
-    # so the primal-dual loop starts there without phase I
-    def no_phase_one(*args, **kwargs):
-        raise AssertionError("phase I ran")
-
+    # so the primal-dual loop starts there
     rng = np.random.default_rng(3)
     p = 0.8
     stack = _stack([_power(4, p)] + _floors(4, positivity_floor(p)))
@@ -233,9 +241,7 @@ def test_warm_start_within_rounding_of_a_constraint_skips_phase_one(
         x0 = previous * np.sqrt(2 * p / np.sum(previous ** 2)) * (1 - 2e-13)
         g = _log_sums(stack, np.log(x0))[0]
         assert -1e-12 <= g.max() < 0
-        with monkeypatch.context() as patch:
-            patch.setattr(gp, "_phase_one", no_phase_one)
-            report = solve_gp(-b, stack, x0)
+        report = solve_gp(-b, stack, x0)
         assert report.converged
         assert np.allclose(report.x, deep.x, rtol=1e-7, atol=0.0)
 
@@ -251,60 +257,10 @@ def test_solve_gp_all_single_term_constraints():
     assert np.allclose(report.x, [2.0, 2.0], rtol=1e-7)
 
 
-def _margin_pair(p):
-    """e^p x <= 1 and e^p / x <= 1: the least worst log value is p, at x = 1."""
-    return _stack([(np.array([np.exp(p)]), np.array([[1.0]])),
-                   (np.array([np.exp(p)]), np.array([[-1.0]]))])
-
-
-def _counting_centering(monkeypatch):
-    """Wrap gp._newton_center; the returned list sums its Newton steps."""
-    steps = [0]
-    center = gp._newton_center
-
-    def counted(*args, **kwargs):
-        out = center(*args, **kwargs)
-        steps[0] += out[1]
-        return out
-
-    monkeypatch.setattr(gp, "_newton_center", counted)
-    return steps
-
-
-@pytest.mark.parametrize("p", [-3e-9, -1.5e-9])
-def test_phase_one_meets_the_margin_when_it_can(p):
-    stack = _margin_pair(p)
-    y = _phase_one(stack, np.array([0.5]), margin=1e-9, max_steps=200)
-    assert _log_sums(stack, y)[0].max() <= -1e-9
-
-
-@pytest.mark.parametrize("p", [-5e-10, 0.0, 1e-6])
-def test_phase_one_certifies_no_point_inside_the_margin(p, monkeypatch):
-    # the least worst value p is above -margin: no point meets the margin,
-    # and the duality bound must say so long before the step cap
-    steps = _counting_centering(monkeypatch)
-    with pytest.raises(GPSolverError, match="^certified: no strictly "
-                                            "feasible point"):
-        _phase_one(_margin_pair(p), np.array([0.5]), margin=1e-9,
-                   max_steps=200)
-    assert steps[0] <= 100
-
-
-def test_phase_one_reports_its_step_cap_apart_from_a_certificate():
-    # feasible (p = -1 < -margin) but far from the start: three steps
-    # cannot get there, and the error names the cap, not a certificate
-    with pytest.raises(GPSolverError, match="^phase I reached its step cap"):
-        _phase_one(_margin_pair(-1.0), np.array([400.0]), margin=1e-9,
-                   max_steps=3)
-    y = _phase_one(_margin_pair(-1.0), np.array([400.0]), margin=1e-9,
-                   max_steps=200)
-    assert _log_sums(_margin_pair(-1.0), y)[0].max() <= -1e-9
-
-
 def test_solve_report_names_why_the_primal_dual_loop_stopped(monkeypatch):
     p = 2.5
     objective, stack = np.array([-2.0, -2.0]), _stack([_power(2, p)])
-    x0 = np.array([0.3, 1.9])  # strictly feasible: no phase I
+    x0 = np.array([0.3, 1.9])  # strictly feasible
     assert solve_gp(objective, stack, x0).message == ""
     with monkeypatch.context() as patch:
         patch.setattr(gp, "_MAX_NEWTON", 2)

@@ -78,6 +78,19 @@ def test_only_rectenna_uses_fft():
     assert not users, users
 
 
+def test_only_optimizer_calls_solve_gp():
+    # solve_gp refuses a start that is not strictly inside; the PAPR design
+    # builds its starts to be, and a new caller must read that contract
+    caller = ROOT / "src" / "multisine_wpt" / "optimizer.py"
+    users = [str(path.relative_to(ROOT))
+             for folder in ("src", "demos", "bench")
+             for path in sorted((ROOT / folder).rglob("*.py"))
+             if path != caller
+             and any("solve_gp" in _name_parts(node)
+                     for node in ast.walk(ast.parse(path.read_text())))]
+    assert not users, users
+
+
 def test_optimizer_has_one_dc_objective():
     # every design scores z_dc through one object that builds the DC
     # kernel; a second construction or a `zdc_analytic` call is a second

@@ -4,6 +4,7 @@ import pytest
 from multisine_wpt import cli, optimizer
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
+from multisine_wpt.gp import GPSolverError, positivity_floor
 from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
                                      _kkt_polish_power_only,
                                      _kkt_residual_power_only, _mm_ascent,
@@ -16,7 +17,6 @@ from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
 from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
                                     antenna_paprs, papr,
                                     received_tone_coefficients, zdc_analytic)
-from test_gp import _counting_centering
 
 P4 = RectennaParams()
 POWER = 1e-5
@@ -442,20 +442,63 @@ def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
     assert worst <= eta * (1 + 1e-6)
 
 
-def test_papr_warm_starts_skip_phase_one_and_match_the_baseline(
-        monkeypatch):
+def test_papr_warm_starts_skip_phase_one_and_match_the_baseline():
     # flat N = 2 at eta = 4: uniform power sits exactly at the limit (PAPR
-    # 2N), so the design must score no lower than `up`; every SCA solve
-    # after the first starts strictly inside and needs no phase I
-    steps = _counting_centering(monkeypatch)
+    # 2N), so the design must score no lower than `up`
     grid = _grid(2)
     h = flat_channel(1.0, 0.0, 2, 1)
     tr = optimize_papr(h, POWER, 4.0, P4, grid,
                        OptimizerOptions(eps=1e-8, max_iterations=40))
-    assert steps[0] <= 20
     assert tr.papr_certified
     assert tr.zdc >= zdc_analytic(up(grid, 1, POWER), h, P4)
     assert np.isclose(zdc_analytic(tr.waveform, h, P4), tr.zdc, rtol=1e-12)
+
+
+def _fig3_middle_problem():
+    """(channel, power, params, grid, options) of `preset fig3-middle`."""
+    cfg = cli.validate_config(dict(cli.default_config(), channel_type="flat",
+                                   n_tones=8))
+    return (flat_channel(1.0, 0.0, 8, 1), cli._power_w(cfg), cli._params(cfg),
+            cli._grid(cfg), OptimizerOptions(eps=1e-7, max_iterations=40))
+
+
+@pytest.mark.parametrize("problem", ["criterion 7", "fig3-middle"])
+def test_papr_eta_two_returns_the_floored_ass_waveform(problem):
+    # at eta = 2 the one seed's start is not strictly inside its peak rows;
+    # solve_gp refuses it, and the design keeps the `ass` seed, floored,
+    # bit for bit
+    h, power, params, grid, opts = (
+        _fig3_middle_problem() if problem == "fig3-middle"
+        else (flat_channel(1.0, 0.0, 8, 1), POWER, P4, _grid(8),
+              OptimizerOptions(eps=1e-8, max_iterations=40)))
+    tr = optimize_papr(h, power, 2.0, params, grid, opts)
+    want = np.maximum(ass(h, power, grid).amplitudes, positivity_floor(power))
+    assert tr.waveform.amplitudes.tobytes() == want.tobytes()
+    assert tr.stop_reason == "solver_fallback"
+    assert tr.n_iterations == 0
+
+
+@pytest.mark.parametrize("eta", [4.0, 10.0])
+def test_papr_solves_are_never_refused_away_from_eta_two(eta, monkeypatch):
+    # criterion 7's iid designs: every start the design builds is strictly
+    # inside, so no solve raises and every one converges
+    solve_gp = optimizer.solve_gp
+    reports, refused = [], []
+
+    def checked(*args):
+        try:
+            reports.append(solve_gp(*args))
+        except GPSolverError as e:  # the design would fall back silently
+            refused.append(str(e))
+            raise
+        return reports[-1]
+
+    monkeypatch.setattr(optimizer, "solve_gp", checked)
+    for seed in (1, 2):
+        optimize_papr(iid_frequency_channel(8, 1, seed=seed), POWER, eta, P4,
+                      _grid(8), OptimizerOptions(eps=1e-8, max_iterations=40))
+    assert not refused, refused
+    assert reports and all(r.converged for r in reports)
 
 
 def test_kkt_residual_flags_saddle_corner():
