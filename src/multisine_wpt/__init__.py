@@ -24,7 +24,7 @@ from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
 from .circuit import (CircuitParams, SimTrace, SteadyStateError,
                       dc_operating_point, export_trace_csv,
                       harvested_dc_power, simulate, simulate_ensemble)
-from .gp import GPSolverError, condense, stack_constraints
+from .gp import GPSolverError, stack_constraints
 from .optimizer import (OptimizerOptions, SCATrace, ass, ass_multi,
                         baseline_waveform, max_papr, mf, optimal_phases,
                         optimize, optimize_decoupled, optimize_multi,

@@ -22,7 +22,6 @@ from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
                       load_channel_text, multipath_channel, save_channel_text)
 from .circuit import (CircuitParams, SteadyStateError, export_trace_csv,
                       simulate, simulate_ensemble)
-from .gp import GPSolverError
 from .optimizer import (OptimizerOptions, baseline_waveform, optimize,
                         optimize_decoupled, optimize_multi, optimize_papr,
                         toy_n2)
@@ -659,7 +658,7 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
-    except (GPSolverError, ValueError) as e:
+    except ValueError as e:
         print(f"solver error: {e}", file=sys.stderr)
         return 3
     except SteadyStateError as e:

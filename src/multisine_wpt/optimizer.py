@@ -13,12 +13,12 @@ update w <- sqrt(2P) grad / ||grad||.  That map converges only linearly, so
 the ascent extrapolates it by SQUAREM (Varadhan & Roland 2008) and keeps an
 extrapolated step only when it beats two plain steps, which keeps the
 ascent monotone.  Single-tone corners are fixed points of the update, so
-the ascent is restarted from every closed-form baseline and the best
-endpoint is kept; a baseline that still beats it is returned instead, so
-every design dominates its seeds by construction.  Only the
+the ascent is restarted from every distinct closed-form baseline and the
+best endpoint is kept; a baseline that still beats it is returned instead,
+so every design dominates its seeds by construction.  Only the
 PAPR-constrained design needs the geometric-program solver.  Per SCA
-iteration it condenses the same objective into a monomial, condenses the
-denominators of all sampled peak constraints by AM-GM in one call, and
+iteration it condenses the same objective into a monomial, condenses each
+antenna's sampled peak-constraint denominators by AM-GM in one call, and
 solves the GP whose constraints are rows of one stacked term matrix.
 """
 
@@ -302,14 +302,28 @@ def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
     return w, history, stop_reason
 
 
+# Relative tolerance under which two starts are one.  The closed-form seeds
+# coincide up to their normalizations' rounding (`upmf` is `up` on one
+# antenna, `mf` is `up` on a flat channel); distinct seeds differ far more.
+_SAME_START_RTOL = 1e-12
+
+
+def _distinct(starts: list[np.ndarray]) -> list[np.ndarray]:
+    """The starts without any equal to an earlier one; the earlier one is
+    kept, so ties between runs still go to the same seed."""
+    return [w for i, w in enumerate(starts)
+            if not any(np.all(np.abs(w - u) <= _SAME_START_RTOL * np.abs(u))
+                       for u in starts[:i])]
+
+
 def _ascents(obj: _WeightedDC, seeds: list[np.ndarray], power: float,
              options: OptimizerOptions) -> list:
-    """One MM run from each seed with z > 0.
+    """One MM run from each distinct seed with z > 0.
 
     z(0) = 0 and convexity give Re<grad, w> >= z(w), so a positive start
     keeps the gradient nonzero for the whole run.
     """
-    seeds = [w for w in seeds if obj.value(w) > 0]
+    seeds = [w for w in _distinct(seeds) if obj.value(w) > 0]
     if not seeds:
         raise ValueError("no seed reaches a rectenna: the channel is zero")
     return [_mm_ascent(obj, w, power, options) for w in seeds]
@@ -360,10 +374,8 @@ def _seed_candidates(channel, power, grid) -> list[Waveform]:
     for name in ("mf", "upmf", "ass", "up"):
         try:
             out.append(baseline_waveform(name, channel, power, grid))
-        except ValueError:
+        except ValueError:  # `mf` and `ass` need a nonzero channel
             continue
-    if not out:
-        raise ValueError("no usable seed strategy for this channel")
     return out
 
 
@@ -525,51 +537,43 @@ def optimize_decoupled(channel: ChannelRealization, power: float,
 class _PeakConstraints:
     """Every antenna's sampled peak constraints as stacked GP rows.
 
-    `cos_tables[m][q, n]` holds cos(w_n t_q + phi*_{n,m}); the squared
-    sample x_m(t_q)^2 is sum_{n0,n1} c_q s_{n0,m} s_{n1,m} with the signed
-    products c_q = cos_{n0} cos_{n1}, and every sample of an antenna shares
-    the pair exponents.  Sample q must stay below limit * ||s_m||^2 / 2:
-    its positive products form the numerator, and the mean-power terms
-    plus the negated negative products the denominator.  Zero products
-    join neither side, and a sample without a positive product is no
-    constraint.  The tables are split once per design; `rows` condenses
-    every denominator in one call.
+    `cos[m, q, n]` holds cos(w_n t_q + phi*_{n,m}); the squared sample
+    x_m(t_q)^2 is sum_{n0<=n1} c_q s_{n0,m} s_{n1,m}, one monomial per tone
+    pair, with c_q = cos_{n0} cos_{n1} doubled off the diagonal.  Sample q
+    must stay below limit * ||s_m||^2 / 2: its positive pairs form the
+    numerator, and the negated negative pairs plus the mean-power terms (on
+    the diagonal, which is never negative) the denominator.  Zero pairs join
+    neither side, and a sample without a positive pair is no constraint.
+    The tables are split once per design; `rows` condenses each antenna's
+    denominators over its own pairs in one call and stacks antenna-major.
     """
 
-    def __init__(self, cos_tables: list[np.ndarray], n_tones: int):
-        n_ant = len(cos_tables)
-        # tone[a, n] is the exponent row of tone n's amplitude on antenna a
-        tone = np.eye(n_tones * n_ant).reshape(n_tones, n_ant, -1) \
-            .swapaxes(0, 1)
-        pairs = (tone[:, :, None] + tone[:, None, :]).reshape(
-            n_ant, n_tones * n_tones, -1)
-        prods = np.array([(cos[:, :, None] * cos[:, None, :]).reshape(
-            len(cos), -1) for cos in cos_tables])  # (antenna, sample, pair)
-        ant, _, k = np.nonzero(prods > 0)
-        sizes = np.count_nonzero(prods > 0, axis=2).ravel()
-        live = sizes > 0
-        self.sizes = sizes[live]
-        self.owner = np.repeat(np.arange(self.sizes.size), self.sizes)
+    def __init__(self, cos: np.ndarray):
+        n_ant, _, n_tones = cos.shape
+        n0, n1 = np.triu_indices(n_tones)
+        self.diagonal = n0 == n1
+        # pairs[a, k] is the exponent row of pair k's product on antenna a
+        tone = np.eye(n_tones * n_ant).reshape(n_tones, n_ant, -1)
+        pairs = (tone[n0] + tone[n1]).swapaxes(0, 1)
+        prods = np.where(self.diagonal, 1.0, 2.0) * cos[..., n0] * cos[..., n1]
+        live = np.any(prods > 0, axis=2)  # (antenna, sample)
+        ant, _ = np.nonzero(live)
+        prods = prods[live]  # (row, pair), antenna-major
+        self.owner, k = np.nonzero(prods > 0)
+        self.sizes = np.count_nonzero(prods > 0, axis=1)
         self.num_log_c = np.log(prods[prods > 0])
-        self.num_A = pairs[ant, k]
-        # every denominator spans every antenna's squares and pairs; -inf
-        # marks an absent term, such as another antenna's
-        self.denom_A = np.concatenate([2.0 * tone, pairs], axis=1) \
-            .reshape(-1, tone.shape[2])
-        log_c = np.full(prods.shape[:2] + (n_ant, n_tones + pairs.shape[1]),
-                        -np.inf)
-        a = np.arange(n_ant)
-        log_c[a, :, a, n_tones:] = np.log(
-            -prods, out=np.full(prods.shape, -np.inf), where=prods < 0)
-        square = np.zeros(log_c.shape, dtype=bool)
-        square[a, :, a, :n_tones] = True
-        self.neg_log_c = log_c.reshape(sizes.size, -1)[live]
-        self.square = square.reshape(sizes.size, -1)[live]
+        self.num_A = pairs[ant[self.owner], k]
+        neg_log_c = np.log(-prods, out=np.full(prods.shape, -np.inf),
+                           where=prods < 0)
+        self.denominators = [(neg_log_c[ant == a], pairs[a])
+                             for a in range(n_ant)]
 
     def rows(self, log_anchor: np.ndarray, limit: float):
         """(log_c, A, sizes) of the constraints condensed at the anchor."""
-        log_c = np.where(self.square, np.log(0.5 * limit), self.neg_log_c)
-        log_d, expo_d = condense(log_c, self.denom_A, log_anchor)
+        log_d, expo_d = map(np.concatenate, zip(*[
+            condense(np.where(self.diagonal, np.log(0.5 * limit), neg_log_c),
+                     pairs, log_anchor)
+            for neg_log_c, pairs in self.denominators]))
         return (self.num_log_c - log_d[self.owner],
                 self.num_A - expo_d[self.owner], self.sizes)
 
@@ -596,8 +600,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     phi_star = optimal_phases(channel)
     t_q = papr_sample_times(grid, options.papr_oversampling)
     peaks = _PeakConstraints(
-        [np.cos(np.outer(t_q, grid.omegas) + phi_star[:, ant])
-         for ant in range(m)], n)
+        np.cos(np.outer(t_q, grid.omegas) + phi_star.T[:, None, :]))
     # (1/2P) sum_j s_j^2 <= 1, then floor/s_j <= 1 for every j
     base_log_c = np.concatenate([np.full(n_vars, np.log(1.0 / (2.0 * power))),
                                  np.full(n_vars, np.log(floor))])
@@ -618,14 +621,14 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     safe = np.maximum(ass(channel, power, grid).amplitudes, floor)
 
     def feasible_seeds(limit: float) -> list[np.ndarray]:
-        """Baselines under the limit, plus a blend rescuing the best one.
+        """Distinct baselines under the limit, and a blend saving the best.
 
         PAPR is scale-invariant, so an over-the-limit candidate cannot be
         scaled into feasibility; blending it toward a compliant one keeps
         its allocation shape while meeting the limit.
         """
-        seeds = [s for s, p in zip(baselines, paprs)
-                 if p <= limit * (1.0 - 1e-9)] or [safe]
+        seeds = _distinct([s for s, p in zip(baselines, paprs)
+                           if p <= limit * (1.0 - 1e-9)]) or [safe]
         if p_best > limit * (1.0 - 1e-9):
             for t in np.linspace(0.0, 1.0, 33)[1:]:
                 blend = (1.0 - t) * s_best + t * safe

@@ -152,6 +152,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not unread.exists()
 
 
+def test_design_on_a_zero_channel_exits_3(tmp_path, capsys):
+    cfg = _write(tmp_path, "zero.cfg", "channel_type = flat\n"
+                 "flat_amplitude = 0\nstrategies = opt\n")
+    assert main(["optimize", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "no seed reaches a rectenna" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", [
     "sca_eps = 0", "sca_max_iterations = 0", "papr_oversampling = 1",
     "diode_is_a = 0", "diode_ideality = -1", "diode_vt_v = 0",

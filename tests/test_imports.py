@@ -80,14 +80,16 @@ def test_only_rectenna_uses_fft():
 
 def test_only_optimizer_calls_solve_gp():
     # solve_gp refuses a start that is not strictly inside; the PAPR design
-    # builds its starts to be, and a new caller must read that contract
+    # builds its starts to be, and a new caller must read that contract.
+    # The PAPR rows are also the one user of the AM-GM condensation.
     caller = ROOT / "src" / "multisine_wpt" / "optimizer.py"
-    users = [str(path.relative_to(ROOT))
+    users = [(str(path.relative_to(ROOT)), name)
              for folder in ("src", "demos", "bench")
              for path in sorted((ROOT / folder).rglob("*.py"))
              if path != caller
-             and any("solve_gp" in _name_parts(node)
-                     for node in ast.walk(ast.parse(path.read_text())))]
+             for name in ("solve_gp", "condense")
+             if any(name in _name_parts(node)
+                    for node in ast.walk(ast.parse(path.read_text())))]
     assert not users, users
 
 

@@ -157,12 +157,36 @@ def test_kkt_polish_deterministic_at_iteration_cap():
             assert abs(z_pert - z) <= 1e-12 * z
 
 
+def test_optimize_runs_each_distinct_seed_once(monkeypatch):
+    # on a flat single-antenna channel `mf` and `upmf` are `up`: two of the
+    # four seeds run, and the design is the best of all four polished runs
+    h = flat_channel(1.0, 0.0, 4, 1)
+    opts = OptimizerOptions(eps=1e-8, max_iterations=100)
+    obj = _WeightedDC([np.abs(h.h)], [1.0], P4)
+    want = max(optimizer._polished(obj, np.abs(w), history, reason,
+                                   POWER)[1][-1]
+               for w, history, reason in (
+                   _mm_ascent(obj, seed.amplitudes, POWER, opts)
+                   for seed in _seed_candidates(h, POWER, _grid(4))))
+    starts = []
+
+    def counting(obj, w, power, options):
+        starts.append(w)
+        return _mm_ascent(obj, w, power, options)
+
+    monkeypatch.setattr(optimizer, "_mm_ascent", counting)
+    tr = optimize(h, POWER, P4, _grid(4), opts)
+    assert len(starts) == 2
+    assert abs(tr.zdc - want) <= 1e-12 * want
+
+
 def test_every_ascent_converges_on_slow_channel():
     # two plain map steps per iteration, without the extrapolation, need 57
     # iterations here; the SQUAREM cycles need at most 11
     eff, seeds, opts = _slow_mm_case()
     runs = _ascents(_WeightedDC([eff.h], [1.0], P4), seeds, POWER, opts)
-    assert len(runs) == 4
+    # the effective channel has one antenna, on which `upmf` is `up`
+    assert len(runs) == 3
     for _, history, reason in runs:
         assert reason == "tol"
         assert len(history) - 1 <= 25
@@ -368,7 +392,8 @@ def test_papr_pieces_match_pairwise_loop():
     tables[1][1] = np.abs(tables[1][1])  # no negative part
     tables[0][2] = 0.0  # no positive part: no constraint
     anchor = rng.uniform(0.2, 1.5, n * m)
-    log_c, A, sizes = _PeakConstraints(tables, n).rows(np.log(anchor), limit)
+    log_c, A, sizes = _PeakConstraints(np.array(tables)).rows(
+        np.log(anchor), limit)
     want = []
     for ant, cos in enumerate(tables):
         for cq in cos:
@@ -395,7 +420,8 @@ def test_papr_pieces_match_pairwise_loop():
     starts = np.concatenate([[0], np.cumsum(sizes)])
     points = [anchor] + [rng.uniform(0.1, 2.0, n * m) for _ in range(5)]
     for i, (pos, den) in enumerate(want):
-        assert sizes[i] == len(pos)
+        # the oracle's ordered pairs n0 != n1 repeat each product's monomial
+        assert sizes[i] == len({tuple(e) for _, e in pos})
         rows = slice(starts[i], starts[i + 1])
         gamma = [c * np.prod(anchor ** e) / posy(den, anchor) for c, e in den]
         for x in points:
@@ -407,6 +433,20 @@ def test_papr_pieces_match_pairwise_loop():
         got = np.sum(np.exp(log_c[rows]) * np.prod(anchor ** A[rows], axis=1))
         assert np.isclose(got, posy(pos, anchor) / posy(den, anchor),
                           rtol=1e-12)
+
+
+def test_papr_rows_carry_each_pair_once_on_one_antenna():
+    rng = np.random.default_rng(21)
+    n, m = 4, 3
+    _, A, sizes = _PeakConstraints(rng.uniform(-1.0, 1.0, (m, 7, n))).rows(
+        np.log(rng.uniform(0.2, 1.5, n * m)), 3.0)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    for i in range(sizes.size):
+        rows = A[starts[i]:starts[i + 1]]
+        assert len(np.unique(rows, axis=0)) == len(rows)
+        # variable n * m + a is tone n on antenna a
+        antennas = np.nonzero(np.any(rows != 0.0, axis=0))[0] % m
+        assert np.all(antennas == antennas[0])
 
 
 def test_papr_solver_fallback_reports_unconverged():
@@ -452,6 +492,23 @@ def test_papr_warm_starts_skip_phase_one_and_match_the_baseline():
     assert tr.papr_certified
     assert tr.zdc >= zdc_analytic(up(grid, 1, POWER), h, P4)
     assert np.isclose(zdc_analytic(tr.waveform, h, P4), tr.zdc, rtol=1e-12)
+
+
+def test_papr_runs_each_distinct_seed_once(monkeypatch):
+    # flat N = 2 at eta = 6: every baseline is feasible, and `mf`, `upmf`
+    # and `up` are one start, so only it and `ass` run
+    monotone = optimizer._monotone
+    runs = []
+
+    def counting(*args):
+        runs.append(args[1])
+        return monotone(*args)
+
+    monkeypatch.setattr(optimizer, "_monotone", counting)
+    tr = optimize_papr(flat_channel(1.0, 0.0, 2, 1), POWER, 6.0, P4, _grid(2),
+                       OptimizerOptions(eps=1e-8, max_iterations=40))
+    assert len(runs) == 2
+    assert tr.papr_certified
 
 
 def _fig3_middle_problem():
@@ -571,6 +628,22 @@ def test_multi_dominates_every_seed_exactly():
             for name in ("up", "ass", "mf", "upmf"):
                 base = baseline_waveform(name, c, POWER, grid)
                 assert trace.zdc >= weighted(base), (seed, name)
+
+
+def test_multi_single_rectenna_runs_ass_once(monkeypatch):
+    # with U = 1, `ass_multi` returns `ass`, which is also a rectenna seed
+    h = iid_frequency_channel(4, 2, seed=3)
+    starts = []
+
+    def counting(obj, w, power, options):
+        starts.append(w)
+        return _mm_ascent(obj, w, power, options)
+
+    monkeypatch.setattr(optimizer, "_mm_ascent", counting)
+    optimize_multi([h], [1.0], POWER, P4, _grid(4))
+    single = ass(h, POWER, _grid(4)).weights
+    assert len(starts) == 4
+    assert sum(np.array_equal(w, single) for w in starts) == 1
 
 
 def test_ass_multi_single_rectenna_exact_reduction():
