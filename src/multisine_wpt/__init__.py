@@ -35,6 +35,7 @@ from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        synthesize_transmit, taylor_coefficients, zdc_analytic,
                        zdc_time_average)
 from .scaling import (ScalingScenario, asymptotic_form, closed_form,
-                      hardening_curve, harmonic_h, harmonic_s, monte_carlo)
+                      hardening_curve, harmonic_h, harmonic_s, monte_carlo,
+                      monte_carlo_many)
 
 __version__ = "0.1.0"

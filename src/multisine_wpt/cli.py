@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import math
 import os
 import sys
@@ -29,7 +30,7 @@ from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        antenna_paprs, iout_fixed_point, load_waveform_text,
                        received_tone_coefficients, save_waveform_text,
                        zdc_analytic)
-from .scaling import ScalingScenario, closed_form, monte_carlo
+from .scaling import ScalingScenario, closed_form, monte_carlo_many
 
 
 class ConfigError(Exception):
@@ -311,20 +312,24 @@ def cmd_papr(args) -> int:
     return 0
 
 
-def _scaling_row(trials: int, seed: int, *scenario, **kwargs) -> tuple:
+def _scaling_rows(trials: int, seed: int, specs, **kwargs) -> list[tuple]:
     """(closed-form low, high, Monte Carlo mean, stderr) of the
-    `ScalingScenario(*scenario, **kwargs)`; a closed form that is a single
-    value gives low = high.  A value `scaling` rejects is a ConfigError
-    naming the keys the scenario and the trials come from."""
+    `ScalingScenario(*spec, **kwargs)` of each spec, from one Monte Carlo
+    run over all of them; a closed form that is a single value gives
+    low = high.  A value `scaling` rejects is a ConfigError naming the keys
+    the scenarios and the trials come from."""
     try:
-        sc = ScalingScenario(*scenario, **kwargs)
-        mc = monte_carlo(sc, trials, seed)
+        scenarios = [ScalingScenario(*spec, **kwargs) for spec in specs]
+        mcs = monte_carlo_many(scenarios, trials, seed)
     except ValueError as e:
         raise ConfigError("strategies, regime, n_tones, n_antennas, "
                           f"taylor_order, trials: {e}") from None
-    cf = closed_form(sc)
-    lo, hi = (cf, cf) if np.isscalar(cf) else cf
-    return (lo, hi, *mc)
+    rows = []
+    for sc, mc in zip(scenarios, mcs):
+        cf = closed_form(sc)
+        lo, hi = (cf, cf) if np.isscalar(cf) else cf
+        rows.append((lo, hi, *mc))
+    return rows
 
 
 def cmd_scaling(args) -> int:
@@ -332,14 +337,11 @@ def cmd_scaling(args) -> int:
     if cfg["n_rectennas"] > 1:
         raise ConfigError(f"n_rectennas = {cfg['n_rectennas']}: the scaling "
                           "laws are checked for one rectenna")
-    rows = []
-    for strategy in cfg["strategies"]:
-        rows.append((strategy, cfg["regime"], cfg["n_tones"],
-                     cfg["n_antennas"])
-                    + _scaling_row(cfg["trials"], cfg["seed"], strategy,
-                                   cfg["regime"], cfg["n_tones"],
-                                   cfg["n_antennas"], power=_power_w(cfg),
-                                   params=_params(cfg)))
+    specs = [(strategy, cfg["regime"], cfg["n_tones"], cfg["n_antennas"])
+             for strategy in cfg["strategies"]]
+    rows = [spec + row for spec, row in zip(
+        specs, _scaling_rows(cfg["trials"], cfg["seed"], specs,
+                             power=_power_w(cfg), params=_params(cfg)))]
     out = args.out or "out"
     _write_csv(os.path.join(out, "scaling.csv"),
                "ensemble-average DC surrogate: closed form vs Monte Carlo",
@@ -491,16 +493,12 @@ def _preset_fig3_middle(out: str) -> None:
 
 
 def _preset_table1(out: str, seed: int, trials: int) -> None:
-    rows = []
-    for strategy, regime, n, m in [("ss", "flat", 1, 1),
-                                   ("up", "flat", 8, 1),
-                                   ("up", "selective", 8, 1),
-                                   ("ass", "flat", 8, 1),
-                                   ("ass", "selective", 8, 1),
-                                   ("upmf", "flat", 8, 2),
-                                   ("upmf", "selective", 8, 2)]:
-        rows.append((strategy, regime, n, m)
-                    + _scaling_row(trials, seed, strategy, regime, n, m))
+    specs = [("ss", "flat", 1, 1), ("up", "flat", 8, 1),
+             ("up", "selective", 8, 1), ("ass", "flat", 8, 1),
+             ("ass", "selective", 8, 1), ("upmf", "flat", 8, 2),
+             ("upmf", "selective", 8, 2)]
+    rows = [spec + row
+            for spec, row in zip(specs, _scaling_rows(trials, seed, specs))]
     _write_csv(os.path.join(out, "table1.csv"),
                "preset table1: scaling-law rows, closed form vs Monte Carlo "
                "(parallels: Table I)",
@@ -513,11 +511,11 @@ def _preset_fig_scalinglaws(out: str, seed: int, trials: int) -> None:
     # extends past 64 tones: at the -20 dBm operating point the linear
     # tone-count growth of the matched design overtakes the squared-log
     # growth of the single-sinewave design only around 200 tones
-    rows = []
-    for n in (2, 4, 8, 16, 32, 64, 128, 256):
-        for strategy in ("up", "ass", "upmf"):
-            rows.append((strategy, n)
-                        + _scaling_row(trials, seed, strategy, "selective", n))
+    specs = [(strategy, "selective", n)
+             for n in (2, 4, 8, 16, 32, 64, 128, 256)
+             for strategy in ("up", "ass", "upmf")]
+    rows = [(strategy, n) + row for (strategy, _, n), row
+            in zip(specs, _scaling_rows(trials, seed, specs))]
     _write_csv(os.path.join(out, "fig-scalinglaws.csv"),
                "preset fig-scalinglaws: selective-fading averages vs tone "
                "count (parallels: figure 6)",
@@ -593,7 +591,10 @@ def cmd_preset(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="multisine-wpt",
         description="Design and evaluate multisine waveforms for wireless "
@@ -643,7 +644,11 @@ def main(argv=None) -> int:
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_preset)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         workers = getattr(args, "workers", 1)
         if workers < 1:

@@ -69,7 +69,7 @@ class SCATrace:
     eps*z), `max_iter` (the iteration cap), `stall` (an iteration would
     have lowered z by more than that and was rejected) or `solver_fallback`
     (the GP solver refused a start that was not strictly inside its
-    constraints, and the run kept its seed).
+    constraints, and the run kept its last accepted iterate).
     """
 
     zdc_history: np.ndarray
@@ -240,11 +240,15 @@ def _monotone(iterate, state, z: float, options: OptimizerOptions):
     `tol` when an iteration changes z by less than eps*z, with `max_iter`
     after `max_iterations` iterations, and with `stall` when an iteration
     lowers z by more than that (rounding at a stationary point), which is
-    rejected.
+    rejected.  An `iterate` that returns None cannot step from its state,
+    and the run stops there with `solver_fallback`.
     """
     history = [z]
     for _ in range(options.max_iterations):
-        state_new, z_new = iterate(state)
+        step = iterate(state)
+        if step is None:
+            return state, np.asarray(history), "solver_fallback"
+        state_new, z_new = step
         converged = abs(z_new - history[-1]) < options.eps * max(z_new, _TINY)
         if z_new < history[-1]:
             return state, np.asarray(history), "tol" if converged else "stall"
@@ -653,22 +657,22 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             # puts it well inside both.  PAPR is scale-invariant, so the
             # shrink leaves the peak rows as they are.
             start = np.maximum(anchor, 2.0 * floor) * np.sqrt(1.0 - 1e-6)
-            report = solve_gp(-(anchor * grad / z).ravel(),
-                              stack_constraints(
-                                  np.concatenate([base_log_c, log_c]),
-                                  np.vstack([base_A, A]),
-                                  np.concatenate([base_sizes, sizes])),
-                              start.ravel())
+            try:
+                report = solve_gp(-(anchor * grad / z).ravel(),
+                                  stack_constraints(
+                                      np.concatenate([base_log_c, log_c]),
+                                      np.vstack([base_A, A]),
+                                      np.concatenate([base_sizes, sizes])),
+                                  start.ravel())
+            except GPSolverError:
+                # the start is not strictly inside its peak rows, e.g. the
+                # single-tone corner at eta = 2, which touches them; the
+                # run keeps its last accepted iterate
+                return None
             x = report.x.reshape(n, m)
             return x, obj.value(x)
 
-        try:
-            return _monotone(solve, anchor, obj.value(anchor), options)
-        except GPSolverError:
-            # the start is not strictly inside its peak rows, e.g. the
-            # single-tone corner at eta = 2, which touches them; keep the
-            # seed itself as this run's result
-            return anchor, np.array([obj.value(anchor)]), "solver_fallback"
+        return _monotone(solve, anchor, obj.value(anchor), options)
 
     ceiling = eta * (1.0 + 1e-6)
     limit = eta

@@ -139,6 +139,19 @@ def received_tone_coefficients(waveform: Waveform,
     return np.einsum("nm,nm->n", h, w)
 
 
+def _five_smooth(n: int) -> int:
+    """Smallest length >= n with no prime factor above 5, one the FFT
+    handles without a slow prime-length pass."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 class DCKernel:
     """z_dc as a function of the received tone coefficients r.
 
@@ -169,16 +182,28 @@ class DCKernel:
 
         A 1-D r gives the float of `value_grad_hess`.  A (rows, N) batch
         gives one z_dc per row from one zero-padded FFT R of each row, of
-        length L = (order/2)(N-1)+1: no self-convolution up to the
-        truncation order wraps around at that length, so by Parseval the
-        order-i sum is mean_f |R_f|^i, with no inverse transform.
+        a 5-smooth length L >= (order/2)(N-1)+1: no self-convolution up to
+        the truncation order wraps around at such a length, so by Parseval
+        the order-i sum is mean_f |R_f|^i, with no inverse transform.  A
+        real row's spectrum is conjugate-symmetric, so its `rfft` holds
+        every |R_f|: bin 0 counts once, the inner bins twice and, for an
+        even L, the Nyquist bin once.
         """
         r = np.asarray(r)
         if r.ndim <= 1:
             return self.value_grad_hess(r)[0]
-        n_fft = self.truncation_order // 2 * (r.shape[-1] - 1) + 1
-        power = np.abs(np.fft.fft(r, n=n_fft, axis=-1)) ** 2
-        return sum(w * np.mean(power ** (i // 2), axis=-1)
+        n_fft = _five_smooth(self.truncation_order // 2 * (r.shape[-1] - 1)
+                             + 1)
+        if np.iscomplexobj(r):
+            power = np.abs(np.fft.fft(r, n=n_fft, axis=-1)) ** 2
+            return sum(w * np.mean(power ** (i // 2), axis=-1)
+                       for i, w in self._w.items())
+        power = np.abs(np.fft.rfft(r, n=n_fft, axis=-1)) ** 2
+        counts = np.full(power.shape[-1], 2.0)
+        counts[0] = 1.0
+        if n_fft % 2 == 0:
+            counts[-1] = 1.0
+        return sum(w * ((power ** (i // 2)) @ counts / n_fft)
                    for i, w in self._w.items())
 
     def value_grad_hess(self, r: np.ndarray, want_hess: bool = False):

@@ -3,10 +3,11 @@
 Each closed form is the channel-ensemble average of the fourth-order DC
 surrogate for one waveform strategy, either over frequency-flat Rayleigh
 fading (one common gain for all tones) or frequency-selective fading
-(independent unit-variance gains per tone and antenna).  `monte_carlo`
+(independent unit-variance gains per tone and antenna).  `monte_carlo_many`
 re-derives the same averages by drawing channels, building the strategy's
 closed-form waveform and evaluating the DC surrogate of each trial with
-`rectenna.DCKernel`, the same kernel the designs use.
+`rectenna.DCKernel`, the same kernel the designs use; the scenarios whose
+draws coincide share them.
 """
 
 from __future__ import annotations
@@ -129,39 +130,62 @@ def asymptotic_form(sc: ScalingScenario) -> float:
 
 def monte_carlo(sc: ScalingScenario, trials: int,
                 seed: int = 0) -> tuple[float, float]:
-    """Sample mean and standard error of the per-realization DC surrogate.
+    """Sample mean and standard error of the per-realization DC surrogate,
+    the one-scenario case of `monte_carlo_many`."""
+    return monte_carlo_many([sc], trials, seed)[0]
+
+
+def _tone_rows(sc: ScalingScenario, h: np.ndarray,
+               gains: np.ndarray) -> np.ndarray:
+    """Received tone rows of the scenario's closed-form waveform over the
+    drawn channels h, whose per-tone gains over the antennas are `gains`."""
+    n, p = sc.n_tones, sc.power
+    if sc.strategy in ("ss", "ass"):  # all power on the strongest tone
+        return np.sqrt(2.0 * p) * np.max(gains, axis=1, keepdims=True)
+    # up keeps the channel phases (r_n = s_n h_n); upmf matches them
+    return np.sqrt(2.0 * p / n) * np.broadcast_to(
+        h[:, :, 0] if sc.strategy == "up" else gains, (len(h), n))
+
+
+def monte_carlo_many(scenarios, trials: int,
+                     seed: int = 0) -> list[tuple[float, float]]:
+    """(sample mean, standard error) of the per-realization DC surrogate of
+    each scenario, in order.
 
     Channels are drawn per the scenario's regime, the strategy's
     closed-form waveform is applied, and the fourth-order surrogate of each
     realization is evaluated by `DCKernel`, one batch of tone rows per
-    chunk.
+    chunk.  Every scenario draws from the same Philox stream, so scenarios
+    of one draw shape see the same channels: each such group shares one
+    draw per chunk, and each mean is the one its scenario gets alone.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    rng = _rng(seed, 0)
-    kernel = DCKernel(sc.params)
-    n, m, p = sc.n_tones, sc.n_antennas, sc.power
-    # a flat channel and the single sinewave need one gain per trial
-    n_draw = 1 if sc.regime == "flat" or sc.strategy == "ss" else n
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        size = min(_MC_CHUNK, trials - done)
-        h = _complex_normal(rng, (size, n_draw, m))
-        gains = np.linalg.norm(h, axis=2)
-        if sc.strategy in ("ss", "ass"):  # all power on the strongest tone
-            r = np.sqrt(2.0 * p) * np.max(gains, axis=1, keepdims=True)
-        else:  # up keeps the channel phases (r_n = s_n h_n); upmf matches them
-            r = np.sqrt(2.0 * p / n) * np.broadcast_to(
-                h[:, :, 0] if sc.strategy == "up" else gains, (size, n))
-        z = kernel.value(r)
-        total += float(np.sum(z))
-        total_sq += float(np.sum(z ** 2))
-        done += size
-    mean = total / trials
-    var = max(total_sq / trials - mean ** 2, 0.0) * trials / (trials - 1)
-    return mean, math.sqrt(var / trials)
+    groups = {}
+    for k, sc in enumerate(scenarios):
+        # a flat channel and the single sinewave need one gain per trial
+        n_draw = 1 if sc.regime == "flat" or sc.strategy == "ss" \
+            else sc.n_tones
+        groups.setdefault((n_draw, sc.n_antennas), []).append(k)
+    sums = np.zeros((len(scenarios), 2))
+    for shape, members in groups.items():
+        rng = _rng(seed, 0)
+        kernels = {k: DCKernel(scenarios[k].params) for k in members}
+        done = 0
+        while done < trials:
+            size = min(_MC_CHUNK, trials - done)
+            h = _complex_normal(rng, (size, *shape))
+            gains = np.linalg.norm(h, axis=2)
+            for k in members:
+                z = kernels[k].value(_tone_rows(scenarios[k], h, gains))
+                sums[k] += np.sum(z), np.sum(z ** 2)
+            done += size
+    results = []
+    for total, total_sq in sums:
+        mean = total / trials
+        var = max(total_sq / trials - mean ** 2, 0.0) * trials / (trials - 1)
+        results.append((mean, math.sqrt(var / trials)))
+    return results
 
 
 def hardening_curve(antenna_counts, n_tones: int, power: float,

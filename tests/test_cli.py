@@ -8,8 +8,9 @@ from multisine_wpt.circuit import SimTrace
 from multisine_wpt.cli import (ConfigError, default_config, main,
                                parse_config_file, validate_config)
 from multisine_wpt.optimizer import up
-from multisine_wpt.rectenna import (RectennaParams, load_waveform_text,
-                                    save_waveform_text, zdc_analytic)
+from multisine_wpt.rectenna import (RectennaParams, Waveform,
+                                    load_waveform_text, save_waveform_text,
+                                    zdc_analytic)
 
 
 def _write(tmp_path, name, text):
@@ -189,6 +190,30 @@ def test_evaluate_and_papr_roundtrip(tmp_path):
     ch = str(tmp_path / "o" / "channel.txt")
     assert main(["evaluate", wf, "--channel", ch]) == 0
     assert main(["papr", wf]) == 0
+
+
+def test_parser_is_built_once_and_parsing_leaves_it_unchanged(tmp_path,
+                                                              capsys):
+    # one parser per process: neither an option given to one command nor
+    # an argparse error between two identical commands changes what the
+    # second prints
+    wave = str(tmp_path / "w.txt")
+    save_waveform_text(wave, Waveform(np.array([1e-3, 2e-3, 3e-3]),
+                                      np.array([0.3, 1.1, 2.0]),
+                                      FrequencyGrid(3, 48e6, 1e6)))
+    assert cli._parser() is cli._parser()
+    assert main(["papr", wave]) == 0
+    first = capsys.readouterr().out
+    assert first.startswith("papr_antenna_0 = ")
+    assert main(["papr", wave, "--oversampling", "3"]) == 0
+    assert capsys.readouterr().out != first
+    with pytest.raises(SystemExit) as stop:
+        main(["papr", wave, "--no-such-flag"])
+    assert stop.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert main(["papr", wave]) == 0
+    assert capsys.readouterr().out == first
+    assert cli._parser() is cli._parser()
 
 
 def test_scaling_command_csv(tmp_path):

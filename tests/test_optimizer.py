@@ -511,6 +511,38 @@ def test_papr_runs_each_distinct_seed_once(monkeypatch):
     assert tr.papr_certified
 
 
+def test_papr_run_refused_mid_way_keeps_its_last_iterate(monkeypatch):
+    # flat N = 4 at eta = 3: the `ass` run stops after one solve, and the
+    # blend run climbs for its 40 iterations.  A GP that refuses the blend
+    # run's third start ends that run at its second iterate, not its seed.
+    solve_gp, monotone = optimizer.solve_gp, optimizer._monotone
+    runs, solves = [], []
+
+    def per_run(*args):
+        solves.append([])
+        runs.append(monotone(*args))
+        return runs[-1]
+
+    def refusing(*args):
+        if len(solves[-1]) == 2:
+            raise GPSolverError("start not strictly feasible")
+        solves[-1].append(solve_gp(*args))
+        return solves[-1][-1]
+
+    monkeypatch.setattr(optimizer, "_monotone", per_run)
+    monkeypatch.setattr(optimizer, "solve_gp", refusing)
+    tr = optimize_papr(flat_channel(1.0, 0.0, 4, 1), POWER, 3.0, P4,
+                       _grid(4), OptimizerOptions(eps=1e-8, max_iterations=40))
+    refused = [k for k, run in enumerate(runs) if run[2] == "solver_fallback"]
+    assert len(refused) == 1
+    state, history, _ = runs[refused[0]]
+    assert len(history) == 3 and history[2] > history[0]
+    assert np.array_equal(state.ravel(), solves[refused[0]][1].x)
+    assert tr.stop_reason == "solver_fallback" and tr.n_iterations == 2
+    assert np.array_equal(tr.waveform.amplitudes, state)
+    assert tr.papr_certified
+
+
 def _fig3_middle_problem():
     """(channel, power, params, grid, options) of `preset fig3-middle`."""
     cfg = cli.validate_config(dict(cli.default_config(), channel_type="flat",

@@ -6,7 +6,7 @@ import pytest
 from multisine_wpt.channel import (FrequencyGrid, flat_channel,
                                    iid_frequency_channel)
 from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
-                                    Waveform, antenna_paprs,
+                                    Waveform, _five_smooth, antenna_paprs,
                                     iout_fixed_point, load_waveform_text,
                                     papr,
                                     received_tone_coefficients,
@@ -284,6 +284,30 @@ def test_dc_kernel_matches_enumerated_posynomial():
                 np.testing.assert_allclose(b, b_ref, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(hess_b, hess_ref, rtol=0,
                                            atol=1e-12 * order)
+
+
+def test_batch_rfft_of_real_rows_matches_complex_fft():
+    # a real row's rfft holds its whole spectrum: bin 0 counts once, the
+    # inner bins twice and an even length's Nyquist bin once.  Checked
+    # against the complex FFT of the same rows at odd and even padded
+    # lengths, on nonnegative rows (as the Monte Carlo draws them) and on
+    # rows of either sign
+    rng = np.random.default_rng(21)
+    lengths = set()
+    for order in (2, 4, 6):
+        kernel = DCKernel(RectennaParams(DIODE, order))
+        for n in (1, 2, 3, 8, 9, 256):
+            lengths.add(_five_smooth(order // 2 * (n - 1) + 1))
+            rows = np.vstack([rng.uniform(0.0, 4e-3, (4, n)),
+                              rng.uniform(-4e-3, 4e-3, (4, n))])
+            assert np.allclose(kernel.value(rows),
+                               kernel.value(rows.astype(complex)),
+                               rtol=1e-13, atol=0)
+    assert {length % 2 for length in lengths} == {0, 1}
+    # the fast length is the next 5-smooth one: N = 8 at order 4 keeps 15,
+    # and N = 256 pads 511 to 512
+    assert _five_smooth(15) == 15 and _five_smooth(511) == 512
+    assert _five_smooth(7 * 11) == 80
 
 
 def test_dc_kernel_complex_gradient_matches_central_differences():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multisine_wpt import scaling
 from multisine_wpt.channel import (FrequencyGrid, flat_channel,
                                    iid_frequency_channel)
 from multisine_wpt.optimizer import toy_n2, up
@@ -9,7 +10,7 @@ from multisine_wpt.rectenna import (DCKernel, RectennaParams, Waveform,
 from multisine_wpt.scaling import (EULER_GAMMA, ScalingScenario,
                                    asymptotic_form, closed_form,
                                    hardening_curve, harmonic_h,
-                                   harmonic_s, monte_carlo)
+                                   harmonic_s, monte_carlo, monte_carlo_many)
 from harmonic_oracle import harmonic_h_alternating, harmonic_s_alternating
 
 PARAMS = RectennaParams()
@@ -95,6 +96,38 @@ def test_upmf_selective_bounds_bracket_monte_carlo():
             mean, err = monte_carlo(sc, 20000, seed=17)
             assert lo <= mean + 4 * err
             assert hi >= mean - 4 * err
+
+
+TABLE1 = [ScalingScenario("ss", "flat", 1), ScalingScenario("up", "flat", 8),
+          ScalingScenario("up", "selective", 8),
+          ScalingScenario("ass", "flat", 8),
+          ScalingScenario("ass", "selective", 8),
+          ScalingScenario("upmf", "flat", 8, 2),
+          ScalingScenario("upmf", "selective", 8, 2)]
+
+
+@pytest.mark.parametrize("scenarios, shapes", [
+    # table1's rows: ss, up and ass on the flat regime draw one gain per
+    # trial, and up and ass on the selective regime draw 8
+    (TABLE1, {(1, 1), (8, 1), (1, 2), (8, 2)}),
+    # one tone count of fig-scalinglaws: all three draw (16, 1)
+    ([ScalingScenario(s, "selective", 16) for s in ("up", "ass", "upmf")],
+     {(16, 1)})])
+def test_shared_draws_match_per_scenario_runs(scenarios, shapes, monkeypatch):
+    # two full chunks and a partial one; every mean and stderr is the one
+    # the scenario gets alone, bit for bit, from one draw per shape and chunk
+    trials = 2 * scaling._MC_CHUNK + 300
+    alone = [monte_carlo(sc, trials, seed=5) for sc in scenarios]
+    draw = scaling._complex_normal
+    drawn = []
+
+    def counting(rng, shape):
+        drawn.append(shape[1:])
+        return draw(rng, shape)
+
+    monkeypatch.setattr(scaling, "_complex_normal", counting)
+    assert monte_carlo_many(scenarios, trials, seed=5) == alone
+    assert len(drawn) == 3 * len(shapes) and set(drawn) == shapes
 
 
 def test_monte_carlo_requires_enough_trials():
