@@ -35,5 +35,6 @@ for eta in (2.0, 3.0, 4.0, 6.0, 10.0, 16.0):
     print(f"{eta:8.1f} | {trace.zdc:11.5e} | "
           f"{papr(trace.waveform, 0):8.3f} | {profile}")
 
-print("\nLoose caps recover the uniform design; a cap of 2 (a single")
-print("sinewave's PAPR) forces all power onto one tone.")
+print("\nA cap the unconstrained design already meets returns that design")
+print("without any GP solve (always so at a cap of 2N = 16); a cap of 2")
+print("(a single sinewave's PAPR) forces all power onto one tone.")

@@ -8,10 +8,11 @@ The package splits into:
   for aligned real tones) the designers ascend
 - `gp`: a geometric-program solver over one stacked constraint format
   (log coefficients, exponent rows, term counts) and a vectorized AM-GM
-  condensation, used by the PAPR-constrained design
+  condensation, used by the PAPR-constrained design when the unconstrained
+  design exceeds the limit
 - `optimizer`: closed-form baselines, one minorize-maximize ascent for the
   joint, decoupled and multi-rectenna designs, and the PAPR-constrained
-  design
+  design, which starts from the joint design
 - `scaling`: ensemble-average scaling laws and Monte Carlo verification
 - `circuit`: a time-domain diode rectifier simulator for model-free validation
 - `cli`: experiment presets and CSV emission

@@ -202,7 +202,7 @@ def build_waveform(strategy: str, cfg: dict, channel: ChannelRealization,
     power = _power_w(cfg)
     params = _params(cfg)
     opts = _options(cfg)
-    meta = {"iterations": 0, "converged": True}
+    meta = {"iterations": 0, "converged": True, "stop_reason": "closed_form"}
     if strategy in ("ss", "up", "ass", "mf", "upmf", "maxpapr"):
         return baseline_waveform(strategy, channel.rectenna(0), power,
                                  grid), meta
@@ -222,7 +222,8 @@ def build_waveform(strategy: str, cfg: dict, channel: ChannelRealization,
         trace = optimize_multi(channels, weights, power, params, grid, opts)
     else:
         raise ConfigError(f"unknown strategy '{strategy}'")
-    meta.update(iterations=trace.n_iterations, converged=trace.converged)
+    meta.update(iterations=trace.n_iterations, converged=trace.converged,
+                stop_reason=trace.stop_reason)
     return trace.waveform, meta
 
 
@@ -249,7 +250,7 @@ def _report_rows(cfg: dict, waveform: Waveform,
     worst = max(antenna_paprs(waveform, cfg["papr_oversampling"]).values(),
                 default=0.0)
     return (z, iout_fixed_point(z, params), worst,
-            meta["iterations"], meta["converged"])
+            meta["iterations"], meta["converged"], meta["stop_reason"])
 
 
 def cmd_optimize(args) -> int:
@@ -268,7 +269,7 @@ def cmd_optimize(args) -> int:
     _write_csv(os.path.join(out, "optimize_report.csv"),
                "single-realization waveform designs",
                ["strategy", "zdc_a", "iout_a", "papr", "iterations",
-                "converged"], rows)
+                "converged", "stop_reason"], rows)
     print(f"wrote {len(rows)} waveform(s) and optimize_report.csv to {out}/")
     return 0
 

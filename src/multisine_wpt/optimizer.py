@@ -15,11 +15,13 @@ extrapolated step only when it beats two plain steps, which keeps the
 ascent monotone.  Single-tone corners are fixed points of the update, so
 the ascent is restarted from every distinct closed-form baseline and the
 best endpoint is kept; a baseline that still beats it is returned instead,
-so every design dominates its seeds by construction.  Only the
-PAPR-constrained design needs the geometric-program solver.  Per SCA
-iteration it condenses the same objective into a monomial, condenses each
-antenna's sampled peak-constraint denominators by AM-GM in one call, and
-solves the GP whose constraints are rows of one stacked term matrix.
+so every design dominates its seeds by construction.  The
+PAPR-constrained design first runs that unconstrained ascent and returns
+its design when it already meets the limit; only otherwise does it need the
+geometric-program solver.  Per SCA iteration it condenses the same
+objective into a monomial, condenses each antenna's sampled peak-constraint
+denominators by AM-GM in one call, and solves the GP whose constraints are
+rows of one stacked term matrix.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ class OptimizerOptions:
     """Knobs shared by all iterative designs.
 
     One iteration of the joint, decoupled and multi-rectenna designs is one
-    SQUAREM cycle of the MM ascent (up to four gradient evaluations); one
-    iteration of the PAPR-constrained design is one GP solve.  `eps` and
-    `max_iterations` apply per iteration.
+    SQUAREM cycle of the MM ascent (up to four gradient evaluations).  The
+    PAPR-constrained design returns the joint design when it meets the
+    limit, with that design's iterations; otherwise one of its iterations
+    is one GP solve.  `eps` and `max_iterations` apply per iteration.
     """
 
     eps: float = 1e-6                # relative z_dc change declaring convergence
@@ -65,6 +68,7 @@ class SCATrace:
     """Per-iteration objective values, the final waveform and why the run
     stopped.
 
+    An iteration is an MM cycle or a GP solve (see `OptimizerOptions`).
     `stop_reason` is `tol` (the last iteration changed z by less than
     eps*z), `max_iter` (the iteration cap), `stall` (an iteration would
     have lowered z by more than that and was rejected) or `solver_fallback`
@@ -582,20 +586,39 @@ class _PeakConstraints:
                 self.num_A - expo_d[self.owner], self.sizes)
 
 
+def _worst_papr(waveform: Waveform, oversampling: int) -> float:
+    return max(antenna_paprs(waveform, oversampling).values(), default=0.0)
+
+
 def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                   params: RectennaParams, grid: FrequencyGrid,
                   options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
     """Amplitude design under per-antenna peak-to-average power limits.
 
-    The sampled peak constraint is a signomial inequality; a single
-    condensation of its denominator turns each sample into a posynomial
-    constraint, and the resulting GP is solved per SCA iteration.  A
-    post-hoc check on a 4x finer grid triggers a re-solve with a tightened
-    limit when sampling missed a peak.  A closed-form baseline that passes
-    the same check and scores higher replaces a certified design.
+    The peak rows only add constraints to `optimize`'s problem, so its
+    design, exactly as returned, is checked first on a 4x finer grid than
+    the design grid.  When it meets eta there it is returned certified with
+    no GP solve: a maximizer of the relaxation that meets the added rows
+    maximizes the constrained problem, and `optimize`'s design dominates
+    every baseline.  Any N-tone waveform has PAPR <= 2N, so at eta >= 2N
+    this is always the path.
+
+    Otherwise the sampled peak constraint is a signomial inequality; a
+    single condensation of its denominator turns each sample into a
+    posynomial constraint, and the resulting GP is solved per SCA
+    iteration.  A post-hoc check on the 4x grid triggers a re-solve with a
+    tightened limit when sampling missed a peak.  A closed-form baseline
+    that passes the same check and scores higher replaces a certified
+    design.
     """
     if eta < 2.0:
         raise ValueError("eta below 2 is infeasible (single-tone PAPR is 2)")
+    ceiling = eta * (1.0 + 1e-6)
+    unconstrained = optimize(channel, power, params, grid, options)
+    fine = _worst_papr(unconstrained.waveform, 4 * options.papr_oversampling)
+    if fine <= ceiling:
+        unconstrained.achieved_papr, unconstrained.papr_certified = fine, True
+        return unconstrained
     h = channel.require_single_rectenna()
     n, m = h.shape
     n_vars = n * m
@@ -612,8 +635,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     base_sizes = np.concatenate([[n_vars], np.ones(n_vars, dtype=int)])
 
     def worst_papr(amps: np.ndarray, oversampling: int) -> float:
-        wf = Waveform(amps, phi_star, grid)
-        return max(antenna_paprs(wf, oversampling).values(), default=0.0)
+        return _worst_papr(Waveform(amps, phi_star, grid), oversampling)
 
     # the baselines' z and PAPR do not depend on the limit: score them once
     baselines = [np.maximum(w.amplitudes, floor)
@@ -674,7 +696,6 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
 
         return _monotone(solve, anchor, obj.value(anchor), options)
 
-    ceiling = eta * (1.0 + 1e-6)
     limit = eta
     for _ in range(3):
         s, history, stop_reason = _best_run(

@@ -87,6 +87,27 @@ def test_optimize_command_outputs_and_determinism(tmp_path):
     assert by_strategy["opt"] >= by_strategy["ass"]
 
 
+def test_optimize_report_names_each_stop_reason(tmp_path):
+    # `converged` reads False for both an iteration cap and a refused GP
+    # start; the `stop_reason` column tells them apart
+    cfg = _write(tmp_path, "stop.cfg",
+                 "channel_type = flat\nn_tones = 4\n"
+                 "strategies = up, opt, opt-papr\n"
+                 "sca_max_iterations = 1\npapr_eta = 2\n")
+    assert main(["optimize", cfg, "--out", str(tmp_path / "r")]) == 0
+    lines = (tmp_path / "r" / "optimize_report.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    assert header[-2:] == ["converged", "stop_reason"]
+    rows = {row["strategy"]: row
+            for row in (dict(zip(header, ln.split(","))) for ln in lines[2:])}
+    assert (rows["up"]["converged"], rows["up"]["stop_reason"]) \
+        == ("True", "closed_form")
+    assert (rows["opt"]["converged"], rows["opt"]["stop_reason"]) \
+        == ("False", "max_iter")
+    assert (rows["opt-papr"]["converged"], rows["opt-papr"]["stop_reason"]) \
+        == ("False", "solver_fallback")
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     bad = _write(tmp_path, "bad.cfg", "mystery_key = 1\n")
     assert main(["optimize", bad]) == 2
