@@ -5,7 +5,9 @@ The package splits into:
 - `channel`: multipath realizations and per-tone frequency responses
 - `rectenna`: the truncated-Taylor diode model, its DC surrogate and the
   DC kernel (value and gradient in the received tones, and the Hessian
-  for aligned real tones) the designers ascend
+  for aligned real tones) the designers ascend, and the one sampler of a
+  multisine over a period, which the z_dc oracle, PAPR, the PAPR
+  design's peak rows and the rectifier's drive share
 - `gp`: a geometric-program solver over one stacked constraint format
   (log coefficients, exponent rows, term counts) and a vectorized AM-GM
   condensation, used by the PAPR-constrained design when the unconstrained
@@ -33,8 +35,7 @@ from .optimizer import (OptimizerOptions, SCATrace, ass, ass_multi,
 from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        antenna_paprs, iout_fixed_point, load_waveform_text,
                        papr, received_tone_coefficients, save_waveform_text,
-                       synthesize_transmit, taylor_coefficients, zdc_analytic,
-                       zdc_time_average)
+                       taylor_coefficients, zdc_analytic, zdc_time_average)
 from .scaling import (ScalingScenario, asymptotic_form, closed_form,
                       hardening_curve, harmonic_h, harmonic_s, monte_carlo,
                       monte_carlo_many)

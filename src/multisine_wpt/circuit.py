@@ -3,7 +3,8 @@
 This is the model-free validation path: no Taylor truncation, just the
 exponential diode law under ideal matching, where the rectifier input
 voltage is the received signal scaled by the antenna resistance,
-v_in(t) = y(t) * sqrt(R_ant).  Time is discretized by the implicit
+v_in(t) = y(t) * sqrt(R_ant), sampled through `rectenna.period_basis`,
+which needs a commensurate grid.  Time is discretized by the implicit
 trapezoidal rule (A-stable, second order) on K equal steps of one
 waveform period, and the steady state is solved for directly: the K
 trapezoidal equations under the periodic condition v_0 = v_K, by damped
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, FrequencyGrid
-from .rectenna import (DiodeParams, Waveform, monotone_root,
+from .rectenna import (DiodeParams, Waveform, monotone_root, period_basis,
                        received_tone_coefficients)
 
 _EXP_CLIP = 200.0  # caps the diode exponent; far above any modeled drive
@@ -63,37 +64,9 @@ class SteadyStateError(RuntimeError):
     """Raised when a quantity requires steady state that was not reached."""
 
 
-def _default_dt(grid: FrequencyGrid, circuit: CircuitParams) -> float:
-    """min(1/(200 f_max), R_L C/50): resolves the carrier and the RC pole."""
-    f_max = grid.frequencies[-1]
-    rc_step = circuit.diode.r_load * circuit.c_out / 50.0
-    if f_max <= 0:  # constant drive: only the RC pole sets the scale
-        return rc_step
-    return min(1.0 / (200.0 * f_max), rc_step)
-
-
 def _diode_current(v_drop: np.ndarray, d: DiodeParams) -> np.ndarray:
     arg = np.clip(v_drop / (d.ideality * d.v_t), None, _EXP_CLIP)
     return d.i_s * np.expm1(arg)
-
-
-def _drive_basis(grid: FrequencyGrid, steps: int,
-                 sqrt_rant: float) -> np.ndarray:
-    """B (2N x K) with v_in = [Re r, Im r] @ B for received-tone rows r.
-
-    Tone n runs c + n whole cycles per period, c the carrier multiple, so
-    its phase at t_k = k T/K is 2 pi ((c + n) k mod K) / K: one K-entry
-    cos/sin table serves every tone.
-    """
-    table = (2.0 * np.pi / steps) * np.arange(steps)
-    cycles = grid.carrier_multiple() + np.arange(grid.n_tones)
-    idx = np.outer(cycles, np.arange(1, steps + 1)) % steps
-    return sqrt_rant * np.vstack([np.cos(table)[idx], -np.sin(table)[idx]])
-
-
-def _drive(tones: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Rectifier input voltage for each instance (rows) at each step."""
-    return np.hstack([tones.real, tones.imag]) @ basis
 
 
 def _periodic_newton(vin: np.ndarray, circuit: CircuitParams, dt: float,
@@ -168,13 +141,19 @@ def _periodic_newton(vin: np.ndarray, circuit: CircuitParams, dt: float,
 
 
 def _sample_times(grid: FrequencyGrid, circuit: CircuitParams,
-                  dt: float | None) -> np.ndarray:
-    """t = dt, 2 dt, ..., T: K >= 8 equal steps of one period, none above dt."""
-    grid.carrier_multiple()  # commensurate grid required for periodicity
+                  dt: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(t, B): t = dt, 2 dt, ..., T, K >= 8 equal steps of one period, none
+    above dt (by default min(1/(200 f_max), R_L C/50), which resolves the
+    carrier and the RC pole), and B with v_in(t) = [Re r, Im r] @ B."""
     if dt is None:
-        dt = _default_dt(grid, circuit)
+        f_max = grid.frequencies[-1]
+        dt = circuit.diode.r_load * circuit.c_out / 50.0
+        if f_max > 0:  # else a constant drive: only the RC pole sets dt
+            dt = min(1.0 / (200.0 * f_max), dt)
     steps = max(int(math.ceil(grid.period / dt)), 8)
-    return (grid.period / steps) * np.arange(1, steps + 1)
+    basis = np.roll(period_basis(grid, steps), -1, axis=1)  # t = T is t = 0
+    return ((grid.period / steps) * np.arange(1, steps + 1),
+            math.sqrt(circuit.diode.r_ant) * basis)
 
 
 def simulate(waveform: Waveform, channel: ChannelRealization,
@@ -187,10 +166,9 @@ def simulate(waveform: Waveform, channel: ChannelRealization,
     silently ignored.
     """
     r = received_tone_coefficients(waveform, channel)
-    times = _sample_times(waveform.grid, circuit, dt)
+    times, basis = _sample_times(waveform.grid, circuit, dt)
     dt = float(times[0])
-    vin = _drive(r[None, :], _drive_basis(waveform.grid, times.size,
-                                          math.sqrt(circuit.diode.r_ant)))
+    vin = np.hstack([r.real, r.imag])[None, :] @ basis
     means = []
     vout, passed = _periodic_newton(vin, circuit, dt, means)
     idx = np.arange(0, times.size, max(1, times.size // 4096))
@@ -212,12 +190,12 @@ def simulate_ensemble(tone_rows: np.ndarray, grid: FrequencyGrid,
     unknowns.  Returns (power array, every-row-passed flag).
     """
     tone_rows = np.asarray(tone_rows, dtype=complex)
-    times = _sample_times(grid, circuit, dt)
-    basis = _drive_basis(grid, times.size, math.sqrt(circuit.diode.r_ant))
+    times, basis = _sample_times(grid, circuit, dt)
     chunk = max(1, _CHUNK_ENTRIES // times.size)
     means, passed = [], []
     for r0 in range(0, tone_rows.shape[0], chunk):
-        vout, ok = _periodic_newton(_drive(tone_rows[r0:r0 + chunk], basis),
+        rows = tone_rows[r0:r0 + chunk]
+        vout, ok = _periodic_newton(np.hstack([rows.real, rows.imag]) @ basis,
                                     circuit, float(times[0]))
         means.append(vout.mean(axis=1))
         passed.append(ok)

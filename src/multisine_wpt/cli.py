@@ -28,8 +28,8 @@ from .optimizer import (OptimizerOptions, baseline_waveform, optimize,
                         toy_n2)
 from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        antenna_paprs, iout_fixed_point, load_waveform_text,
-                       received_tone_coefficients, save_waveform_text,
-                       zdc_analytic)
+                       papr_basis, received_tone_coefficients,
+                       save_waveform_text, worst_papr, zdc_analytic)
 from .scaling import ScalingScenario, closed_form, monte_carlo_many
 
 
@@ -247,14 +247,22 @@ def _report_rows(cfg: dict, waveform: Waveform,
                  channel: ChannelRealization, meta: dict) -> tuple:
     params = _params(cfg)
     z = zdc_analytic(waveform, channel.rectenna(0), params)
-    worst = max(antenna_paprs(waveform, cfg["papr_oversampling"]).values(),
-                default=0.0)
+    worst = worst_papr(waveform.amplitudes, waveform.phases,
+                       papr_basis(waveform.grid, cfg["papr_oversampling"]))
     return (z, iout_fixed_point(z, params), worst,
             meta["iterations"], meta["converged"], meta["stop_reason"])
 
 
+def _one_rectenna(cfg: dict, what: str) -> None:
+    if cfg["n_rectennas"] > 1:
+        raise ConfigError(f"n_rectennas = {cfg['n_rectennas']}: {what} for "
+                          "one rectenna")
+
+
 def cmd_optimize(args) -> int:
     cfg = _command_config(args)
+    if {"opt", "opt-decoupled", "opt-papr"} & set(cfg["strategies"]):
+        _one_rectenna(cfg, "opt, opt-decoupled and opt-papr design")
     grid = _grid(cfg)
     channel = _channel(cfg, grid, stream=0)
     out = args.out or "out"
@@ -335,9 +343,7 @@ def _scaling_rows(trials: int, seed: int, specs, **kwargs) -> list[tuple]:
 
 def cmd_scaling(args) -> int:
     cfg = _command_config(args)
-    if cfg["n_rectennas"] > 1:
-        raise ConfigError(f"n_rectennas = {cfg['n_rectennas']}: the scaling "
-                          "laws are checked for one rectenna")
+    _one_rectenna(cfg, "the scaling laws are checked")
     specs = [(strategy, cfg["regime"], cfg["n_tones"], cfg["n_antennas"])
              for strategy in cfg["strategies"]]
     rows = [spec + row for spec, row in zip(
@@ -396,6 +402,7 @@ def _steady_trace(waveform: Waveform, channel: ChannelRealization,
 
 def cmd_simulate(args) -> int:
     cfg = _command_config(args)
+    _one_rectenna(cfg, "the rectifier is simulated")
     trials = cfg["trials"]
     payloads = [(cfg, t) for t in range(trials)]
     if args.workers > 1:

@@ -33,7 +33,7 @@ import numpy as np
 
 # primal-dual stopping tolerances, and the loop's iteration cap
 _GAP_TOL = 1e-9
-_KKT_TOL = 1e-6
+_KKT_TOL = 1e-9
 _FEAS_TOL = 1e-8
 _MAX_NEWTON = 200
 
@@ -165,7 +165,7 @@ def solve_gp(objective: np.ndarray, stack: tuple,
     for _ in range(_MAX_NEWTON + 1):
         gap = float(-lam @ g_vals)
         r_dual = b0 + J.T @ lam
-        if gap <= _GAP_TOL and np.abs(r_dual).max() <= min(_KKT_TOL, 1e-9):
+        if gap <= _GAP_TOL and np.abs(r_dual).max() <= _KKT_TOL:
             stop = ""
             break
         if steps == _MAX_NEWTON:

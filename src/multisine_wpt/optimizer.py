@@ -33,8 +33,8 @@ import numpy as np
 from .channel import ChannelRealization, FrequencyGrid
 from .gp import (GPSolverError, condense, positivity_floor, solve_gp,
                  stack_constraints)
-from .rectenna import (DCKernel, RectennaParams, Waveform, antenna_paprs,
-                       papr_sample_times)
+from .rectenna import (DCKernel, RectennaParams, Waveform, papr_basis,
+                       worst_papr)
 
 _TINY = 1e-300
 
@@ -586,10 +586,6 @@ class _PeakConstraints:
                 self.num_A - expo_d[self.owner], self.sizes)
 
 
-def _worst_papr(waveform: Waveform, oversampling: int) -> float:
-    return max(antenna_paprs(waveform, oversampling).values(), default=0.0)
-
-
 def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                   params: RectennaParams, grid: FrequencyGrid,
                   options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
@@ -615,7 +611,9 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         raise ValueError("eta below 2 is infeasible (single-tone PAPR is 2)")
     ceiling = eta * (1.0 + 1e-6)
     unconstrained = optimize(channel, power, params, grid, options)
-    fine = _worst_papr(unconstrained.waveform, 4 * options.papr_oversampling)
+    fine_basis = papr_basis(grid, 4 * options.papr_oversampling)
+    fine = worst_papr(unconstrained.waveform.amplitudes,
+                      unconstrained.waveform.phases, fine_basis)
     if fine <= ceiling:
         unconstrained.achieved_papr, unconstrained.papr_certified = fine, True
         return unconstrained
@@ -625,26 +623,25 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     obj = _WeightedDC([np.abs(h)], [1.0], params)
     floor = positivity_floor(power)
     phi_star = optimal_phases(channel)
-    t_q = papr_sample_times(grid, options.papr_oversampling)
-    peaks = _PeakConstraints(
-        np.cos(np.outer(t_q, grid.omegas) + phi_star.T[:, None, :]))
+    basis = papr_basis(grid, options.papr_oversampling)
+    # cos(w_n t_q + phi) from the basis rows cos(w_n t_q), -sin(w_n t_q)
+    peaks = _PeakConstraints(np.einsum(
+        "inq,inm->mqn", basis.reshape(2, n, -1),
+        np.stack([np.cos(phi_star), np.sin(phi_star)])))
     # (1/2P) sum_j s_j^2 <= 1, then floor/s_j <= 1 for every j
     base_log_c = np.concatenate([np.full(n_vars, np.log(1.0 / (2.0 * power))),
                                  np.full(n_vars, np.log(floor))])
     base_A = np.vstack([2.0 * np.eye(n_vars), -np.eye(n_vars)])
     base_sizes = np.concatenate([[n_vars], np.ones(n_vars, dtype=int)])
 
-    def worst_papr(amps: np.ndarray, oversampling: int) -> float:
-        return _worst_papr(Waveform(amps, phi_star, grid), oversampling)
-
     # the baselines' z and PAPR do not depend on the limit: score them once
     baselines = [np.maximum(w.amplitudes, floor)
                  for w in _seed_candidates(channel, power, grid)]
-    paprs = [worst_papr(s, options.papr_oversampling) for s in baselines]
+    paprs = [worst_papr(s, phi_star, basis) for s in baselines]
     zs = [obj.value(s) for s in baselines]
     best = int(np.argmax(zs))
     s_best, p_best = baselines[best], paprs[best]
-    safe = np.maximum(ass(channel, power, grid).amplitudes, floor)
+    safe = baselines[2]  # `ass`: the channel is nonzero, so all four seeds
 
     def feasible_seeds(limit: float) -> list[np.ndarray]:
         """Distinct baselines under the limit, and a blend saving the best.
@@ -658,8 +655,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         if p_best > limit * (1.0 - 1e-9):
             for t in np.linspace(0.0, 1.0, 33)[1:]:
                 blend = (1.0 - t) * s_best + t * safe
-                if worst_papr(blend, options.papr_oversampling) \
-                        <= limit * (1.0 - 1e-9):
+                if worst_papr(blend, phi_star, basis) <= limit * (1.0 - 1e-9):
                     seeds.append(blend)
                     break
         return seeds
@@ -700,15 +696,14 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     for _ in range(3):
         s, history, stop_reason = _best_run(
             [run(seed, limit) for seed in feasible_seeds(limit)])
-        fine = worst_papr(s, 4 * options.papr_oversampling)
+        fine = worst_papr(s, phi_star, fine_basis)
         if fine <= ceiling:
             # the seeds stay 1e-9 inside the limit, so a baseline at the
             # limit can beat the design; the best one whose fine check
             # passes takes its place
             for k in sorted(range(len(zs)), key=lambda k: -zs[k]):
                 if zs[k] > history[-1] and paprs[k] <= ceiling:
-                    fine_k = worst_papr(baselines[k],
-                                        4 * options.papr_oversampling)
+                    fine_k = worst_papr(baselines[k], phi_star, fine_basis)
                     if fine_k <= ceiling:
                         s, history[-1], fine = baselines[k], zs[k], fine_k
                         break

@@ -9,8 +9,9 @@ where ``y(t)`` is the RF signal at the rectenna input and the ``k_i`` are
 positive constants of the diode.  Everything the optimizers need lives
 here: the DC kernel giving z_dc and its gradient in the received tones
 (and, for aligned real tones, its Hessian), a brute-force time-averaging
-oracle for it, the fixed-point recovery of the DC output current, and
-PAPR.
+oracle for it, the fixed-point recovery of the DC output current, PAPR,
+and `period_basis`, the one sampler of a multisine over a period, which
+the oracle, PAPR, the PAPR design and the rectifier's drive share.
 """
 
 from __future__ import annotations
@@ -255,18 +256,9 @@ def zdc_analytic(waveform: Waveform, channel: ChannelRealization,
     return DCKernel(params).value(r)
 
 
-def received_signal(waveform: Waveform, channel: ChannelRealization,
-                    t: np.ndarray) -> np.ndarray:
-    """RF signal y(t) at the rectenna input on an arbitrary time grid."""
-    r = received_tone_coefficients(waveform, channel)
-    t = np.asarray(t, dtype=float)
-    phases = np.outer(t, waveform.grid.omegas)
-    return np.real(np.exp(1j * phases) @ r)
-
-
 def zdc_time_average(waveform: Waveform, channel: ChannelRealization,
                      params: RectennaParams) -> float:
-    """Independent z_dc oracle: synthesize y(t) and average its powers.
+    """Independent z_dc oracle: sample y(t) and average its powers.
 
     Requires a commensurate grid (f0 an integer multiple of the spacing) so
     that y is periodic.  The sample count exceeds the highest harmonic of
@@ -274,16 +266,12 @@ def zdc_time_average(waveform: Waveform, channel: ChannelRealization,
     rounding.
     """
     grid = waveform.grid
-    carrier = grid.carrier_multiple()
-    n_o = params.truncation_order
-    n_samples = _ORACLE_OVERSAMPLE * n_o * (carrier + grid.n_tones)
-    t = np.arange(n_samples) * (grid.period / n_samples)
-    y = received_signal(waveform, channel, t)
-    r_ant = params.diode.r_ant
-    total = 0.0
-    for i, k in zip(params.orders, params.k):
-        total += k * r_ant ** (i / 2) * float(np.mean(y ** i))
-    return total
+    n_samples = _ORACLE_OVERSAMPLE * params.truncation_order \
+        * (grid.carrier_multiple() + grid.n_tones)
+    r = received_tone_coefficients(waveform, channel)
+    y = np.concatenate([r.real, r.imag]) @ period_basis(grid, n_samples)
+    return sum(k * params.diode.r_ant ** (i / 2) * float(np.mean(y ** i))
+               for i, k in zip(params.orders, params.k))
 
 
 def monotone_root(f, lo: float, hi: float) -> float:
@@ -345,37 +333,65 @@ def iout_fixed_point(zdc_value: float, params: RectennaParams) -> float:
     return monotone_root(g, 0.0, hi)
 
 
-def synthesize_transmit(waveform: Waveform, antenna: int,
-                        t: np.ndarray) -> np.ndarray:
-    """Transmit signal x_m(t) = sum_n s_{n,m} cos(w_n t + phi_{n,m})."""
-    t = np.asarray(t, dtype=float)
-    s = waveform.amplitudes[:, antenna]
-    phi = waveform.phases[:, antenna]
-    return np.cos(np.outer(t, waveform.grid.omegas) + phi) @ s
+def period_basis(grid: FrequencyGrid, samples: int,
+                 carrier: float | None = None) -> np.ndarray:
+    """B (2N x K) with [Re r, Im r] @ B = Re sum_n r_n exp(j w_n t_k) at
+    t_k = k T / K, k < K, for tone coefficients r; T = 1/spacing.
+
+    Tone n runs c + n cycles per period, so its phase at t_k is
+    2 pi ((c + n) k mod K) / K: for an integer c, an exact entry of one
+    K-entry table.  c defaults to the carrier multiple, which raises on a
+    grid that is not commensurate.
+    """
+    if carrier is None:
+        carrier = grid.carrier_multiple()
+    k = np.arange(samples)
+    exact = float(carrier).is_integer()
+    cycles = (int(carrier) if exact else carrier) + np.arange(grid.n_tones)
+    turns = np.outer(cycles, k) % samples
+    angle = (2.0 * np.pi / samples) * (k if exact else turns)
+    table = np.stack([np.cos(angle), -np.sin(angle)])
+    if exact:
+        table = table.take(turns, axis=1)
+    return table.reshape(-1, samples)
 
 
-def papr_sample_times(grid: FrequencyGrid, oversampling: int) -> np.ndarray:
-    """Uniform grid t_q = q*T/(N*Os) over one envelope period."""
-    q = np.arange(grid.n_tones * oversampling)
-    return q * (grid.period / (grid.n_tones * oversampling))
+def papr_basis(grid: FrequencyGrid, oversampling: int) -> np.ndarray:
+    """`period_basis` at the PAPR sample times t_q = q T / (N Os); the
+    carrier multiple keeps any fraction, so every grid is sampled as it is."""
+    return period_basis(grid, grid.n_tones * oversampling,
+                        grid.f0 / grid.spacing)
+
+
+def _sampled_paprs(amplitudes: np.ndarray, phases: np.ndarray,
+                   basis: np.ndarray) -> dict:
+    """{antenna m: max_k x_m(t_k)^2 / (||s_m||^2 / 2)} over the antennas
+    that transmit, x_m(t) = sum_n s_nm cos(w_n t + phi_nm)."""
+    x = np.concatenate([amplitudes * np.cos(phases),
+                        amplitudes * np.sin(phases)]).T @ basis
+    peak = (x * x).max(axis=1)
+    mean = 0.5 * (amplitudes * amplitudes).sum(axis=0)
+    return {m: float(peak[m] / mean[m]) for m in np.flatnonzero(mean).tolist()}
+
+
+def worst_papr(amplitudes: np.ndarray, phases: np.ndarray,
+               basis: np.ndarray) -> float:
+    """The largest sampled PAPR over the antennas that transmit, or 0."""
+    return max(_sampled_paprs(amplitudes, phases, basis).values(), default=0.0)
+
+
+def antenna_paprs(waveform: Waveform, oversampling: int = 8) -> dict:
+    """{antenna: sampled PAPR} over the antennas that transmit."""
+    return _sampled_paprs(waveform.amplitudes, waveform.phases,
+                         papr_basis(waveform.grid, oversampling))
 
 
 def papr(waveform: Waveform, antenna: int, oversampling: int = 8) -> float:
     """Sampled peak-to-average power ratio of one antenna's transmit signal."""
-    s = waveform.amplitudes[:, antenna]
-    mean_power = 0.5 * float(s @ s)
-    if mean_power == 0.0:
+    paprs = antenna_paprs(waveform, oversampling)
+    if antenna not in paprs:
         raise ValueError(f"antenna {antenna} transmits no power")
-    x = synthesize_transmit(waveform, antenna,
-                            papr_sample_times(waveform.grid, oversampling))
-    return float(np.max(x ** 2) / mean_power)
-
-
-def antenna_paprs(waveform: Waveform, oversampling: int = 8) -> dict:
-    """{antenna: `papr`} over the antennas that transmit."""
-    return {ant: papr(waveform, ant, oversampling)
-            for ant in range(waveform.n_antennas)
-            if np.any(waveform.amplitudes[:, ant] > 0)}
+    return paprs[antenna]
 
 
 # ---------------------------------------------------------------------------

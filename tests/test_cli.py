@@ -148,6 +148,27 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("input error: "), argv
     assert main(["simulate", missing]) == 2
+    # a design or a rectifier run for one rectenna refuses n_rectennas > 1,
+    # by key and before it writes anything
+    for strategy in ("opt", "opt-decoupled", "opt-papr"):
+        two_rect = _write(tmp_path, "u2.cfg",
+                          "n_tones = 2\nn_rectennas = 2\npapr_eta = 3\n"
+                          f"strategies = up, {strategy}\n")
+        for command in ("optimize", "simulate"):
+            unwritten = tmp_path / f"u2-{command}-{strategy}"
+            assert main([command, two_rect, "--out", str(unwritten)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error"), (command, err)
+            assert "n_rectennas" in err, (command, err)
+            assert not unwritten.exists()
+    closed_form = _write(tmp_path, "u2up.cfg",
+                         "n_tones = 2\nn_rectennas = 2\nstrategies = up\n")
+    assert main(["simulate", closed_form, "--out",
+                 str(tmp_path / "u2up")]) == 2
+    assert "n_rectennas" in capsys.readouterr().err
+    assert main(["optimize", closed_form, "--out",
+                 str(tmp_path / "u2up")]) == 0
+    capsys.readouterr()
     # --workers: only simulate runs in parallel; preset keeps the flag and
     # accepts 1, and the other commands have no such flag
     for argv in (["optimize", ok], ["evaluate", wave], ["scaling", ok]):

@@ -78,6 +78,18 @@ def test_only_rectenna_uses_fft():
     assert not users, users
 
 
+def test_only_rectenna_samples_the_carrier():
+    # `rectenna.period_basis` is where the carrier enters sampling; another
+    # module reading the tone frequencies in rad/s or the carrier multiple
+    # is a second multisine sampler.  `channel` defines both.
+    users = [str(path.relative_to(ROOT))
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name not in ("channel.py", "rectenna.py")
+             and any({"omegas", "carrier_multiple"} & _name_parts(node)
+                     for node in ast.walk(ast.parse(path.read_text())))]
+    assert not users, users
+
+
 def test_only_optimizer_calls_solve_gp():
     # solve_gp refuses a start that is not strictly inside; the PAPR design
     # builds its starts to be, and a new caller must read that contract.

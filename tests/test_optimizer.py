@@ -16,7 +16,8 @@ from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
                                      optimize_papr, ss, toy_n2, up, upmf)
 from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
                                     antenna_paprs, papr,
-                                    received_tone_coefficients, zdc_analytic)
+                                    received_tone_coefficients, worst_papr,
+                                    zdc_analytic)
 
 P4 = RectennaParams()
 POWER = 1e-5
@@ -469,11 +470,12 @@ def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
     h = iid_frequency_channel(3, 2, seed=6)
     checks = []
 
-    def counting(waveform, oversampling=8):
-        checks.append((oversampling, waveform.amplitudes))
-        return antenna_paprs(waveform, oversampling)
+    def counting(amplitudes, phases, basis):
+        # the basis has N * oversampling sample times
+        checks.append((basis.shape[1] // 3, amplitudes))
+        return worst_papr(amplitudes, phases, basis)
 
-    monkeypatch.setattr(optimizer, "antenna_paprs", counting)
+    monkeypatch.setattr(optimizer, "worst_papr", counting)
     eta = 2.5
     tr = optimize_papr(h, POWER, eta, P4, _grid(3), opts)
     fine_checks = [amps for over, amps in checks if over == fine]
@@ -485,6 +487,41 @@ def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
     worst = max(antenna_paprs(tr.waveform, fine).values())
     assert worst == tr.achieved_papr
     assert worst <= eta * (1 + 1e-6)
+
+
+def test_papr_baseline_at_the_limit_replaces_a_refused_design(monkeypatch):
+    # a real, positive channel: the aligned phases are 0, so every grid
+    # samples each antenna's peak at t = 0.  At eta = `mf`'s own PAPR, `mf`
+    # falls outside the seeds' 1e-9 margin.  With every GP start refused,
+    # each run ends at its seed, and the baseline re-check returns `mf`,
+    # which scores higher, certified and with its z
+    h = ChannelRealization(np.array([[0.4, 1.0], [1.0, 0.7]], dtype=complex))
+    grid, power = _grid(2), 1e-4
+    opts = OptimizerOptions(eps=1e-8, max_iterations=40)
+    s_mf = np.maximum(mf(h, power, grid).amplitudes,
+                      positivity_floor(power))
+    eta = max(antenna_paprs(Waveform(s_mf, np.zeros((2, 2)), grid),
+                            opts.papr_oversampling).values())
+    unconstrained = optimize(h, power, P4, grid, opts).waveform
+    assert max(antenna_paprs(unconstrained, 32).values()) > eta * (1 + 1e-6)
+    refused = []
+
+    def refusing(*args):
+        refused.append(args)
+        raise GPSolverError("start not strictly feasible")
+
+    monkeypatch.setattr(optimizer, "solve_gp", refusing)
+    tr = optimize_papr(h, power, eta, P4, grid, opts)
+    assert refused
+    assert tr.waveform.amplitudes.tobytes() == s_mf.tobytes()
+    assert tr.papr_certified
+    assert tr.achieved_papr == pytest.approx(eta, rel=1e-12, abs=0)
+    assert tr.zdc == pytest.approx(zdc_analytic(tr.waveform, h, P4),
+                                   rel=1e-12, abs=0)
+    floored_ass = np.maximum(ass(h, power, grid).amplitudes,
+                             positivity_floor(power))
+    assert tr.zdc > zdc_analytic(Waveform(floored_ass, np.zeros((2, 2)), grid),
+                                 h, P4)
 
 
 def test_papr_warm_starts_skip_phase_one_and_match_the_baseline():

@@ -8,11 +8,10 @@ from multisine_wpt.channel import (FrequencyGrid, flat_channel,
 from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
                                     Waveform, _five_smooth, antenna_paprs,
                                     iout_fixed_point, load_waveform_text,
-                                    papr,
+                                    papr, period_basis,
                                     received_tone_coefficients,
-                                    save_waveform_text, synthesize_transmit,
-                                    taylor_coefficients, zdc_analytic,
-                                    zdc_time_average)
+                                    save_waveform_text, taylor_coefficients,
+                                    zdc_analytic, zdc_time_average)
 from posynomial_oracle import (quartic_tuple_count, quartic_tuples,
                                sextic_tuples, zdc_posynomial)
 
@@ -164,29 +163,71 @@ def test_iout_fixed_point_keeps_relative_accuracy_for_tiny_drive():
                                                         abs=0)
 
 
+def _direct_transmit(waveform, antenna, t):
+    """x_m(t) = sum_n s_nm cos(w_n t + phi_nm), one cosine per tone and time."""
+    s, phi = waveform.amplitudes[:, antenna], waveform.phases[:, antenna]
+    return np.cos(np.outer(t, waveform.grid.omegas) + phi) @ s
+
+
+def _basis_transmit(waveform, samples):
+    """Every antenna's x_m at t_k = k T / K through the period basis."""
+    w = waveform.weights.T
+    return np.hstack([w.real, w.imag]) @ period_basis(waveform.grid, samples)
+
+
 def test_transmit_synthesis():
     grid = _grid(1)
     w = Waveform(np.array([[1.0]]), np.zeros((1, 1)), grid)
-    t = np.linspace(0, grid.period, 64, endpoint=False)
-    assert np.allclose(synthesize_transmit(w, 0, t),
+    t = np.arange(64) * (grid.period / 64)
+    assert np.allclose(_basis_transmit(w, 64)[0],
                        np.cos(grid.omegas[0] * t), rtol=0, atol=1e-12)
-    # Parseval: time-average power over the period equals ||s||^2/2
+    # the basis against the direct cosine sum, every antenna
     rng = np.random.default_rng(6)
-    s = rng.uniform(0.1, 1.0, (4, 1))
-    wf = Waveform(s, rng.uniform(-np.pi, np.pi, (4, 1)), _grid(4))
+    s = rng.uniform(0.1, 1.0, (4, 2))
+    wf = Waveform(s, rng.uniform(-np.pi, np.pi, (4, 2)), _grid(4))
     tt = np.arange(40000) * (wf.grid.period / 40000)
-    x = synthesize_transmit(wf, 0, tt)
-    assert np.isclose(np.mean(x ** 2), 0.5 * float(s[:, 0] @ s[:, 0]),
+    x = _basis_transmit(wf, 40000)
+    for ant in range(2):
+        assert np.allclose(x[ant], _direct_transmit(wf, ant, tt), rtol=0,
+                           atol=1e-11)
+    # Parseval: time-average power over the period equals ||s||^2/2
+    assert np.isclose(np.mean(x[0] ** 2), 0.5 * float(s[:, 0] @ s[:, 0]),
                       rtol=1e-9)
     # superposition
-    w1 = Waveform(s, np.zeros((4, 1)), wf.grid)
-    s2 = rng.uniform(0.1, 1.0, (4, 1))
-    w2 = Waveform(s2, np.zeros((4, 1)), wf.grid)
-    wsum = Waveform(s + s2, np.zeros((4, 1)), wf.grid)
-    tprobe = tt[:128]
-    assert np.allclose(synthesize_transmit(wsum, 0, tprobe),
-                       synthesize_transmit(w1, 0, tprobe)
-                       + synthesize_transmit(w2, 0, tprobe), rtol=1e-12)
+    w1 = Waveform(s, np.zeros((4, 2)), wf.grid)
+    s2 = rng.uniform(0.1, 1.0, (4, 2))
+    w2 = Waveform(s2, np.zeros((4, 2)), wf.grid)
+    wsum = Waveform(s + s2, np.zeros((4, 2)), wf.grid)
+    assert np.allclose(_basis_transmit(wsum, 128),
+                       _basis_transmit(w1, 128) + _basis_transmit(w2, 128),
+                       rtol=1e-12)
+
+
+def test_period_basis_is_exact_and_requires_a_period():
+    # tone n's phase at t_k = k T / K is 2 pi ((c + n) k mod K) / K exactly;
+    # the table of an integer c and the reduced angles give the same bits
+    grid = _grid(3, carrier_multiple=7)
+    angle = (2 * np.pi / 16) * (np.outer(7 + np.arange(3), np.arange(16))
+                                % 16)
+    want = np.vstack([np.cos(angle), -np.sin(angle)])
+    assert np.array_equal(period_basis(grid, 16), want)
+    assert np.array_equal(period_basis(grid, 16, 7.0), want)
+    # without a common period the default carrier multiple raises
+    with pytest.raises(ValueError):
+        period_basis(FrequencyGrid(3, 100.5e6, 1e6), 16)
+
+
+def test_papr_on_an_incommensurate_grid_matches_the_direct_sum():
+    # f0 = 100.5 spacings: no common period, and PAPR samples [0, T) as is
+    grid = FrequencyGrid(3, 100.5e6, 1e6)
+    rng = np.random.default_rng(14)
+    s = rng.uniform(0.1, 1.0, (3, 2))
+    w = Waveform(s, rng.uniform(-np.pi, np.pi, (3, 2)), grid)
+    t = np.arange(3 * 8) * (grid.period / (3 * 8))
+    for ant, value in antenna_paprs(w, 8).items():
+        want = np.max(_direct_transmit(w, ant, t) ** 2) \
+            / (0.5 * float(s[:, ant] @ s[:, ant]))
+        assert value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_papr_reference_values():
