@@ -296,6 +296,7 @@ def cmd_evaluate(args) -> int:
     if args.channel:
         channel = _load_input(load_channel_text, args.channel)
     else:
+        _one_rectenna(cfg, "a waveform is evaluated")
         channel = _channel(cfg, waveform.grid, stream=0)
     if channel.n_rectennas != 1 or \
             channel.require_single_rectenna().shape != waveform.amplitudes.shape:

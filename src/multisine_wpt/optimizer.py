@@ -13,9 +13,11 @@ update w <- sqrt(2P) grad / ||grad||.  That map converges only linearly, so
 the ascent extrapolates it by SQUAREM (Varadhan & Roland 2008) and keeps an
 extrapolated step only when it beats two plain steps, which keeps the
 ascent monotone.  Single-tone corners are fixed points of the update, so
-the ascent is restarted from every distinct closed-form baseline and the
-best endpoint is kept; a baseline that still beats it is returned instead,
-so every design dominates its seeds by construction.  The
+the start matters: the joint and decoupled designs run the ascent once,
+from the scaled matched filter SMF(3), and the multi-rectenna design from
+every distinct closed-form seed, keeping the best endpoint.  Each design
+scores every closed-form baseline against its endpoint and returns one
+that still beats it, so every design dominates them by construction.  The
 PAPR-constrained design first runs that unconstrained ascent and returns
 its design when it already meets the limit; only otherwise does it need the
 geometric-program solver.  Per SCA iteration it condenses the same
@@ -120,44 +122,59 @@ def up(grid: FrequencyGrid, n_antennas: int, power: float) -> Waveform:
     return Waveform(s, np.zeros_like(s), grid, power_budget=power)
 
 
-def ass(channel: ChannelRealization, power: float,
-        grid: FrequencyGrid) -> Waveform:
-    """All power beamformed onto the strongest tone (linear-model optimum).
+def _aligned(amplitudes, channel: ChannelRealization, power: float,
+             grid: FrequencyGrid) -> Waveform:
+    """The waveform of the amplitude rule (h, P) -> s at the aligned phases."""
+    s = amplitudes(channel.require_single_rectenna(), power)
+    return Waveform(s, optimal_phases(channel), grid, power_budget=power)
 
-    Ties break toward the lowest tone index.
-    """
-    h = channel.require_single_rectenna()
+
+def _ass_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
     gains = np.sum(np.abs(h) ** 2, axis=1)
     if not np.any(gains > 0):
         raise ValueError("channel is identically zero")
     best = int(np.argmax(gains))
     s = np.zeros(h.shape)
     s[best, :] = np.sqrt(2.0 * power) * np.abs(h[best, :]) / np.sqrt(gains[best])
-    return Waveform(s, optimal_phases(channel), grid, power_budget=power)
+    return s
 
 
-def upmf(channel: ChannelRealization, power: float,
-         grid: FrequencyGrid) -> Waveform:
-    """Uniform power across tones, matched beamforming across antennas."""
-    h = channel.require_single_rectenna()
+def _upmf_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
     norms = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
     s = np.zeros(h.shape)
     live = norms > 0
     s[live, :] = np.sqrt(2.0 * power / h.shape[0]) \
         * np.abs(h[live, :]) / norms[live, None]
-    return Waveform(s, optimal_phases(channel), grid, power_budget=power)
+    return s
+
+
+def _mf_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
+    a = np.abs(h)
+    scale = np.sqrt(np.sum(a ** 2))
+    if scale == 0:
+        raise ValueError("channel is identically zero")
+    return np.sqrt(2.0 * power) * a / scale
+
+
+def ass(channel: ChannelRealization, power: float,
+        grid: FrequencyGrid) -> Waveform:
+    """All power beamformed onto the strongest tone (linear-model optimum).
+
+    Ties break toward the lowest tone index.
+    """
+    return _aligned(_ass_amplitudes, channel, power, grid)
+
+
+def upmf(channel: ChannelRealization, power: float,
+         grid: FrequencyGrid) -> Waveform:
+    """Uniform power across tones, matched beamforming across antennas."""
+    return _aligned(_upmf_amplitudes, channel, power, grid)
 
 
 def mf(channel: ChannelRealization, power: float,
        grid: FrequencyGrid) -> Waveform:
     """Amplitudes proportional to the channel amplitudes (matched filter)."""
-    h = channel.require_single_rectenna()
-    a = np.abs(h)
-    scale = np.sqrt(np.sum(a ** 2))
-    if scale == 0:
-        raise ValueError("channel is identically zero")
-    s = np.sqrt(2.0 * power) * a / scale
-    return Waveform(s, optimal_phases(channel), grid, power_budget=power)
+    return _aligned(_mf_amplitudes, channel, power, grid)
 
 
 def max_papr(channel: ChannelRealization, power: float,
@@ -387,13 +404,39 @@ def _seed_candidates(channel, power, grid) -> list[Waveform]:
     return out
 
 
-# Smallest log-gradient share b_j of a coordinate the KKT polish moves.  The
-# log-Jacobian's row j scales with b_j, so rounding adds about eps/b_j to
-# that coordinate's Newton log-step.  The step length is capped at 0.5 over
-# the largest log-step; a coordinate with b_j near eps (an ascent stopped at
-# its iteration cap leaves some at 1e-26) lets that noise set the cap, and
-# the polished point turns into rounding noise.  At b_j >= 1e-14 the noise
-# stays below 0.02, and a held coordinate can lift z by only about b_j.
+# `mf`, `upmf`, `ass` and `up` as amplitude rules (h, P) -> s
+_BASELINE_RULES = (_mf_amplitudes, _upmf_amplitudes, _ass_amplitudes,
+                   lambda h, power: np.full(h.shape,
+                                            np.sqrt(2.0 * power / h.size)))
+
+
+def _baselines(h: np.ndarray, power: float) -> list[np.ndarray]:
+    """The amplitudes of the seeds of `_seed_candidates` that the channel
+    allows, in its order, as arrays: a design scores them at the aligned
+    phases and builds a `Waveform` only for the one it returns."""
+    out = []
+    for rule in _BASELINE_RULES:
+        try:
+            out.append(rule(h, power))
+        except ValueError:
+            continue
+    return out
+
+
+def _smf_start(gains: np.ndarray, power: float) -> np.ndarray:
+    """The scaled matched filter with beta = 3 (Clerckx & Bayguzina, IEEE
+    AWPL 2017), s_nm proportional to |h_nm| ||h_n||^2, on the power sphere;
+    zero on a zero channel, a start `_ascents` refuses."""
+    s = gains * np.sum(gains ** 2, axis=1, keepdims=True)
+    norm = np.linalg.norm(s)
+    return np.sqrt(2.0 * power) * s / norm if norm > 0 else s
+
+
+# Smallest log-gradient share b_j of a coordinate the KKT polish moves.
+# Rounding adds about eps/b_j to that coordinate's relative Newton step, and
+# an ascent stopped at its iteration cap leaves shares down to 1e-26, whose
+# steps would be rounding noise.  At b_j >= 1e-14 the noise stays below
+# 0.02, and a held coordinate can lift z by only about b_j.
 _POLISH_MIN_SHARE = 1e-14
 
 
@@ -403,23 +446,26 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
 
     The MM ascent stops once z changes by less than eps*z per cycle, and
     badly-conditioned instances stop there above the wanted stationarity
-    residual; a few Newton steps on
-    [grad log z = nu * grad power, power = budget] over the coordinates
-    with a log-gradient share above `_POLISH_MIN_SHARE` finish the job.
-    The Jacobian of the log-gradient b in log variables is
-    diag(s) H diag(s) / z + diag(b) - b b^T, with H the amplitude Hessian
-    of z.  Falls back to the input point whenever the refinement does not
-    verifiably improve it.
+    residual; a few Newton steps on [dz/ds / z = nu s / P, power = budget]
+    over the coordinates with a log-gradient share above
+    `_POLISH_MIN_SHARE` finish the job.  In the relative steps d = ds / s,
+    with row j scaled by s_j, the residual is the log-gradient gap
+    b - nu c and the Jacobian diag(s) H diag(s) / z - b b^T - nu diag(c),
+    with H the amplitude Hessian of z.  Newton on the gap itself would have
+    a spurious root at s_j = 0, where its row vanishes, and walks a weak
+    coordinate that starts below its optimum toward it; these rows have no
+    such root.  A coordinate the step takes to zero or below is held at
+    zero, where its bound s_j >= 0 is active.  Falls back to the input
+    point whenever the refinement does not verifiably improve it.
     """
     z_start, grad, _ = obj.value_grad_hess(s)
     free = s * grad > _POLISH_MIN_SHARE * z_start
-    n_free = int(np.count_nonzero(free))
     s_work = s.copy()
-    y = np.log(s_work[free])
     nu = None
     for _ in range(30):
         z, grad, hess = obj.value_grad_hess(s_work, want_hess=True)
         s_free = s_work[free]
+        n_free = s_free.size
         b = s_free * grad[free] / z
         c = s_free ** 2 / power
         if nu is None:
@@ -429,21 +475,23 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
                                / (2.0 * power)]])
         if np.max(np.abs(res)) <= 1e-13:
             break
-        hess_b = (np.outer(s_free, s_free) * hess[free][:, free] / z
-                  + np.diag(b) - np.outer(b, b))
         jac = np.zeros((n_free + 1, n_free + 1))
-        jac[:n_free, :n_free] = hess_b - np.diag(2.0 * nu * c)
+        jac[:n_free, :n_free] = (np.outer(s_free, s_free)
+                                 * hess[free][:, free] / z
+                                 - np.outer(b, b) - np.diag(nu * c))
         jac[:n_free, n_free] = -c
         jac[n_free, :n_free] = c
         try:
             delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             break
-        step = min(1.0, 0.5 / max(np.max(np.abs(delta[:n_free])), 1e-9))
-        y = y + step * delta[:n_free]
-        nu = nu + step * delta[n_free]
+        s_next = s_free * np.maximum(1.0 + delta[:n_free], 0.0)
+        if not np.any(s_next > 0):
+            break
+        nu = nu + delta[n_free]
         s_work = s_work.copy()
-        s_work[free] = np.exp(y)
+        s_work[free] = s_next
+        free &= s_work > 0
     # exact power projection, then accept only a verified improvement
     fixed_power = np.sum(s_work[~free] ** 2)
     scale_sq = (2.0 * power - fixed_power) / np.sum(s_work[free] ** 2)
@@ -471,21 +519,48 @@ def _polished(obj: _WeightedDC, s: np.ndarray, history: np.ndarray,
     return s, history, stop_reason
 
 
-def _dominant_result(waveform: Waveform, seeds: list[Waveform],
-                     obj: _WeightedDC):
-    """(waveform, z): the endpoint, or a closed-form seed that beats it.
+def _dominant_result(candidates: list[np.ndarray],
+                     obj: _WeightedDC) -> tuple[int, float]:
+    """(k, z) of the first of the candidate weights with the highest z.
 
-    z is `obj.value` of the complex weights on the complex channels, the
-    weighted `zdc_analytic` sum that external checks use.  Rounding can
-    place a refined endpoint an ulp below an exact seed; keeping the seed
-    then makes the design dominate every seed exactly.
+    Candidate 0 is a design's endpoint and the others its closed-form
+    seeds.  z is `obj.value` of the complex weights on the complex
+    channels, the weighted `zdc_analytic` sum that external checks use.
+    Rounding can place a refined endpoint an ulp below an exact seed;
+    keeping the seed then makes the design dominate every seed exactly.
     """
-    best_z = obj.value(waveform.weights)
-    for w in seeds:
-        z = obj.value(w.weights)
-        if z > best_z:
-            waveform, best_z = w, z
-    return waveform, best_z
+    zs = [obj.value(w) for w in candidates]
+    k = int(np.argmax(zs))
+    return k, zs[k]
+
+
+def _aligned_design(h: np.ndarray, gains: np.ndarray, spread,
+                    baselines: list[np.ndarray], power: float,
+                    params: RectennaParams, grid: FrequencyGrid,
+                    options: OptimizerOptions) -> SCATrace:
+    """One polished MM run over real amplitudes s on the gains, from
+    `_smf_start`, returned as the weights s * spread at the aligned phases
+    of h, or as the baseline amplitudes that beat them there.
+
+    The map keeps the amplitudes nonnegative; an extrapolated step can flip
+    the sign of one, which is safe: the magnitudes kept here score no lower.
+    A Newton polish of the amplitudes' stationarity conditions finishes the
+    run, since an unpolished endpoint can be a saddle corner.
+    """
+    obj = _WeightedDC([gains], [1.0], params)
+    [(w, history, stop_reason)] = _ascents(obj, [_smf_start(gains, power)],
+                                           power, options)
+    s, history, stop_reason = _polished(obj, np.abs(w), history, stop_reason,
+                                        power)
+    phases = -np.angle(h)
+    rotor = np.exp(1j * phases)
+    candidates = [s * spread] + baselines
+    k, history[-1] = _dominant_result([c * rotor for c in candidates],
+                                      _WeightedDC([h], [1.0], params))
+    return SCATrace(history,
+                    Waveform(candidates[k], phases, grid, power_budget=power),
+                    stop_reason,
+                    kkt_residual=_kkt_residual_power_only(obj, s, power))
 
 
 def optimize(channel: ChannelRealization, power: float,
@@ -494,31 +569,22 @@ def optimize(channel: ChannelRealization, power: float,
     """Joint space-frequency amplitude design at the aligned phases.
 
     At the aligned phases tone n arrives as sum_m |h_nm| s_nm, so the MM
-    ascent runs over the real amplitudes on the gains |h|, from each
-    closed-form baseline's amplitudes.  The map keeps them nonnegative; an
-    extrapolated step can flip the sign of an amplitude, which is safe:
-    the magnitudes kept here score no lower.  A Newton polish of the
-    amplitudes' stationarity conditions then finishes every run, not only
-    the best: the best unpolished endpoint can be a saddle corner.
+    ascent runs over the real amplitudes on the gains |h|.  It runs once,
+    from the scaled matched filter SMF(3), which puts the power on the
+    strong tones and still spreads it over several, as the nonlinear model
+    does at its optimum; every closed-form baseline is scored against the
+    endpoint.
     """
     h = channel.require_single_rectenna()
-    seeds = _seed_candidates(channel, power, grid)
-    obj = _WeightedDC([np.abs(h)], [1.0], params)
-    s, history, stop_reason = _best_run(
-        [_polished(obj, np.abs(w), history, reason, power)
-         for w, history, reason in _ascents(
-             obj, [seed.amplitudes for seed in seeds], power, options)])
-    waveform = Waveform(s, optimal_phases(channel), grid, power_budget=power)
-    waveform, history[-1] = _dominant_result(
-        waveform, seeds, _WeightedDC([h], [1.0], params))
-    return SCATrace(history, waveform, stop_reason,
-                    kkt_residual=_kkt_residual_power_only(obj, s, power))
+    return _aligned_design(h, np.abs(h), 1.0, _baselines(h, power), power,
+                           params, grid, options)
 
 
 def optimize_decoupled(channel: ChannelRealization, power: float,
                        params: RectennaParams, grid: FrequencyGrid,
                        options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
-    """Per-tone matched beamforming, then `optimize` on the effective channel.
+    """Per-tone matched beamforming, then `optimize`'s ascent on the
+    effective channel.
 
     The matched spatial weights turn the array into a single effective
     antenna with per-tone gain ||h_n||, shrinking the variable count from
@@ -526,16 +592,11 @@ def optimize_decoupled(channel: ChannelRealization, power: float,
     """
     h = channel.require_single_rectenna()
     norms = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
-    trace = optimize(ChannelRealization(norms), power, params, grid, options)
     spatial = np.full(h.shape, 1.0 / np.sqrt(h.shape[1]))
     live = norms > 0
     spatial[live, :] = np.abs(h[live, :]) / norms[live, None]
-    waveform = Waveform(trace.waveform.amplitudes * spatial,
-                        optimal_phases(channel), grid, power_budget=power)
-    trace.waveform, trace.zdc_history[-1] = _dominant_result(
-        waveform, _seed_candidates(channel, power, grid),
-        _WeightedDC([h], [1.0], params))
-    return trace
+    return _aligned_design(h, norms[:, None], spatial, _baselines(h, power),
+                           power, params, grid, options)
 
 
 # ---------------------------------------------------------------------------
@@ -610,14 +671,16 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     if eta < 2.0:
         raise ValueError("eta below 2 is infeasible (single-tone PAPR is 2)")
     ceiling = eta * (1.0 + 1e-6)
-    unconstrained = optimize(channel, power, params, grid, options)
+    h = channel.require_single_rectenna()
+    baselines = _baselines(h, power)
+    unconstrained = _aligned_design(h, np.abs(h), 1.0, baselines, power,
+                                    params, grid, options)
     fine_basis = papr_basis(grid, 4 * options.papr_oversampling)
     fine = worst_papr(unconstrained.waveform.amplitudes,
                       unconstrained.waveform.phases, fine_basis)
     if fine <= ceiling:
         unconstrained.achieved_papr, unconstrained.papr_certified = fine, True
         return unconstrained
-    h = channel.require_single_rectenna()
     n, m = h.shape
     n_vars = n * m
     obj = _WeightedDC([np.abs(h)], [1.0], params)
@@ -635,8 +698,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     base_sizes = np.concatenate([[n_vars], np.ones(n_vars, dtype=int)])
 
     # the baselines' z and PAPR do not depend on the limit: score them once
-    baselines = [np.maximum(w.amplitudes, floor)
-                 for w in _seed_candidates(channel, power, grid)]
+    baselines = [np.maximum(s, floor) for s in baselines]
     paprs = [worst_papr(s, phi_star, basis) for s in baselines]
     zs = [obj.value(s) for s in baselines]
     best = int(np.argmax(zs))
@@ -778,9 +840,9 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
     """Weighted-sum DC maximization across several rectennas.
 
     The MM ascent designs amplitudes and phases jointly over the complex
-    weights, starting from `ass_multi` and from each rectenna's own
-    closed-form seeds, so the U = 1 case sees the same starts as the
-    single-rectenna design.
+    weights, from `ass_multi` and from each rectenna's own closed-form
+    seeds, and keeps the best endpoint.  With U = 1 these are the four
+    baselines, not the SMF(3) start of the single-rectenna design.
     """
     hs = _as_channel_list(channels)
     weights = np.asarray(weights, dtype=float)
@@ -794,9 +856,10 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
     obj = _WeightedDC(hs, weights, params)
     w, history, stop_reason = _best_run(_ascents(
         obj, [seed.weights for seed in seeds], power, options))
-    waveform = Waveform(np.abs(w), np.angle(w), grid, power_budget=power)
-    waveform, history[-1] = _dominant_result(waveform, seeds, obj)
-    return SCATrace(history, waveform, stop_reason)
+    candidates = [Waveform(np.abs(w), np.angle(w), grid, power_budget=power)]
+    candidates += seeds
+    k, history[-1] = _dominant_result([c.weights for c in candidates], obj)
+    return SCATrace(history, candidates[k], stop_reason)
 
 
 # ---------------------------------------------------------------------------

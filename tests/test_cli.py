@@ -195,6 +195,22 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert not unread.exists()
 
 
+def test_evaluate_draws_no_two_rectenna_channel(tmp_path, capsys):
+    # without --channel, evaluate draws the config's channel, which has one
+    # rectenna per n_rectennas; a stored waveform is scored on one
+    wave = str(tmp_path / "w.txt")
+    save_waveform_text(wave, up(FrequencyGrid(2, 48e6, 1e6), 1, 1e-5))
+    two_rect = _write(tmp_path, "u2.cfg", "channel_type = iid\n"
+                      "n_tones = 2\nn_rectennas = 2\n")
+    assert main(["evaluate", wave, "--config", two_rect]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "n_rectennas" in err, err
+    chan = str(tmp_path / "c.txt")
+    save_channel_text(chan, flat_channel(1.0, 0.0, 2, 1))
+    assert main(["evaluate", wave, "--config", two_rect,
+                 "--channel", chan]) == 0
+
+
 def test_design_on_a_zero_channel_exits_3(tmp_path, capsys):
     cfg = _write(tmp_path, "zero.cfg", "channel_type = flat\n"
                  "flat_amplitude = 0\nstrategies = opt\n")
