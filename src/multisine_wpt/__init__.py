@@ -12,9 +12,10 @@ The package splits into:
   (log coefficients, exponent rows, term counts) and a vectorized AM-GM
   condensation, used by the PAPR-constrained design when the unconstrained
   design exceeds the limit
-- `optimizer`: closed-form baselines, one minorize-maximize ascent for the
-  joint, decoupled and multi-rectenna designs, and the PAPR-constrained
-  design, which starts from the joint design
+- `optimizer`: one table of closed-form strategies, which also seeds and
+  bounds every design, one minorize-maximize ascent for the joint,
+  decoupled and multi-rectenna designs, and the PAPR-constrained design,
+  which starts from the joint design
 - `scaling`: ensemble-average scaling laws and Monte Carlo verification
 - `circuit`: a time-domain diode rectifier simulator for model-free validation
 - `cli`: experiment presets and CSV emission
@@ -28,10 +29,10 @@ from .circuit import (CircuitParams, SimTrace, SteadyStateError,
                       dc_operating_point, export_trace_csv,
                       harvested_dc_power, simulate, simulate_ensemble)
 from .gp import GPSolverError, stack_constraints
-from .optimizer import (OptimizerOptions, SCATrace, ass, ass_multi,
-                        baseline_waveform, max_papr, mf, optimal_phases,
-                        optimize, optimize_decoupled, optimize_multi,
-                        optimize_papr, ss, toy_n2, up, upmf)
+from .optimizer import (OptimizerOptions, SCATrace, ass_multi,
+                        baseline_waveform, optimal_phases, optimize,
+                        optimize_decoupled, optimize_multi, optimize_papr,
+                        toy_n2)
 from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        antenna_paprs, iout_fixed_point, load_waveform_text,
                        papr, received_tone_coefficients, save_waveform_text,

@@ -23,9 +23,9 @@ from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
                       load_channel_text, multipath_channel, save_channel_text)
 from .circuit import (CircuitParams, SteadyStateError, export_trace_csv,
                       simulate, simulate_ensemble)
-from .optimizer import (OptimizerOptions, baseline_waveform, optimize,
-                        optimize_decoupled, optimize_multi, optimize_papr,
-                        toy_n2)
+from .optimizer import (CLOSED_FORM, OptimizerOptions, baseline_waveform,
+                        optimize, optimize_decoupled, optimize_multi,
+                        optimize_papr, toy_n2)
 from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        antenna_paprs, iout_fixed_point, load_waveform_text,
                        papr_basis, received_tone_coefficients,
@@ -84,8 +84,8 @@ _SCHEMA = {
     "c_out_f": (_finite, 100e-12),
 }
 
-_KNOWN_STRATEGIES = ("ss", "up", "ass", "mf", "upmf", "maxpapr",
-                     "opt", "opt-decoupled", "opt-papr", "opt-multi")
+_KNOWN_STRATEGIES = (*CLOSED_FORM, "opt", "opt-decoupled", "opt-papr",
+                     "opt-multi")
 
 
 def default_config() -> dict:
@@ -95,7 +95,8 @@ def default_config() -> dict:
 def parse_config_file(path: str) -> dict:
     cfg = default_config()
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as f:
+            lines = f.read().splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file: {e}") from None
     for lineno, raw in enumerate(lines, 1):
@@ -203,7 +204,7 @@ def build_waveform(strategy: str, cfg: dict, channel: ChannelRealization,
     params = _params(cfg)
     opts = _options(cfg)
     meta = {"iterations": 0, "converged": True, "stop_reason": "closed_form"}
-    if strategy in ("ss", "up", "ass", "mf", "upmf", "maxpapr"):
+    if strategy in CLOSED_FORM:
         return baseline_waveform(strategy, channel.rectenna(0), power,
                                  grid), meta
     if strategy == "opt":

@@ -1,29 +1,30 @@
 """Waveform design strategies, from closed-form baselines to iterative designs.
 
-Closed-form strategies (`ss`, `up`, `ass`, `mf`, `upmf`, `max_papr`) place
-amplitudes directly.  Every iterative design maximizes one objective,
-`_WeightedDC`, a nonnegatively weighted sum of z_dc over rectennas on the
-rectenna's DC kernel.  The joint, decoupled and multi-rectenna designs
-share one minorize-maximize (MM) ascent on it: the first two over the real
-amplitudes on the gains |h| at the aligned phases, the third over the
-complex weights.  The objective is convex in the weights, so its
-linearization at the current point is a global lower bound, and
-maximizing that bound over the power ball gives the closed-form, monotone
-update w <- sqrt(2P) grad / ||grad||.  That map converges only linearly, so
-the ascent extrapolates it by SQUAREM (Varadhan & Roland 2008) and keeps an
-extrapolated step only when it beats two plain steps, which keeps the
-ascent monotone.  Single-tone corners are fixed points of the update, so
-the start matters: the joint and decoupled designs run the ascent once,
-from the scaled matched filter SMF(3), and the multi-rectenna design from
-every distinct closed-form seed, keeping the best endpoint.  Each design
-scores every closed-form baseline against its endpoint and returns one
-that still beats it, so every design dominates them by construction.  The
-PAPR-constrained design first runs that unconstrained ascent and returns
-its design when it already meets the limit; only otherwise does it need the
-geometric-program solver.  Per SCA iteration it condenses the same
-objective into a monomial, condenses each antenna's sampled peak-constraint
-denominators by AM-GM in one call, and solves the GP whose constraints are
-rows of one stacked term matrix.
+The closed-form strategies are one table, `CLOSED_FORM`: each places
+amplitudes by a rule of the channel and the power, sent at the aligned
+phases or at zero phase, and `baseline_waveform` builds one by name.  Every
+iterative design maximizes one objective, `_WeightedDC`, a nonnegatively
+weighted sum of z_dc over rectennas on the rectenna's DC kernel.  The
+joint, decoupled and multi-rectenna designs share one minorize-maximize
+(MM) ascent on it: the first two over the real amplitudes on the gains |h|
+at the aligned phases, the third over the complex weights.  The objective
+is convex in the weights, so its linearization at the current point is a
+global lower bound, and maximizing that bound over the power ball gives the
+closed-form, monotone update w <- sqrt(2P) grad / ||grad||.  That map
+converges only linearly, so the ascent extrapolates it by SQUAREM (Varadhan
+& Roland 2008) and keeps an extrapolated step only when it beats two plain
+steps, which keeps the ascent monotone.  Single-tone corners are fixed
+points of the update, so the start matters: the joint and decoupled designs
+run the ascent once, from the scaled matched filter SMF(3), and the
+multi-rectenna design from every distinct closed-form seed, keeping the
+best endpoint.  Each design scores every closed-form baseline against its
+endpoint and returns one that still beats it, so every design dominates
+them by construction.  The PAPR-constrained design first runs that
+unconstrained ascent and returns its design when it already meets the
+limit; only otherwise does it need the geometric-program solver.  Per SCA
+iteration it condenses the same objective into a monomial, condenses each
+antenna's sampled peak-constraint denominators by AM-GM in one call, and
+solves the GP whose constraints are rows of one stacked term matrix.
 """
 
 from __future__ import annotations
@@ -108,25 +109,14 @@ def optimal_phases(channel: ChannelRealization) -> np.ndarray:
     return -np.angle(h)
 
 
-def ss(grid: FrequencyGrid, n_antennas: int, power: float) -> Waveform:
-    """Non-adaptive single sinewave: all power on tone 0, zero phases."""
-    s = np.zeros((grid.n_tones, n_antennas))
-    s[0, :] = np.sqrt(2.0 * power / n_antennas)
-    return Waveform(s, np.zeros_like(s), grid, power_budget=power)
+def _ss_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
+    s = np.zeros(h.shape)
+    s[0, :] = np.sqrt(2.0 * power / h.shape[1])
+    return s
 
 
-def up(grid: FrequencyGrid, n_antennas: int, power: float) -> Waveform:
-    """Non-adaptive uniform power, zero phases."""
-    s = np.full((grid.n_tones, n_antennas),
-                np.sqrt(2.0 * power / (grid.n_tones * n_antennas)))
-    return Waveform(s, np.zeros_like(s), grid, power_budget=power)
-
-
-def _aligned(amplitudes, channel: ChannelRealization, power: float,
-             grid: FrequencyGrid) -> Waveform:
-    """The waveform of the amplitude rule (h, P) -> s at the aligned phases."""
-    s = amplitudes(channel.require_single_rectenna(), power)
-    return Waveform(s, optimal_phases(channel), grid, power_budget=power)
+def _up_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
+    return np.full(h.shape, np.sqrt(2.0 * power / h.size))
 
 
 def _ass_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
@@ -139,6 +129,14 @@ def _ass_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
     return s
 
 
+def _mf_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
+    a = np.abs(h)
+    scale = np.sqrt(np.sum(a ** 2))
+    if scale == 0:
+        raise ValueError("channel is identically zero")
+    return np.sqrt(2.0 * power) * a / scale
+
+
 def _upmf_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
     norms = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
     s = np.zeros(h.shape)
@@ -148,70 +146,70 @@ def _upmf_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
     return s
 
 
-def _mf_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
-    a = np.abs(h)
-    scale = np.sqrt(np.sum(a ** 2))
-    if scale == 0:
-        raise ValueError("channel is identically zero")
-    return np.sqrt(2.0 * power) * a / scale
-
-
-def ass(channel: ChannelRealization, power: float,
-        grid: FrequencyGrid) -> Waveform:
-    """All power beamformed onto the strongest tone (linear-model optimum).
-
-    Ties break toward the lowest tone index.
-    """
-    return _aligned(_ass_amplitudes, channel, power, grid)
-
-
-def upmf(channel: ChannelRealization, power: float,
-         grid: FrequencyGrid) -> Waveform:
-    """Uniform power across tones, matched beamforming across antennas."""
-    return _aligned(_upmf_amplitudes, channel, power, grid)
-
-
-def mf(channel: ChannelRealization, power: float,
-       grid: FrequencyGrid) -> Waveform:
-    """Amplitudes proportional to the channel amplitudes (matched filter)."""
-    return _aligned(_mf_amplitudes, channel, power, grid)
-
-
-def max_papr(channel: ChannelRealization, power: float,
-             grid: FrequencyGrid) -> Waveform:
-    """Channel-inverting waveform giving equal received tone amplitudes.
-
-    Maximizes the received PAPR (2N once aligned); needs every tone gain
-    nonzero since weak tones must be boosted.
-    """
-    h = channel.require_single_rectenna()
+def _maxpapr_amplitudes(h: np.ndarray, power: float) -> np.ndarray:
     norms = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
     if np.any(norms == 0):
         raise ValueError("channel inversion impossible: a tone gain is zero")
     inv = 1.0 / norms
     s_tone = np.sqrt(2.0 * power) * inv / np.sqrt(np.sum(inv ** 2))
-    s = s_tone[:, None] * np.abs(h) / norms[:, None]
-    return Waveform(s, optimal_phases(channel), grid, power_budget=power)
+    return s_tone[:, None] * np.abs(h) / norms[:, None]
 
 
-_STRATEGY_BUILDERS = {
-    "ss": lambda h, p, g: ss(g, h.n_antennas, p),
-    "up": lambda h, p, g: up(g, h.n_antennas, p),
-    "ass": ass,
-    "mf": mf,
-    "upmf": upmf,
-    "maxpapr": max_papr,
+# The closed-form strategies by CLI identifier: name -> (amplitude rule
+# (h, P) -> s, whether s is sent at the aligned phases rather than at zero
+# phase).
+#   ss       non-adaptive single sinewave: all power on tone 0
+#   up       non-adaptive uniform power
+#   ass      all power beamformed onto the strongest tone, the linear-model
+#            optimum; ties break toward the lowest tone index
+#   mf       amplitudes proportional to the channel amplitudes (matched filter)
+#   upmf     uniform power across tones, matched beamforming across antennas
+#   maxpapr  channel inversion to equal received tone amplitudes, which
+#            maximizes the received PAPR (2N once aligned); every tone gain
+#            must be nonzero
+CLOSED_FORM = {
+    "ss": (_ss_amplitudes, False),
+    "up": (_up_amplitudes, False),
+    "ass": (_ass_amplitudes, True),
+    "mf": (_mf_amplitudes, True),
+    "upmf": (_upmf_amplitudes, True),
+    "maxpapr": (_maxpapr_amplitudes, True),
 }
+
+# The closed-form strategies that seed and bound every design, in the order
+# that breaks ties between them; `mf` and `ass` need a nonzero channel.
+_SEEDS = ("mf", "upmf", "ass", "up")
+
+
+def _closed_form(name: str, h: np.ndarray,
+                 power: float) -> tuple[np.ndarray, np.ndarray]:
+    """(amplitudes, phases) of a closed-form strategy on the channel h."""
+    try:
+        rule, aligned = CLOSED_FORM[name]
+    except KeyError:
+        raise ValueError(f"unknown strategy '{name}'") from None
+    s = rule(h, power)
+    return s, -np.angle(h) if aligned else np.zeros_like(s)
 
 
 def baseline_waveform(name: str, channel: ChannelRealization, power: float,
                       grid: FrequencyGrid) -> Waveform:
-    """Closed-form strategy by its CLI identifier."""
-    try:
-        builder = _STRATEGY_BUILDERS[name]
-    except KeyError:
-        raise ValueError(f"unknown strategy '{name}'") from None
-    return builder(channel, power, grid)
+    """Closed-form strategy by its CLI identifier (see `CLOSED_FORM`)."""
+    s, phases = _closed_form(name, channel.require_single_rectenna(), power)
+    return Waveform(s, phases, grid, power_budget=power)
+
+
+def _baselines(h: np.ndarray, power: float) -> list[tuple]:
+    """(amplitudes, phases) of each of the `_SEEDS` the channel allows, in
+    that order, as arrays: a design scores them and builds a `Waveform`
+    only for the one it returns."""
+    out = []
+    for name in _SEEDS:
+        try:
+            out.append(_closed_form(name, h, power))
+        except ValueError:
+            continue
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -394,35 +392,6 @@ def _kkt_residual_power_only(obj: _WeightedDC, s: np.ndarray,
     return max(gap, float(first.max()), float(second.max()))
 
 
-def _seed_candidates(channel, power, grid) -> list[Waveform]:
-    out = []
-    for name in ("mf", "upmf", "ass", "up"):
-        try:
-            out.append(baseline_waveform(name, channel, power, grid))
-        except ValueError:  # `mf` and `ass` need a nonzero channel
-            continue
-    return out
-
-
-# `mf`, `upmf`, `ass` and `up` as amplitude rules (h, P) -> s
-_BASELINE_RULES = (_mf_amplitudes, _upmf_amplitudes, _ass_amplitudes,
-                   lambda h, power: np.full(h.shape,
-                                            np.sqrt(2.0 * power / h.size)))
-
-
-def _baselines(h: np.ndarray, power: float) -> list[np.ndarray]:
-    """The amplitudes of the seeds of `_seed_candidates` that the channel
-    allows, in its order, as arrays: a design scores them at the aligned
-    phases and builds a `Waveform` only for the one it returns."""
-    out = []
-    for rule in _BASELINE_RULES:
-        try:
-            out.append(rule(h, power))
-        except ValueError:
-            continue
-    return out
-
-
 def _smf_start(gains: np.ndarray, power: float) -> np.ndarray:
     """The scaled matched filter with beta = 3 (Clerckx & Bayguzina, IEEE
     AWPL 2017), s_nm proportional to |h_nm| ||h_n||^2, on the power sphere;
@@ -535,7 +504,7 @@ def _dominant_result(candidates: list[np.ndarray],
 
 
 def _aligned_design(h: np.ndarray, gains: np.ndarray, spread,
-                    baselines: list[np.ndarray], power: float,
+                    baselines: list[tuple], power: float,
                     params: RectennaParams, grid: FrequencyGrid,
                     options: OptimizerOptions) -> SCATrace:
     """One polished MM run over real amplitudes s on the gains, from
@@ -545,7 +514,9 @@ def _aligned_design(h: np.ndarray, gains: np.ndarray, spread,
     The map keeps the amplitudes nonnegative; an extrapolated step can flip
     the sign of one, which is safe: the magnitudes kept here score no lower.
     A Newton polish of the amplitudes' stationarity conditions finishes the
-    run, since an unpolished endpoint can be a saddle corner.
+    run, since an unpolished endpoint can be a saddle corner.  The KKT
+    residual is that of the returned amplitudes, in the joint problem over
+    the gains |h|.
     """
     obj = _WeightedDC([gains], [1.0], params)
     [(w, history, stop_reason)] = _ascents(obj, [_smf_start(gains, power)],
@@ -554,13 +525,14 @@ def _aligned_design(h: np.ndarray, gains: np.ndarray, spread,
                                         power)
     phases = -np.angle(h)
     rotor = np.exp(1j * phases)
-    candidates = [s * spread] + baselines
+    candidates = [s * spread] + [b for b, _ in baselines]
     k, history[-1] = _dominant_result([c * rotor for c in candidates],
                                       _WeightedDC([h], [1.0], params))
+    joint = _WeightedDC([np.abs(h)], [1.0], params)
     return SCATrace(history,
                     Waveform(candidates[k], phases, grid, power_budget=power),
-                    stop_reason,
-                    kkt_residual=_kkt_residual_power_only(obj, s, power))
+                    stop_reason, kkt_residual=_kkt_residual_power_only(
+                        joint, candidates[k], power))
 
 
 def optimize(channel: ChannelRealization, power: float,
@@ -698,7 +670,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     base_sizes = np.concatenate([[n_vars], np.ones(n_vars, dtype=int)])
 
     # the baselines' z and PAPR do not depend on the limit: score them once
-    baselines = [np.maximum(s, floor) for s in baselines]
+    baselines = [np.maximum(s, floor) for s, _ in baselines]
     paprs = [worst_papr(s, phi_star, basis) for s in baselines]
     zs = [obj.value(s) for s in baselines]
     best = int(np.argmax(zs))
@@ -784,8 +756,8 @@ def _as_channel_list(channels) -> list[np.ndarray]:
     if isinstance(channels, ChannelRealization):
         return [channels.rectenna(u).require_single_rectenna()
                 for u in range(channels.n_rectennas)]
-    return [c.require_single_rectenna() if isinstance(c, ChannelRealization)
-            else np.asarray(c, dtype=complex) for c in channels]
+    return [(c if isinstance(c, ChannelRealization) else ChannelRealization(c))
+            .require_single_rectenna() for c in channels]
 
 
 def _stacked_weighted_channels(hs, weights):
@@ -824,7 +796,7 @@ def ass_multi(channels, weights, power: float, grid: FrequencyGrid) -> Waveform:
     hs = _as_channel_list(channels)
     weights = np.asarray(weights, dtype=float)
     if len(hs) == 1:
-        return ass(ChannelRealization(hs[0]), power, grid)
+        return baseline_waveform("ass", ChannelRealization(hs[0]), power, grid)
     stacks = _stacked_weighted_channels(hs, weights)
     gains, vecs = zip(*[_dominant_right_vector(s) for s in stacks])
     best = int(np.argmax(gains))
@@ -842,7 +814,9 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
     The MM ascent designs amplitudes and phases jointly over the complex
     weights, from `ass_multi` and from each rectenna's own closed-form
     seeds, and keeps the best endpoint.  With U = 1 these are the four
-    baselines, not the SMF(3) start of the single-rectenna design.
+    baselines, not the SMF(3) start of the single-rectenna design.  The
+    seeds are scored at their own strategies' phases, and a `Waveform` is
+    built only for the design returned.
     """
     hs = _as_channel_list(channels)
     weights = np.asarray(weights, dtype=float)
@@ -850,16 +824,18 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
         raise ValueError("one weight per rectenna required")
     if np.any(weights < 0) or not np.any(weights > 0):
         raise ValueError("weights must be nonnegative, not all zero")
-    seeds = [ass_multi(hs, weights, power, grid)]
+    start = ass_multi(hs, weights, power, grid)
+    seeds = [(start.amplitudes, start.phases)]
     for h_u in hs:
-        seeds += _seed_candidates(ChannelRealization(h_u), power, grid)
+        seeds += _baselines(h_u, power)
     obj = _WeightedDC(hs, weights, params)
     w, history, stop_reason = _best_run(_ascents(
-        obj, [seed.weights for seed in seeds], power, options))
-    candidates = [Waveform(np.abs(w), np.angle(w), grid, power_budget=power)]
-    candidates += seeds
-    k, history[-1] = _dominant_result([c.weights for c in candidates], obj)
-    return SCATrace(history, candidates[k], stop_reason)
+        obj, [s * np.exp(1j * phi) for s, phi in seeds], power, options))
+    candidates = [(np.abs(w), np.angle(w))] + seeds
+    k, history[-1] = _dominant_result(
+        [s * np.exp(1j * phi) for s, phi in candidates], obj)
+    return SCATrace(history, Waveform(*candidates[k], grid, power_budget=power),
+                    stop_reason)
 
 
 # ---------------------------------------------------------------------------

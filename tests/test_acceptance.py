@@ -14,7 +14,7 @@ from multisine_wpt.channel import (ArrayConfig, ChannelRealization,
                                    flat_channel, iid_frequency_channel,
                                    multipath_channel)
 from multisine_wpt.circuit import CircuitParams, simulate_ensemble
-from multisine_wpt.optimizer import (OptimizerOptions, ass, ass_multi,
+from multisine_wpt.optimizer import (OptimizerOptions, ass_multi,
                                      baseline_waveform, optimize,
                                      optimize_decoupled, optimize_multi,
                                      optimize_papr, toy_n2)
@@ -204,7 +204,7 @@ def test_criterion_09_multi_rectenna_reduction():
                                               max_iterations=200)).zdc
     rel = abs(z_multi - z_single) / z_single
     w_multi = ass_multi([h], [1.0], POWER, grid)
-    w_single = ass(h, POWER, grid)
+    w_single = baseline_waveform("ass", h, POWER, grid)
     exact = (np.array_equal(w_multi.amplitudes, w_single.amplitudes)
              and np.array_equal(w_multi.phases, w_single.phases))
     ok = rel <= 1e-6 and exact

@@ -8,7 +8,7 @@ from multisine_wpt.circuit import (CircuitParams, SteadyStateError,
                                    dc_operating_point,
                                    export_trace_csv, harvested_dc_power,
                                    simulate, simulate_ensemble)
-from multisine_wpt.optimizer import ss, up
+from multisine_wpt.optimizer import baseline_waveform
 from multisine_wpt.rectenna import Waveform, received_tone_coefficients
 
 CIRCUIT = CircuitParams(c_out=100e-12)
@@ -121,8 +121,8 @@ def test_simulation_agrees_with_dc_operating_point():
 
 def test_step_halving_changes_power_below_a_tenth_percent():
     grid = FrequencyGrid(4, 32e6, 2e6)
-    w = up(grid, 1, 1e-5)
     h = flat_channel(1.0, 0.0, 4, 1)
+    w = baseline_waveform("up", h, 1e-5, grid)
     t1 = simulate(w, h, CIRCUIT)
     t2 = simulate(w, h, CIRCUIT, dt=t1.dt / 2)
     p1, p2 = harvested_dc_power(t1), harvested_dc_power(t2)
@@ -150,8 +150,8 @@ def test_multisine_beats_single_sine_on_flat_channel():
     power = 1e-5
     grid = FrequencyGrid.from_bandwidth(8, 10e6, 16 * 8)
     h = flat_channel(1.0, 0.0, 8, 1)
-    rows = [received_tone_coefficients(wave(grid, 1, power), h)
-            for wave in (up, ss)]
+    rows = [received_tone_coefficients(
+        baseline_waveform(name, h, power, grid), h) for name in ("up", "ss")]
     (p_up, p_ss), steady = simulate_ensemble(np.array(rows), grid, CIRCUIT)
     assert steady
     assert p_up > p_ss
@@ -160,7 +160,7 @@ def test_multisine_beats_single_sine_on_flat_channel():
 def test_ensemble_matches_single_runs():
     grid = FrequencyGrid(2, 32e6, 2e6)
     h = iid_frequency_channel(2, 1, seed=5)
-    w = up(grid, 1, 1e-5)
+    w = baseline_waveform("up", h, 1e-5, grid)
     r = received_tone_coefficients(w, h)
     p_batch, steady = simulate_ensemble(np.vstack([r, 0.5 * r]), grid, CIRCUIT)
     assert steady
@@ -170,9 +170,9 @@ def test_ensemble_matches_single_runs():
     # one batch over the rows of several strategies, as the CLI runs them,
     # against each strategy's own run
     channels = [iid_frequency_channel(2, 1, seed=s) for s in range(3)]
-    per_strategy = [np.array([received_tone_coefficients(wave(grid, 1, 1e-5),
-                                                         ch)
-                              for ch in channels]) for wave in (up, ss)]
+    per_strategy = [np.array([received_tone_coefficients(
+        baseline_waveform(name, ch, 1e-5, grid), ch) for ch in channels])
+        for name in ("up", "ss")]
     p_all, steady = simulate_ensemble(np.vstack(per_strategy), grid, CIRCUIT)
     assert steady
     for rows, p_joint in zip(per_strategy, np.split(p_all, 2)):
@@ -186,8 +186,8 @@ def test_periodic_solve_matches_long_plain_iteration():
     circuit = CircuitParams(c_out=10e-9)
     grid = FrequencyGrid(2, 8e6, 2e6)
     h = iid_frequency_channel(2, 1, seed=5)
-    tones = np.array([received_tone_coefficients(wave(grid, 1, 1e-5), h)
-                      for wave in (up, ss)])
+    tones = np.array([received_tone_coefficients(
+        baseline_waveform(name, h, 1e-5, grid), h) for name in ("up", "ss")])
     steps = 64
     dt = grid.period / steps
     t = dt * np.arange(steps + 1)
@@ -211,8 +211,8 @@ def test_periodic_solve_matches_long_plain_iteration():
 
 def test_trace_satisfies_periodic_equations():
     grid = FrequencyGrid(4, 32e6, 2e6)
-    w = up(grid, 1, 1e-5)
-    trace = simulate(w, flat_channel(1.0, 0.0, 4, 1), CIRCUIT)
+    h = flat_channel(1.0, 0.0, 4, 1)
+    trace = simulate(baseline_waveform("up", h, 1e-5, grid), h, CIRCUIT)
     assert trace.steady
     # one full period, t = dt ... T, whose last point closes the loop
     assert trace.time.size == round(grid.period / trace.dt)
@@ -226,8 +226,8 @@ def test_trace_satisfies_periodic_equations():
 def test_newton_cap_hit_is_counted_and_refused(monkeypatch):
     monkeypatch.setattr(circuit_module, "_NEWTON_CAP", 1)
     grid = FrequencyGrid(4, 32e6, 2e6)
-    w = up(grid, 1, 1e-5)
     h = flat_channel(1.0, 0.0, 4, 1)
+    w = baseline_waveform("up", h, 1e-5, grid)
     trace = simulate(w, h, CIRCUIT)
     assert not trace.steady
     with pytest.raises(SteadyStateError, match="Newton cap"):
@@ -260,12 +260,14 @@ def test_hard_drive_converges_or_is_refused():
 def test_chunk_size_leaves_each_row_unchanged(monkeypatch):
     grid = FrequencyGrid(2, 32e6, 2e6)
     channels = [iid_frequency_channel(2, 1, seed=s) for s in range(4)]
-    rows = np.array([received_tone_coefficients(wave(grid, 1, 1e-5), ch)
-                     for ch in channels for wave in (up, ss)])
+    rows = np.array([received_tone_coefficients(
+        baseline_waveform(name, ch, 1e-5, grid), ch)
+        for ch in channels for name in ("up", "ss")])
     p_one, steady = simulate_ensemble(rows, grid, CIRCUIT)
     assert steady
-    steps = round(grid.period / simulate(up(grid, 1, 1e-5), channels[0],
-                                         CIRCUIT).dt)
+    steps = round(grid.period / simulate(
+        baseline_waveform("up", channels[0], 1e-5, grid), channels[0],
+        CIRCUIT).dt)
     for rows_per_chunk in (1, 3):
         monkeypatch.setattr(circuit_module, "_CHUNK_ENTRIES",
                             rows_per_chunk * steps)
@@ -278,8 +280,8 @@ def test_chunk_size_leaves_each_row_unchanged(monkeypatch):
 
 def test_trace_export(tmp_path):
     grid = FrequencyGrid(2, 32e6, 2e6)
-    w = up(grid, 1, 1e-5)
-    trace = simulate(w, flat_channel(1.0, 0.0, 2, 1), CIRCUIT)
+    h = flat_channel(1.0, 0.0, 2, 1)
+    trace = simulate(baseline_waveform("up", h, 1e-5, grid), h, CIRCUIT)
     path = tmp_path / "trace.csv"
     export_trace_csv(trace, path, header_comment="two tones")
     lines = path.read_text().splitlines()

@@ -7,7 +7,7 @@ from multisine_wpt.channel import (FrequencyGrid, flat_channel,
 from multisine_wpt.circuit import SimTrace
 from multisine_wpt.cli import (ConfigError, default_config, main,
                                parse_config_file, validate_config)
-from multisine_wpt.optimizer import up
+from multisine_wpt.optimizer import CLOSED_FORM, baseline_waveform
 from multisine_wpt.rectenna import (RectennaParams, Waveform,
                                     load_waveform_text, save_waveform_text,
                                     zdc_analytic)
@@ -57,6 +57,28 @@ def test_validation_errors():
     cfg["strategies"] = ["nope"]
     with pytest.raises(ConfigError, match="nope"):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("strategy", cli._KNOWN_STRATEGIES)
+def test_build_waveform_reads_the_closed_form_table(strategy, monkeypatch):
+    # exactly the table's names reach `baseline_waveform`, as closed forms
+    assert set(CLOSED_FORM) <= set(cli._KNOWN_STRATEGIES)
+    assert cli._KNOWN_STRATEGIES.count(strategy) == 1
+    reached = []
+
+    def spy(name, *args):
+        reached.append(name)
+        return baseline_waveform(name, *args)
+
+    monkeypatch.setattr(cli, "baseline_waveform", spy)
+    cfg = validate_config(dict(default_config(), channel_type="flat",
+                               n_tones=2, n_antennas=2, papr_eta=4.0))
+    grid = cli._grid(cfg)
+    _, meta = cli.build_waveform(strategy, cfg, cli._channel(cfg, grid, 0),
+                                 grid)
+    closed = strategy in CLOSED_FORM
+    assert reached == ([strategy] if closed else [])
+    assert (meta["stop_reason"] == "closed_form") == closed
 
 
 def test_optimize_command_outputs_and_determinism(tmp_path):
@@ -135,7 +157,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert key in err, argv
     # input files: missing, malformed, or a channel of the wrong shape
     wave = str(tmp_path / "w.txt")
-    save_waveform_text(wave, up(FrequencyGrid(3, 48e6, 1e6), 2, 1e-5))
+    save_waveform_text(wave, baseline_waveform(
+        "up", flat_channel(1.0, 0.0, 3, 2), 1e-5, FrequencyGrid(3, 48e6, 1e6)))
     chan = str(tmp_path / "c.txt")
     save_channel_text(chan, flat_channel(1.0, 0.0, 3, 1))
     junk = _write(tmp_path, "junk.txt", "# waveform 3 2 oops\n")
@@ -199,7 +222,8 @@ def test_evaluate_draws_no_two_rectenna_channel(tmp_path, capsys):
     # without --channel, evaluate draws the config's channel, which has one
     # rectenna per n_rectennas; a stored waveform is scored on one
     wave = str(tmp_path / "w.txt")
-    save_waveform_text(wave, up(FrequencyGrid(2, 48e6, 1e6), 1, 1e-5))
+    save_waveform_text(wave, baseline_waveform(
+        "up", flat_channel(1.0, 0.0, 2, 1), 1e-5, FrequencyGrid(2, 48e6, 1e6)))
     two_rect = _write(tmp_path, "u2.cfg", "channel_type = iid\n"
                       "n_tones = 2\nn_rectennas = 2\n")
     assert main(["evaluate", wave, "--config", two_rect]) == 2

@@ -8,12 +8,11 @@ from multisine_wpt.gp import GPSolverError, positivity_floor
 from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
                                      _kkt_polish_power_only,
                                      _kkt_residual_power_only, _mm_ascent,
-                                     _PeakConstraints, _seed_candidates,
-                                     _WeightedDC, ass, ass_multi,
-                                     baseline_waveform, max_papr, mf,
+                                     _PeakConstraints, _WeightedDC,
+                                     ass_multi, baseline_waveform,
                                      optimal_phases, optimize,
                                      optimize_decoupled, optimize_multi,
-                                     optimize_papr, ss, toy_n2, up, upmf)
+                                     optimize_papr, toy_n2)
 from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
                                     antenna_paprs, papr,
                                     received_tone_coefficients, worst_papr,
@@ -28,51 +27,60 @@ def _grid(n):
     return FrequencyGrid(n, 100e6, 1e6)
 
 
+def _seed_waveforms(h, power, grid):
+    """The seed strategies' waveforms, in the order the designs take them."""
+    return [baseline_waveform(name, h, power, grid)
+            for name in optimizer._SEEDS]
+
+
 def test_optimal_phases():
     assert np.allclose(optimal_phases(flat_channel(1.0, 0.0, 3, 2)), 0.0)
     h = ChannelRealization(np.full((2, 1), np.exp(1j * np.pi / 3)))
     assert np.allclose(optimal_phases(h), -np.pi / 3)
     hr = iid_frequency_channel(4, 2, seed=0)
-    w = upmf(hr, POWER, _grid(4))
+    w = baseline_waveform("upmf", hr, POWER, _grid(4))
     r = received_tone_coefficients(w, hr)
     assert np.allclose(np.angle(r[np.abs(r) > 0]), 0.0, atol=1e-12)
 
 
 def test_ass_selects_strongest_tone():
     h = ChannelRealization(np.array([[1.0], [2.0], [0.5]], dtype=complex))
-    w = ass(h, POWER, _grid(3))
+    w = baseline_waveform("ass", h, POWER, _grid(3))
     assert w.amplitudes[1, 0] == pytest.approx(np.sqrt(2 * POWER))
     assert np.all(w.amplitudes[[0, 2], 0] == 0.0)
     # flat channel: tie breaks to tone 0
-    wf = ass(flat_channel(1.0, 0.0, 4, 1), POWER, _grid(4))
+    wf = baseline_waveform("ass", flat_channel(1.0, 0.0, 4, 1), POWER,
+                           _grid(4))
     assert wf.amplitudes[0, 0] > 0 and np.all(wf.amplitudes[1:, 0] == 0.0)
     # received power equals P * ||h_nbar||^2 (second-order term check)
     tones = received_tone_coefficients(w, h)
     assert np.isclose(0.5 * np.sum(np.abs(tones) ** 2), POWER * 4.0,
                       rtol=1e-12)
     with pytest.raises(ValueError):
-        ass(ChannelRealization(np.zeros((2, 1), dtype=complex)), POWER, _grid(2))
+        baseline_waveform("ass",
+                          ChannelRealization(np.zeros((2, 1), dtype=complex)),
+                          POWER, _grid(2))
 
 
 def test_up_and_ss_amplitudes():
-    w = up(_grid(4), 1, POWER)
+    w = baseline_waveform("up", flat_channel(1.0, 0.0, 4, 1), POWER, _grid(4))
     assert np.allclose(w.amplitudes, np.sqrt(2 * POWER / 4))
     assert np.allclose(w.phases, 0.0)
-    w2 = ss(_grid(4), 2, POWER)
+    w2 = baseline_waveform("ss", flat_channel(1.0, 0.0, 4, 2), POWER, _grid(4))
     assert np.isclose(w2.transmit_power, POWER, rtol=1e-12)
     assert np.all(w2.amplitudes[1:] == 0.0)
 
 
 def test_mf_proportional_to_gains():
     h = ChannelRealization(np.array([[1.0], [2.0]], dtype=complex))
-    w = mf(h, POWER, _grid(2))
+    w = baseline_waveform("mf", h, POWER, _grid(2))
     assert np.isclose(w.amplitudes[1, 0] / w.amplitudes[0, 0], 2.0, rtol=1e-12)
     assert np.isclose(w.transmit_power, POWER, rtol=1e-12)
 
 
 def test_max_papr_equalizes_received_tones():
     h = iid_frequency_channel(8, 1, seed=1)
-    w = max_papr(h, POWER, _grid(8))
+    w = baseline_waveform("maxpapr", h, POWER, _grid(8))
     r = received_tone_coefficients(w, h)
     assert np.allclose(np.abs(r), np.abs(r[0]), rtol=1e-12)
     assert np.isclose(w.transmit_power, POWER, rtol=1e-12)
@@ -82,7 +90,7 @@ def test_max_papr_equalizes_received_tones():
     assert np.isclose(y_peak ** 2 / mean_power, 16.0, rtol=1e-12)
     dead = ChannelRealization(np.array([[1.0], [0.0]], dtype=complex))
     with pytest.raises(ValueError):
-        max_papr(dead, POWER, _grid(2))
+        baseline_waveform("maxpapr", dead, POWER, _grid(2))
 
 
 def test_toy_two_tone_cases():
@@ -138,7 +146,7 @@ def _slow_mm_case():
     h = cli._channel(cfg, grid, 43).h
     eff = ChannelRealization(np.sqrt(np.sum(np.abs(h) ** 2, axis=1)))
     opts = OptimizerOptions(eps=1e-8, max_iterations=100)
-    seeds = [w.weights for w in _seed_candidates(eff, POWER, grid)]
+    seeds = [w.weights for w in _seed_waveforms(eff, POWER, grid)]
     return eff, seeds, opts
 
 
@@ -196,7 +204,7 @@ def test_single_start_reaches_the_best_of_the_four_baseline_starts():
                 h = iid_frequency_channel(n, m, seed=300 + seed)
                 obj = _WeightedDC([np.abs(h.h)], [1.0], params)
                 seeds = [w.amplitudes
-                         for w in _seed_candidates(h, power, _grid(n))]
+                         for w in _seed_waveforms(h, power, _grid(n))]
                 best = max(optimizer._polished(obj, np.abs(w), history,
                                                reason, power)[1][-1]
                            for w, history, reason in _ascents(obj, seeds,
@@ -217,8 +225,8 @@ def test_polish_lifts_a_weak_tone_below_its_optimum():
     h = cli._channel(cfg, grid, 20)
     opts = cli._options(cfg)
     obj = _WeightedDC([np.abs(h.h)], [1.0], P4)
-    w, history, reason = _mm_ascent(obj, mf(h, POWER, grid).amplitudes,
-                                    POWER, opts)
+    w, history, reason = _mm_ascent(
+        obj, baseline_waveform("mf", h, POWER, grid).amplitudes, POWER, opts)
     want = optimizer._polished(obj, np.abs(w), history, reason, POWER)[1][-1]
     assert optimize(h, POWER, P4, grid, opts).zdc >= want * (1.0 - 1e-12)
 
@@ -259,7 +267,7 @@ def test_accelerated_ascent_reaches_plain_mm_optimum():
     cases = []
     for seed in range(20):
         h = iid_frequency_channel(8, 2, seed=400 + seed)
-        seeds = [w.weights for w in _seed_candidates(h, POWER, _grid(8))]
+        seeds = [w.weights for w in _seed_waveforms(h, POWER, _grid(8))]
         cases.append(([h.h], seeds))
     for seed in range(12):
         n, m = (3, 1) if seed % 2 == 0 else (4, 2)
@@ -267,7 +275,7 @@ def test_accelerated_ascent_reaches_plain_mm_optimum():
         hs = [ch.rectenna(0).h, ch.rectenna(1).h]
         seeds = [ass_multi(hs, [1.0, 1.0], POWER, _grid(n)).weights]
         for h_u in hs:
-            seeds += [w.weights for w in _seed_candidates(
+            seeds += [w.weights for w in _seed_waveforms(
                 ChannelRealization(h_u), POWER, _grid(n))]
         cases.append((hs, seeds))
     for hs, seeds in cases:
@@ -286,7 +294,7 @@ def test_cycle_never_ends_below_two_plain_steps():
     for seed in range(10):
         h = iid_frequency_channel(8, 2, seed=400 + seed)
         obj = _WeightedDC([h.h], [1.0], P4)
-        for w in [w.weights for w in _seed_candidates(h, POWER, _grid(8))]:
+        for w in [w.weights for w in _seed_waveforms(h, POWER, _grid(8))]:
             for _ in range(20):
                 _, grad, _ = obj.value_grad_hess(w)
                 for _ in range(2):
@@ -351,6 +359,23 @@ def test_optimize_monotone_dominant_and_stationary():
         for name in ("up", "ass", "mf", "upmf"):
             base = baseline_waveform(name, h, POWER, grid)
             assert trace.zdc >= zdc_analytic(base, h, P4)
+
+
+@pytest.mark.parametrize("design", [optimize, optimize_decoupled])
+@pytest.mark.parametrize("seed, power", [(3, 1e-6), (1, 1e-4)])
+def test_kkt_residual_is_that_of_the_returned_waveform(design, seed, power):
+    # iid(4, 2, seed 3) at 1e-6 W returns the `ass` baseline, not the ascent
+    # endpoint; at seed 1, 1e-4 W the endpoint is returned.  Either way the
+    # residual is the returned amplitudes', in the joint problem over |h|
+    h = iid_frequency_channel(4, 2, seed=seed)
+    trace = design(h, power, P4, _grid(4), OptimizerOptions(eps=1e-8))
+    returns_ass = np.array_equal(
+        trace.waveform.amplitudes,
+        baseline_waveform("ass", h, power, _grid(4)).amplitudes)
+    assert returns_ass == (seed == 3)
+    joint = _WeightedDC([np.abs(h.h)], [1.0], P4)
+    assert trace.kkt_residual == _kkt_residual_power_only(
+        joint, trace.waveform.amplitudes, power)
 
 
 def test_optimize_order_six_dominant_and_stationary():
@@ -540,7 +565,7 @@ def test_papr_baseline_at_the_limit_replaces_a_refused_design(monkeypatch):
     h = ChannelRealization(np.array([[0.4, 1.0], [1.0, 0.7]], dtype=complex))
     grid, power = _grid(2), 1e-4
     opts = OptimizerOptions(eps=1e-8, max_iterations=40)
-    s_mf = np.maximum(mf(h, power, grid).amplitudes,
+    s_mf = np.maximum(baseline_waveform("mf", h, power, grid).amplitudes,
                       positivity_floor(power))
     eta = max(antenna_paprs(Waveform(s_mf, np.zeros((2, 2)), grid),
                             opts.papr_oversampling).values())
@@ -560,8 +585,9 @@ def test_papr_baseline_at_the_limit_replaces_a_refused_design(monkeypatch):
     assert tr.achieved_papr == pytest.approx(eta, rel=1e-12, abs=0)
     assert tr.zdc == pytest.approx(zdc_analytic(tr.waveform, h, P4),
                                    rel=1e-12, abs=0)
-    floored_ass = np.maximum(ass(h, power, grid).amplitudes,
-                             positivity_floor(power))
+    floored_ass = np.maximum(
+        baseline_waveform("ass", h, power, grid).amplitudes,
+        positivity_floor(power))
     assert tr.zdc > zdc_analytic(Waveform(floored_ass, np.zeros((2, 2)), grid),
                                  h, P4)
 
@@ -574,7 +600,8 @@ def test_papr_warm_starts_skip_phase_one_and_match_the_baseline():
     tr = optimize_papr(h, POWER, 4.0, P4, grid,
                        OptimizerOptions(eps=1e-8, max_iterations=40))
     assert tr.papr_certified
-    assert tr.zdc >= zdc_analytic(up(grid, 1, POWER), h, P4)
+    assert tr.zdc >= zdc_analytic(baseline_waveform("up", h, POWER, grid), h,
+                                  P4)
     assert np.isclose(zdc_analytic(tr.waveform, h, P4), tr.zdc, rtol=1e-12)
 
 
@@ -588,7 +615,7 @@ def test_papr_runs_each_distinct_seed_once(monkeypatch):
     assert max(antenna_paprs(unconstrained, 32).values()) > eta * (1 + 1e-6)
     floor = positivity_floor(power)
     seeds = [np.maximum(w.amplitudes, floor)
-             for w in _seed_candidates(h, power, _grid(4))]
+             for w in _seed_waveforms(h, power, _grid(4))]
     assert np.allclose(seeds[1], seeds[3], rtol=1e-12, atol=0.0)
     monotone = optimizer._monotone
     starts = []
@@ -704,7 +731,8 @@ def test_papr_eta_two_returns_the_floored_ass_waveform(problem):
         else (flat_channel(1.0, 0.0, 8, 1), POWER, P4, _grid(8),
               OptimizerOptions(eps=1e-8, max_iterations=40)))
     tr = optimize_papr(h, power, 2.0, params, grid, opts)
-    want = np.maximum(ass(h, power, grid).amplitudes, positivity_floor(power))
+    want = np.maximum(baseline_waveform("ass", h, power, grid).amplitudes,
+                      positivity_floor(power))
     assert tr.waveform.amplitudes.tobytes() == want.tobytes()
     assert tr.stop_reason == "solver_fallback"
     assert tr.n_iterations == 0
@@ -746,7 +774,8 @@ def test_kkt_residual_flags_saddle_corner():
     eff = ChannelRealization(np.sqrt(np.sum(np.abs(h) ** 2, axis=1)))
     power = 1e-4
     w, history, _ = _mm_ascent(_WeightedDC([eff.h], [1.0], P4),
-                               ass(eff, power, _grid(4)).weights, power,
+                               baseline_waveform("ass", eff, power,
+                                                 _grid(4)).weights, power,
                                OptimizerOptions(max_iterations=1))
     best = optimize(eff, power, P4, _grid(4))
     assert np.count_nonzero(w) == 1
@@ -821,7 +850,7 @@ def test_multi_single_rectenna_runs_ass_once(monkeypatch):
 
     monkeypatch.setattr(optimizer, "_mm_ascent", counting)
     optimize_multi([h], [1.0], POWER, P4, _grid(4))
-    single = ass(h, POWER, _grid(4)).weights
+    single = baseline_waveform("ass", h, POWER, _grid(4)).weights
     assert len(starts) == 4
     assert sum(np.array_equal(w, single) for w in starts) == 1
 
@@ -830,7 +859,7 @@ def test_ass_multi_single_rectenna_exact_reduction():
     grid = _grid(6)
     h = iid_frequency_channel(6, 2, seed=5)
     w_multi = ass_multi([h], [1.0], POWER, grid)
-    w_single = ass(h, POWER, grid)
+    w_single = baseline_waveform("ass", h, POWER, grid)
     assert np.array_equal(w_multi.amplitudes, w_single.amplitudes)
     assert np.array_equal(w_multi.phases, w_single.phases)
 

@@ -4,7 +4,7 @@ import pytest
 from multisine_wpt import scaling
 from multisine_wpt.channel import (FrequencyGrid, flat_channel,
                                    iid_frequency_channel)
-from multisine_wpt.optimizer import toy_n2, up
+from multisine_wpt.optimizer import baseline_waveform, toy_n2
 from multisine_wpt.rectenna import (DCKernel, RectennaParams, Waveform,
                                     received_tone_coefficients, zdc_analytic)
 from multisine_wpt.scaling import (EULER_GAMMA, ScalingScenario,
@@ -147,10 +147,11 @@ def test_tone_row_evaluator_matches_zdc_analytic():
         for n in range(1, 7):
             grid = FrequencyGrid(n, 100e6, 1e6)
             real = Waveform(rng.uniform(0.0, 4e-3, n), np.zeros(n), grid)
-            cases = [(real, flat_channel(1.3, 0.0, n, 1)),
-                     (up(grid, 1, 1e-5), flat_channel(1.3, 0.4, n, 1))]
-            cases += [(up(grid, 2, 1e-5), iid_frequency_channel(n, 2, seed=s))
-                      for s in range(3)]
+            channels = [flat_channel(1.3, 0.4, n, 1)]
+            channels += [iid_frequency_channel(n, 2, seed=s) for s in range(3)]
+            cases = [(real, flat_channel(1.3, 0.0, n, 1))]
+            cases += [(baseline_waveform("up", h, 1e-5, grid), h)
+                      for h in channels]
             rows = np.array([received_tone_coefficients(w, h)
                              for w, h in cases])
             batched = kernel.value(rows)
@@ -184,8 +185,8 @@ def test_uniform_power_optimal_at_two_tones_flat():
     power = 1e-4
     grid = FrequencyGrid(2, 100e6, 1e6)
     _, z_star = toy_n2(1.0, 1.0, power, PARAMS)
-    w = up(grid, 1, power)
-    z_up = zdc_analytic(w, flat_channel(1.0, 0.0, 2, 1), PARAMS)
+    h = flat_channel(1.0, 0.0, 2, 1)
+    z_up = zdc_analytic(baseline_waveform("up", h, power, grid), h, PARAMS)
     assert z_up == pytest.approx(z_star, rel=1e-12)
 
 
