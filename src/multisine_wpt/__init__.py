@@ -13,9 +13,9 @@ The package splits into:
   condensation, used by the PAPR-constrained design when the unconstrained
   design exceeds the limit
 - `optimizer`: one table of closed-form strategies, which also seeds and
-  bounds every design, one minorize-maximize ascent for the joint,
-  decoupled and multi-rectenna designs, and the PAPR-constrained design,
-  which starts from the joint design
+  bounds every design, one minorize-maximize ascent for the single- and
+  multi-rectenna designs, and the PAPR-constrained design, which starts
+  from the single-rectenna design
 - `scaling`: ensemble-average scaling laws and Monte Carlo verification
 - `circuit`: a time-domain diode rectifier simulator for model-free validation
 - `cli`: experiment presets and CSV emission
@@ -31,8 +31,7 @@ from .circuit import (CircuitParams, SimTrace, SteadyStateError,
 from .gp import GPSolverError, stack_constraints
 from .optimizer import (OptimizerOptions, SCATrace, ass_multi,
                         baseline_waveform, optimal_phases, optimize,
-                        optimize_decoupled, optimize_multi, optimize_papr,
-                        toy_n2)
+                        optimize_multi, optimize_papr, toy_n2)
 from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        antenna_paprs, iout_fixed_point, load_waveform_text,
                        papr, received_tone_coefficients, save_waveform_text,

@@ -24,8 +24,7 @@ from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
 from .circuit import (CircuitParams, SteadyStateError, export_trace_csv,
                       simulate, simulate_ensemble)
 from .optimizer import (CLOSED_FORM, OptimizerOptions, baseline_waveform,
-                        optimize, optimize_decoupled, optimize_multi,
-                        optimize_papr, toy_n2)
+                        optimize, optimize_multi, optimize_papr, toy_n2)
 from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
                        antenna_paprs, iout_fixed_point, load_waveform_text,
                        papr_basis, received_tone_coefficients,
@@ -84,6 +83,8 @@ _SCHEMA = {
     "c_out_f": (_finite, 100e-12),
 }
 
+# `opt-decoupled` names `opt`'s design, which is also the decoupled one
+# (see `optimize`)
 _KNOWN_STRATEGIES = (*CLOSED_FORM, "opt", "opt-decoupled", "opt-papr",
                      "opt-multi")
 
@@ -138,6 +139,13 @@ def validate_config(cfg: dict) -> dict:
     if cfg["weights"] is not None and (min(cfg["weights"]) < 0
                                        or max(cfg["weights"]) <= 0):
         raise ConfigError("weights must be nonnegative, not all zero")
+    if "opt-papr" in cfg["strategies"] and cfg["papr_eta"] < 2.0:
+        raise ConfigError("opt-papr requires key 'papr_eta' >= 2")
+    # a flat channel has one rectenna whatever n_rectennas says
+    rectennas = 1 if cfg["channel_type"] == "flat" else cfg["n_rectennas"]
+    if "opt-multi" in cfg["strategies"] and cfg["weights"] is not None \
+            and len(cfg["weights"]) != rectennas:
+        raise ConfigError("key 'weights' must list one weight per rectenna")
     for keys, build in (
             (("bandwidth_hz", "carrier_multiple"), _grid),
             (("diode_is_a", "diode_ideality", "diode_vt_v", "r_antenna_ohm",
@@ -207,18 +215,12 @@ def build_waveform(strategy: str, cfg: dict, channel: ChannelRealization,
     if strategy in CLOSED_FORM:
         return baseline_waveform(strategy, channel.rectenna(0), power,
                                  grid), meta
-    if strategy == "opt":
+    if strategy in ("opt", "opt-decoupled"):
         trace = optimize(channel, power, params, grid, opts)
-    elif strategy == "opt-decoupled":
-        trace = optimize_decoupled(channel, power, params, grid, opts)
     elif strategy == "opt-papr":
-        if cfg["papr_eta"] < 2.0:
-            raise ConfigError("opt-papr requires key 'papr_eta' >= 2")
         trace = optimize_papr(channel, power, cfg["papr_eta"], params, grid, opts)
     elif strategy == "opt-multi":
         weights = cfg["weights"] or [1.0] * channel.n_rectennas
-        if len(weights) != channel.n_rectennas:
-            raise ConfigError("key 'weights' must list one weight per rectenna")
         channels = [channel.rectenna(u) for u in range(channel.n_rectennas)]
         trace = optimize_multi(channels, weights, power, params, grid, opts)
     else:

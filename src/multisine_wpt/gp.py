@@ -130,7 +130,7 @@ def _evaluate(stack, y, sums=None):
 
 def solve_gp(objective: np.ndarray, stack: tuple,
              x0: np.ndarray) -> SolveReport:
-    """Minimize the monomial prod x^objective subject to `constraints`.
+    """Minimize the monomial prod x^objective subject to `stack`.
 
     `stack` is a `stack_constraints` set.  The start must be strictly
     feasible, every g_i < 0 however close to 0; the caller builds such a

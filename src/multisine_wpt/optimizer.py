@@ -5,17 +5,17 @@ amplitudes by a rule of the channel and the power, sent at the aligned
 phases or at zero phase, and `baseline_waveform` builds one by name.  Every
 iterative design maximizes one objective, `_WeightedDC`, a nonnegatively
 weighted sum of z_dc over rectennas on the rectenna's DC kernel.  The
-joint, decoupled and multi-rectenna designs share one minorize-maximize
-(MM) ascent on it: the first two over the real amplitudes on the gains |h|
-at the aligned phases, the third over the complex weights.  The objective
-is convex in the weights, so its linearization at the current point is a
-global lower bound, and maximizing that bound over the power ball gives the
-closed-form, monotone update w <- sqrt(2P) grad / ||grad||.  That map
+single- and multi-rectenna designs share one minorize-maximize (MM) ascent
+on it: the first over the real amplitudes on the gains |h| at the aligned
+phases, the second over the complex weights.  The objective is convex in
+the weights, so its linearization at the current point is a global lower
+bound, and maximizing that bound over the power ball gives the closed-form,
+monotone update w <- sqrt(2P) grad / ||grad||.  That map
 converges only linearly, so the ascent extrapolates it by SQUAREM (Varadhan
 & Roland 2008) and keeps an extrapolated step only when it beats two plain
 steps, which keeps the ascent monotone.  Single-tone corners are fixed
-points of the update, so the start matters: the joint and decoupled designs
-run the ascent once, from the scaled matched filter SMF(3), and the
+points of the update, so the start matters: the single-rectenna design
+runs the ascent once, from the scaled matched filter SMF(3), and the
 multi-rectenna design from every distinct closed-form seed, keeping the
 best endpoint.  Each design scores every closed-form baseline against its
 endpoint and returns one that still beats it, so every design dominates
@@ -46,9 +46,9 @@ _TINY = 1e-300
 class OptimizerOptions:
     """Knobs shared by all iterative designs.
 
-    One iteration of the joint, decoupled and multi-rectenna designs is one
-    SQUAREM cycle of the MM ascent (up to four gradient evaluations).  The
-    PAPR-constrained design returns the joint design when it meets the
+    One iteration of the single- and multi-rectenna designs is one SQUAREM
+    cycle of the MM ascent (up to four gradient evaluations).  The
+    PAPR-constrained design returns `optimize`'s design when it meets the
     limit, with that design's iterations; otherwise one of its iterations
     is one GP solve.  `eps` and `max_iterations` apply per iteration.
     """
@@ -503,21 +503,20 @@ def _dominant_result(candidates: list[np.ndarray],
     return k, zs[k]
 
 
-def _aligned_design(h: np.ndarray, gains: np.ndarray, spread,
-                    baselines: list[tuple], power: float,
+def _aligned_design(h: np.ndarray, baselines: list[tuple], power: float,
                     params: RectennaParams, grid: FrequencyGrid,
                     options: OptimizerOptions) -> SCATrace:
-    """One polished MM run over real amplitudes s on the gains, from
-    `_smf_start`, returned as the weights s * spread at the aligned phases
-    of h, or as the baseline amplitudes that beat them there.
+    """One polished MM run over real amplitudes s on the gains |h|, from
+    `_smf_start`, returned at the aligned phases of h, or as the baseline
+    amplitudes that beat them there.
 
     The map keeps the amplitudes nonnegative; an extrapolated step can flip
     the sign of one, which is safe: the magnitudes kept here score no lower.
     A Newton polish of the amplitudes' stationarity conditions finishes the
     run, since an unpolished endpoint can be a saddle corner.  The KKT
-    residual is that of the returned amplitudes, in the joint problem over
-    the gains |h|.
+    residual is that of the returned amplitudes.
     """
+    gains = np.abs(h)
     obj = _WeightedDC([gains], [1.0], params)
     [(w, history, stop_reason)] = _ascents(obj, [_smf_start(gains, power)],
                                            power, options)
@@ -525,14 +524,13 @@ def _aligned_design(h: np.ndarray, gains: np.ndarray, spread,
                                         power)
     phases = -np.angle(h)
     rotor = np.exp(1j * phases)
-    candidates = [s * spread] + [b for b, _ in baselines]
+    candidates = [s] + [b for b, _ in baselines]
     k, history[-1] = _dominant_result([c * rotor for c in candidates],
                                       _WeightedDC([h], [1.0], params))
-    joint = _WeightedDC([np.abs(h)], [1.0], params)
     return SCATrace(history,
                     Waveform(candidates[k], phases, grid, power_budget=power),
                     stop_reason, kkt_residual=_kkt_residual_power_only(
-                        joint, candidates[k], power))
+                        obj, candidates[k], power))
 
 
 def optimize(channel: ChannelRealization, power: float,
@@ -545,30 +543,14 @@ def optimize(channel: ChannelRealization, power: float,
     from the scaled matched filter SMF(3), which puts the power on the
     strong tones and still spreads it over several, as the nonlinear model
     does at its optimum; every closed-form baseline is scored against the
-    endpoint.
+    endpoint.  For a fixed tone power the received amplitude is largest at
+    s_nm proportional to |h_nm|, and the ascent keeps that ratio from its
+    start, so the design is also the per-tone design on the effective
+    channel ||h_n|| after matched beamforming.
     """
     h = channel.require_single_rectenna()
-    return _aligned_design(h, np.abs(h), 1.0, _baselines(h, power), power,
-                           params, grid, options)
-
-
-def optimize_decoupled(channel: ChannelRealization, power: float,
-                       params: RectennaParams, grid: FrequencyGrid,
-                       options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
-    """Per-tone matched beamforming, then `optimize`'s ascent on the
-    effective channel.
-
-    The matched spatial weights turn the array into a single effective
-    antenna with per-tone gain ||h_n||, shrinking the variable count from
-    N*M to N without any loss at the optimum.
-    """
-    h = channel.require_single_rectenna()
-    norms = np.sqrt(np.sum(np.abs(h) ** 2, axis=1))
-    spatial = np.full(h.shape, 1.0 / np.sqrt(h.shape[1]))
-    live = norms > 0
-    spatial[live, :] = np.abs(h[live, :]) / norms[live, None]
-    return _aligned_design(h, norms[:, None], spatial, _baselines(h, power),
-                           power, params, grid, options)
+    return _aligned_design(h, _baselines(h, power), power, params, grid,
+                           options)
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +627,8 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     ceiling = eta * (1.0 + 1e-6)
     h = channel.require_single_rectenna()
     baselines = _baselines(h, power)
-    unconstrained = _aligned_design(h, np.abs(h), 1.0, baselines, power,
-                                    params, grid, options)
+    unconstrained = _aligned_design(h, baselines, power, params, grid,
+                                    options)
     fine_basis = papr_basis(grid, 4 * options.papr_oversampling)
     fine = worst_papr(unconstrained.waveform.amplitudes,
                       unconstrained.waveform.phases, fine_basis)

@@ -81,6 +81,38 @@ def test_build_waveform_reads_the_closed_form_table(strategy, monkeypatch):
     assert (meta["stop_reason"] == "closed_form") == closed
 
 
+def test_opt_decoupled_builds_opts_design():
+    # the joint design is also the decoupled one, so the CLI name
+    # `opt-decoupled` builds it, bit for bit
+    cfg = validate_config(dict(default_config(), channel_type="iid",
+                               n_tones=4, n_antennas=2, seed=2))
+    grid = cli._grid(cfg)
+    channel = cli._channel(cfg, grid, 0)
+    opt, opt_meta = cli.build_waveform("opt", cfg, channel, grid)
+    dec, dec_meta = cli.build_waveform("opt-decoupled", cfg, channel, grid)
+    assert dec_meta == opt_meta
+    assert np.array_equal(dec.amplitudes, opt.amplitudes)
+    assert np.array_equal(dec.phases, opt.phases)
+
+
+@pytest.mark.parametrize("keys, key", [
+    ("strategies = ass, opt-papr\n", "papr_eta"),
+    ("strategies = ass, opt-multi\nn_rectennas = 2\nweights = 1\n",
+     "weights")])
+def test_design_values_exit_2_before_any_waveform_is_written(tmp_path, capsys,
+                                                              keys, key):
+    # a value one listed design cannot use is refused up front, not after
+    # the strategies before it have written their waveforms
+    cfg = _write(tmp_path, "bad.cfg", "channel_type = iid\nn_tones = 2\n"
+                                      + keys)
+    for command in ("optimize", "simulate"):
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error"), (command, err)
+        assert key in err, (command, err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_optimize_command_outputs_and_determinism(tmp_path):
     cfg = _write(tmp_path, "exp.cfg", BASIC)
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")

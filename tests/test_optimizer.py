@@ -11,8 +11,7 @@ from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
                                      _PeakConstraints, _WeightedDC,
                                      ass_multi, baseline_waveform,
                                      optimal_phases, optimize,
-                                     optimize_decoupled, optimize_multi,
-                                     optimize_papr, toy_n2)
+                                     optimize_multi, optimize_papr, toy_n2)
 from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
                                     antenna_paprs, papr,
                                     received_tone_coefficients, worst_papr,
@@ -136,10 +135,10 @@ def test_weighted_objective_matches_weighted_zdc_sum():
 
 
 def _slow_mm_case():
-    """A 16-tone multipath channel, reduced to the decoupled design's
-    effective channel, on which the plain MM map needs more than 100 steps
-    to reach eps = 1e-8 from 3 of the 4 seeds, with log-gradient shares
-    down to 1e-26 at its 100th step."""
+    """A 16-tone multipath channel, reduced to its effective channel
+    ||h_n|| after matched beamforming, on which the plain MM map needs more
+    than 100 steps to reach eps = 1e-8 from 3 of the 4 seeds, with
+    log-gradient shares down to 1e-26 at its 100th step."""
     cfg = cli.validate_config(dict(cli.default_config(), n_tones=16,
                                    n_antennas=2, carrier_multiple=256, seed=0))
     grid = cli._grid(cfg)
@@ -183,13 +182,6 @@ def test_optimize_runs_one_ascent_from_the_scaled_matched_filter(monkeypatch):
     optimize(h, POWER, P4, _grid(6))
     assert len(starts) == 1
     assert np.allclose(starts[0], smf, rtol=1e-12, atol=0.0)
-    # the decoupled design runs it once on the effective channel
-    starts.clear()
-    optimize_decoupled(h, POWER, P4, _grid(6))
-    norms = np.sqrt(np.sum(gains ** 2, axis=1, keepdims=True))
-    assert len(starts) == 1
-    assert np.allclose(starts[0], norms ** 3 * np.sqrt(2 * POWER)
-                       / np.linalg.norm(norms ** 3), rtol=1e-12, atol=0.0)
 
 
 def test_single_start_reaches_the_best_of_the_four_baseline_starts():
@@ -361,14 +353,13 @@ def test_optimize_monotone_dominant_and_stationary():
             assert trace.zdc >= zdc_analytic(base, h, P4)
 
 
-@pytest.mark.parametrize("design", [optimize, optimize_decoupled])
 @pytest.mark.parametrize("seed, power", [(3, 1e-6), (1, 1e-4)])
-def test_kkt_residual_is_that_of_the_returned_waveform(design, seed, power):
+def test_kkt_residual_is_that_of_the_returned_waveform(seed, power):
     # iid(4, 2, seed 3) at 1e-6 W returns the `ass` baseline, not the ascent
     # endpoint; at seed 1, 1e-4 W the endpoint is returned.  Either way the
     # residual is the returned amplitudes', in the joint problem over |h|
     h = iid_frequency_channel(4, 2, seed=seed)
-    trace = design(h, power, P4, _grid(4), OptimizerOptions(eps=1e-8))
+    trace = optimize(h, power, P4, _grid(4), OptimizerOptions(eps=1e-8))
     returns_ass = np.array_equal(
         trace.waveform.amplitudes,
         baseline_waveform("ass", h, power, _grid(4)).amplitudes)
@@ -391,34 +382,44 @@ def test_optimize_order_six_dominant_and_stationary():
             assert trace.zdc >= zdc_analytic(base, h, params)
 
 
+def _effective(h):
+    """The single-antenna channel ||h_n|| that matched beamforming leaves."""
+    return ChannelRealization(np.linalg.norm(h.h, axis=1)[:, None])
+
+
 def test_joint_and_decoupled_dominate_exactly():
     # channels on which rounding once left the decoupled design an ulp
-    # below `ass`
+    # below `ass`; both CLI names are scored as the CLI builds them
     grid = _grid(8)
+    cfg = cli.validate_config(dict(cli.default_config(), sca_eps=1e-6))
     for seed in (16, 43, 47, 58):
         h = iid_frequency_channel(8, 2, seed=seed)
-        for design in (optimize, optimize_decoupled):
-            trace = design(h, POWER, P4, grid)
-            assert trace.zdc == zdc_analytic(trace.waveform, h, P4)
+        trace = optimize(h, POWER, P4, grid)
+        assert trace.zdc == zdc_analytic(trace.waveform, h, P4)
+        for strategy in ("opt", "opt-decoupled"):
+            z = zdc_analytic(cli.build_waveform(strategy, cfg, h, grid)[0],
+                             h, P4)
             for name in ("up", "ass", "mf", "upmf"):
-                base = baseline_waveform(name, h, POWER, grid)
-                assert trace.zdc >= zdc_analytic(base, h, P4), (seed, name)
+                base, _ = cli.build_waveform(name, cfg, h, grid)
+                assert z >= zdc_analytic(base, h, P4), (seed, strategy, name)
 
 
 def test_decoupled_equals_joint_for_single_antenna():
     grid = _grid(4)
     h = iid_frequency_channel(4, 1, seed=3)
     t1 = optimize(h, POWER, P4, grid, TIGHT)
-    t2 = optimize_decoupled(h, POWER, P4, grid, TIGHT)
+    t2 = optimize(_effective(h), POWER, P4, grid, TIGHT)
     assert np.isclose(t1.zdc, t2.zdc, rtol=1e-12)
 
 
 def test_decoupled_matches_joint_multi_antenna():
+    # the joint design over N*M amplitudes against the per-tone design on
+    # the effective channel: the decoupling loses nothing at the optimum
     grid = _grid(4)
     for seed in range(6):
         h = iid_frequency_channel(4, 2, seed=200 + seed)
         t1 = optimize(h, POWER, P4, grid, TIGHT)
-        t2 = optimize_decoupled(h, POWER, P4, grid, TIGHT)
+        t2 = optimize(_effective(h), POWER, P4, grid, TIGHT)
         assert abs(t1.zdc - t2.zdc) <= 1e-4 * t1.zdc
 
 
