@@ -52,10 +52,9 @@ for s, p_dc in zip(strategies, np.split(p_all, len(strategies))):
     print(f"{s:>8} | {np.mean(surrogate[s]):17.5e} | "
           f"{np.mean(p_dc):19.5e}")
 
-# one close-up trace: the output ripples at the waveform period
-channel = multipath_channel(profile, array, grid, seed=11, stream=0)
-w = optimize(channel, power, params, grid, opts).waveform
-trace = simulate(w, channel, circuit)
+# one close-up trace of the optimized design's first realization: the
+# output ripples at the waveform period
+trace = simulate(tone_rows["opt"][0], grid, circuit)
 peak = trace.v_in.max()
 print(f"\nsample trace: {len(trace.time)} stored points over one period, "
       f"input peak {peak * 1e3:.1f} mV,")

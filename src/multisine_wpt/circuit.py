@@ -2,19 +2,20 @@
 
 This is the model-free validation path: no Taylor truncation, just the
 exponential diode law under ideal matching, where the rectifier input
-voltage is the received signal scaled by the antenna resistance,
-v_in(t) = y(t) * sqrt(R_ant), sampled through `rectenna.period_basis`,
-which needs a commensurate grid.  Time is discretized by the implicit
-trapezoidal rule (A-stable, second order) on K equal steps of one
-waveform period, and the steady state is solved for directly: the K
-trapezoidal equations under the periodic condition v_0 = v_K, by damped
-Newton over the whole period (finite-difference periodic steady state:
-Aprille & Trick, Proc. IEEE 1972; Kundert, White & Sangiovanni-
-Vincentelli, 1990).  The Newton Jacobian is lower bidiagonal plus one
-corner entry, so every row of a batch goes into one banded solve per
-iteration; the CLI, the presets and the demos put every strategy's rows
-into one batch.  A row whose solve stops at the iteration cap makes the
-run not steady.
+voltage is the received signal y(t) = Re sum_n r_n exp(j w_n t) scaled by
+the antenna resistance, v_in(t) = y(t) * sqrt(R_ant).  Only the received
+tones r enter, so both entry points take rows of them, sampled through
+`rectenna.period_basis`, which needs a commensurate grid.  Time is
+discretized by the implicit trapezoidal rule (A-stable, second order) on
+K equal steps of one waveform period, and the steady state is solved for
+directly: the K trapezoidal equations under the periodic condition
+v_0 = v_K, by damped Newton over the whole period (finite-difference
+periodic steady state: Aprille & Trick, Proc. IEEE 1972; Kundert, White &
+Sangiovanni-Vincentelli, 1990).  The Newton Jacobian is lower bidiagonal
+plus one corner entry, so every row of a batch goes into one banded solve
+per iteration; the CLI, the presets and the demos put every strategy's
+rows into one batch, and a trace they export solves a row already built.
+A row whose solve stops at the iteration cap makes the run not steady.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, FrequencyGrid
-from .rectenna import (DiodeParams, Waveform, monotone_root, period_basis,
-                       received_tone_coefficients)
+from .channel import FrequencyGrid
+from .rectenna import DiodeParams, monotone_root, period_basis
 
 _EXP_CLIP = 200.0  # caps the diode exponent; far above any modeled drive
 _NEWTON_CAP = 200  # damped Newton iterations of the periodic solve
@@ -156,19 +156,18 @@ def _sample_times(grid: FrequencyGrid, circuit: CircuitParams,
             math.sqrt(circuit.diode.r_ant) * basis)
 
 
-def simulate(waveform: Waveform, channel: ChannelRealization,
-             circuit: CircuitParams, dt: float | None = None) -> SimTrace:
-    """Steady-state rectifier trace over one period of the received multisine.
+def simulate(tones: np.ndarray, grid: FrequencyGrid, circuit: CircuitParams,
+             dt: float | None = None) -> SimTrace:
+    """Steady-state rectifier trace over one period of one received-tone row.
 
     One periodic Newton solve gives v_out at t = dt, ..., T; the period
     mean of each of its iterates is kept, the last being the steady one.  A
     solve that stops at its iteration cap is flagged on the trace, never
     silently ignored.
     """
-    r = received_tone_coefficients(waveform, channel)
-    times, basis = _sample_times(waveform.grid, circuit, dt)
+    times, basis = _sample_times(grid, circuit, dt)
     dt = float(times[0])
-    vin = np.hstack([r.real, r.imag])[None, :] @ basis
+    vin = np.hstack([tones.real, tones.imag])[None, :] @ basis
     means = []
     vout, passed = _periodic_newton(vin, circuit, dt, means)
     idx = np.arange(0, times.size, max(1, times.size // 4096))

@@ -71,7 +71,7 @@ _SCHEMA = {
     "pdp_taps": (int, 18),
     "pdp_spacing_s": (_finite, 20e-9),
     "pdp_decay_s": (_finite, 60e-9),
-    "papr_eta": (_finite, 0.0),                  # 0 = unconstrained
+    "papr_eta": (_finite, 0.0),                  # opt-papr only; >= 2
     "papr_oversampling": (int, 8),
     "sca_eps": (_finite, 1e-8),
     "sca_max_iterations": (int, 100),
@@ -141,10 +141,10 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("weights must be nonnegative, not all zero")
     if "opt-papr" in cfg["strategies"] and cfg["papr_eta"] < 2.0:
         raise ConfigError("opt-papr requires key 'papr_eta' >= 2")
-    # a flat channel has one rectenna whatever n_rectennas says
-    rectennas = 1 if cfg["channel_type"] == "flat" else cfg["n_rectennas"]
+    if cfg["channel_type"] == "flat" and cfg["n_rectennas"] > 1:
+        raise ConfigError("n_rectennas must be 1 with channel_type = flat")
     if "opt-multi" in cfg["strategies"] and cfg["weights"] is not None \
-            and len(cfg["weights"]) != rectennas:
+            and len(cfg["weights"]) != cfg["n_rectennas"]:
         raise ConfigError("key 'weights' must list one weight per rectenna")
     for keys, build in (
             (("bandwidth_hz", "carrier_multiple"), _grid),
@@ -301,8 +301,7 @@ def cmd_evaluate(args) -> int:
     else:
         _one_rectenna(cfg, "a waveform is evaluated")
         channel = _channel(cfg, waveform.grid, stream=0)
-    if channel.n_rectennas != 1 or \
-            channel.require_single_rectenna().shape != waveform.amplitudes.shape:
+    if channel.h.shape != waveform.amplitudes.shape:
         raise InputError(f"channel shape {channel.h.shape} differs from "
                          f"waveform shape {waveform.amplitudes.shape}")
     params = _params(cfg)
@@ -396,9 +395,9 @@ def _ensemble_p_dc(per_trial: list, cfg: dict, grid: FrequencyGrid,
     return p_dc.reshape(len(cfg["strategies"]), len(per_trial))
 
 
-def _steady_trace(waveform: Waveform, channel: ChannelRealization,
+def _steady_trace(tones: np.ndarray, grid: FrequencyGrid,
                   circuit: CircuitParams, strategy: str):
-    trace = simulate(waveform, channel, circuit)
+    trace = simulate(tones, grid, circuit)
     if not trace.steady:
         raise SteadyStateError(f"strategy {strategy} trace: Newton cap hit")
     return trace
@@ -425,10 +424,8 @@ def cmd_simulate(args) -> int:
     _write_csv(os.path.join(out, "simulate.csv"),
                "rectifier ensemble: mean harvested DC power per strategy",
                ["strategy", "trials", "mean_p_dc_w", "stderr_w"], rows)
-    if args.trace:
-        channel = _channel(cfg, grid, stream=0)
-        waveform, _ = build_waveform(cfg["strategies"][0], cfg, channel, grid)
-        trace = _steady_trace(waveform, channel, circuit,
+    if args.trace:  # the first strategy's row of trial 0
+        trace = _steady_trace(per_trial[0][0], grid, circuit,
                               cfg["strategies"][0])
         export_trace_csv(trace, os.path.join(out, "trace.csv"))
     print(f"wrote simulate.csv to {out}/")
@@ -557,13 +554,13 @@ def _preset_fig9_like(out: str, seed: int, trials: int) -> None:
 
 def _preset_fig8_trace(out: str, seed: int) -> None:
     cfg = validate_config(default_config())
-    cfg.update(n_tones=16, seed=seed, sca_eps=1e-7, sca_max_iterations=60)
+    cfg.update(n_tones=16, seed=seed, strategies=["up", "opt"],
+               sca_eps=1e-7, sca_max_iterations=60)
     grid = _grid(cfg)
-    channel = _channel(cfg, grid, stream=0)
     circuit = _circuit(cfg)
-    for strategy in ("up", "opt"):
-        waveform, _ = build_waveform(strategy, cfg, channel, grid)
-        trace = _steady_trace(waveform, channel, circuit, strategy)
+    for strategy, tones in zip(cfg["strategies"],
+                               _simulate_trial((cfg, 0))):
+        trace = _steady_trace(tones, grid, circuit, strategy)
         export_trace_csv(
             trace, os.path.join(out, f"fig8-trace-{strategy}.csv"),
             header_comment=f"preset fig8-trace [{strategy}]: steady-state "

@@ -63,7 +63,8 @@ def _dc_waveform(v_in_target, grid_spacing=1e6):
 def test_zero_source_stays_at_zero():
     grid = FrequencyGrid(1, 16e6, 1e6)
     w = Waveform(np.zeros((1, 1)), np.zeros((1, 1)), grid)
-    trace = simulate(w, flat_channel(1.0, 0.0, 1, 1), CIRCUIT)
+    h = flat_channel(1.0, 0.0, 1, 1)
+    trace = simulate(received_tone_coefficients(w, h), grid, CIRCUIT)
     assert trace.steady
     assert abs(trace.period_mean_vout[-1]) < 1e-15
 
@@ -113,7 +114,8 @@ def test_dc_operating_point_under_hard_drive():
 def test_simulation_agrees_with_dc_operating_point():
     target = 0.1
     w = _dc_waveform(target)
-    trace = simulate(w, flat_channel(1.0, 0.0, 1, 1), CIRCUIT)
+    h = flat_channel(1.0, 0.0, 1, 1)
+    trace = simulate(received_tone_coefficients(w, h), w.grid, CIRCUIT)
     assert trace.steady
     expected = dc_operating_point(target, CIRCUIT)
     assert abs(trace.period_mean_vout[-1] - expected) <= 1e-8
@@ -122,9 +124,9 @@ def test_simulation_agrees_with_dc_operating_point():
 def test_step_halving_changes_power_below_a_tenth_percent():
     grid = FrequencyGrid(4, 32e6, 2e6)
     h = flat_channel(1.0, 0.0, 4, 1)
-    w = baseline_waveform("up", h, 1e-5, grid)
-    t1 = simulate(w, h, CIRCUIT)
-    t2 = simulate(w, h, CIRCUIT, dt=t1.dt / 2)
+    r = received_tone_coefficients(baseline_waveform("up", h, 1e-5, grid), h)
+    t1 = simulate(r, grid, CIRCUIT)
+    t2 = simulate(r, grid, CIRCUIT, dt=t1.dt / 2)
     p1, p2 = harvested_dc_power(t1), harvested_dc_power(t2)
     assert abs(p1 - p2) <= 1e-3 * p1
 
@@ -137,8 +139,8 @@ def test_passivity_and_output_floor():
         s = rng.uniform(0.0, 1.0, (4, 1))
         s *= np.sqrt(2e-5) / np.linalg.norm(s)
         w = Waveform(s, -np.angle(h.h), grid)
-        trace = simulate(w, h, CIRCUIT)
         r = received_tone_coefficients(w, h)
+        trace = simulate(r, grid, CIRCUIT)
         delivered = 0.5 * float(np.sum(np.abs(r) ** 2))
         assert harvested_dc_power(trace) <= delivered + 1e-12
         floor = -CIRCUIT.diode.i_s * CIRCUIT.diode.r_load - 1e-9
@@ -164,7 +166,7 @@ def test_ensemble_matches_single_runs():
     r = received_tone_coefficients(w, h)
     p_batch, steady = simulate_ensemble(np.vstack([r, 0.5 * r]), grid, CIRCUIT)
     assert steady
-    p_single = harvested_dc_power(simulate(w, h, CIRCUIT))
+    p_single = harvested_dc_power(simulate(r, grid, CIRCUIT))
     assert np.isclose(p_batch[0], p_single, rtol=1e-9)
     assert p_batch[1] < p_batch[0]
     # one batch over the rows of several strategies, as the CLI runs them,
@@ -212,7 +214,8 @@ def test_periodic_solve_matches_long_plain_iteration():
 def test_trace_satisfies_periodic_equations():
     grid = FrequencyGrid(4, 32e6, 2e6)
     h = flat_channel(1.0, 0.0, 4, 1)
-    trace = simulate(baseline_waveform("up", h, 1e-5, grid), h, CIRCUIT)
+    trace = simulate(received_tone_coefficients(
+        baseline_waveform("up", h, 1e-5, grid), h), grid, CIRCUIT)
     assert trace.steady
     # one full period, t = dt ... T, whose last point closes the loop
     assert trace.time.size == round(grid.period / trace.dt)
@@ -227,13 +230,12 @@ def test_newton_cap_hit_is_counted_and_refused(monkeypatch):
     monkeypatch.setattr(circuit_module, "_NEWTON_CAP", 1)
     grid = FrequencyGrid(4, 32e6, 2e6)
     h = flat_channel(1.0, 0.0, 4, 1)
-    w = baseline_waveform("up", h, 1e-5, grid)
-    trace = simulate(w, h, CIRCUIT)
+    r = received_tone_coefficients(baseline_waveform("up", h, 1e-5, grid), h)
+    trace = simulate(r, grid, CIRCUIT)
     assert not trace.steady
     with pytest.raises(SteadyStateError, match="Newton cap"):
         harvested_dc_power(trace)
-    _, steady = simulate_ensemble(received_tone_coefficients(w, h)[None, :],
-                                  grid, CIRCUIT)
+    _, steady = simulate_ensemble(r[None, :], grid, CIRCUIT)
     assert not steady
 
 
@@ -243,10 +245,10 @@ def test_hard_drive_converges_or_is_refused():
     grid = FrequencyGrid(1, 1e6, 1e6)
     amp = 30.0 / np.sqrt(CIRCUIT.diode.r_ant)
     w = Waveform(np.array([[amp]]), np.zeros((1, 1)), grid)
-    h = flat_channel(1.0, 0.0, 1, 1)
-    trace = simulate(w, h, CIRCUIT, dt=grid.period / 8)
-    _, steady = simulate_ensemble(received_tone_coefficients(w, h)[None, :],
-                                  grid, CIRCUIT, dt=grid.period / 8)
+    r = received_tone_coefficients(w, flat_channel(1.0, 0.0, 1, 1))
+    trace = simulate(r, grid, CIRCUIT, dt=grid.period / 8)
+    _, steady = simulate_ensemble(r[None, :], grid, CIRCUIT,
+                                  dt=grid.period / 8)
     assert steady == trace.steady
     if trace.steady:
         v_scale = float(np.abs(trace.v_out).max())
@@ -265,9 +267,7 @@ def test_chunk_size_leaves_each_row_unchanged(monkeypatch):
         for ch in channels for name in ("up", "ss")])
     p_one, steady = simulate_ensemble(rows, grid, CIRCUIT)
     assert steady
-    steps = round(grid.period / simulate(
-        baseline_waveform("up", channels[0], 1e-5, grid), channels[0],
-        CIRCUIT).dt)
+    steps = round(grid.period / simulate(rows[0], grid, CIRCUIT).dt)
     for rows_per_chunk in (1, 3):
         monkeypatch.setattr(circuit_module, "_CHUNK_ENTRIES",
                             rows_per_chunk * steps)
@@ -281,7 +281,8 @@ def test_chunk_size_leaves_each_row_unchanged(monkeypatch):
 def test_trace_export(tmp_path):
     grid = FrequencyGrid(2, 32e6, 2e6)
     h = flat_channel(1.0, 0.0, 2, 1)
-    trace = simulate(baseline_waveform("up", h, 1e-5, grid), h, CIRCUIT)
+    trace = simulate(received_tone_coefficients(
+        baseline_waveform("up", h, 1e-5, grid), h), grid, CIRCUIT)
     path = tmp_path / "trace.csv"
     export_trace_csv(trace, path, header_comment="two tones")
     lines = path.read_text().splitlines()

@@ -98,7 +98,12 @@ def test_opt_decoupled_builds_opts_design():
 @pytest.mark.parametrize("keys, key", [
     ("strategies = ass, opt-papr\n", "papr_eta"),
     ("strategies = ass, opt-multi\nn_rectennas = 2\nweights = 1\n",
-     "weights")])
+     "weights"),
+    # a flat channel has one rectenna, so it refuses two, weighted or not
+    ("channel_type = flat\nstrategies = opt-multi\nn_rectennas = 2\n",
+     "n_rectennas"),
+    ("channel_type = flat\nstrategies = opt-multi\nn_rectennas = 2\n"
+     "weights = 1, 3\n", "n_rectennas")])
 def test_design_values_exit_2_before_any_waveform_is_written(tmp_path, capsys,
                                                               keys, key):
     # a value one listed design cannot use is refused up front, not after
@@ -380,8 +385,30 @@ def test_simulate_outputs_identical_for_any_worker_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_simulate_trace_designs_each_row_once(tmp_path, monkeypatch):
+    # the trace solves the ensemble's first row: every (strategy, trial) is
+    # designed once, on the one channel drawn for its trial
+    calls = {"build_waveform": 0, "_channel": 0}
+
+    def counted(name):
+        original = getattr(cli, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    cfg = _write(tmp_path, "sim.cfg",
+                 "n_tones = 2\nstrategies = up, ass\ntrials = 2\n")
+    assert main(["simulate", cfg, "--out", str(tmp_path / "sim"),
+                 "--trace"]) == 0
+    assert calls == {"build_waveform": 4, "_channel": 2}
+
+
 def test_unsteady_trace_exits_4(tmp_path, monkeypatch, capsys):
-    def unsteady(waveform, channel, circuit, *args, **kwargs):
+    def unsteady(tones, grid, circuit, *args, **kwargs):
         return SimTrace(time=np.zeros(1), v_in=np.zeros(1), v_out=np.zeros(1),
                         i_d=np.zeros(1), period_mean_vout=np.zeros(2),
                         steady=False, dt=1e-9, load=circuit.diode.r_load)

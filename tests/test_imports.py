@@ -54,6 +54,17 @@ def test_rectenna_does_not_import_gp():
                 if mod and (mod == "gp" or mod.endswith(".gp"))], modules
 
 
+def test_circuit_takes_received_tones():
+    # the rectifier sees only the received tones; a waveform or a channel
+    # reaching it is a second way to form them
+    tree = ast.parse((ROOT / "src" / "multisine_wpt" / "circuit.py")
+                     .read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"Waveform", "ChannelRealization",
+                        "received_tone_coefficients"}, names
+
+
 def _name_parts(node) -> set[str]:
     if isinstance(node, ast.Attribute):
         return {node.attr}
