@@ -316,6 +316,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_papr(args) -> int:
+    if args.oversampling < 2:
+        raise ConfigError("--oversampling must be >= 2")
     waveform = _load_input(load_waveform_text, args.waveform)
     paprs = antenna_paprs(waveform, args.oversampling)
     for ant in range(waveform.n_antennas):
@@ -533,10 +535,9 @@ def _preset_fig_scalinglaws(out: str, seed: int, trials: int) -> None:
 
 
 def _preset_fig9_like(out: str, seed: int, trials: int) -> None:
-    cfg = validate_config(default_config())
-    cfg.update(seed=seed, trials=min(trials, 50),
-               strategies=["up", "ass", "mf", "opt"],
-               sca_eps=1e-7, sca_max_iterations=60)
+    cfg = validate_config(dict(default_config(), seed=seed, sca_eps=1e-7,
+                               trials=min(trials, 50), sca_max_iterations=60,
+                               strategies=["up", "ass", "mf", "opt"]))
     circuit = _circuit(cfg)
     rows = []
     for n in (1, 2, 4, 8, 16):
@@ -553,9 +554,9 @@ def _preset_fig9_like(out: str, seed: int, trials: int) -> None:
 
 
 def _preset_fig8_trace(out: str, seed: int) -> None:
-    cfg = validate_config(default_config())
-    cfg.update(n_tones=16, seed=seed, strategies=["up", "opt"],
-               sca_eps=1e-7, sca_max_iterations=60)
+    cfg = validate_config(dict(default_config(), n_tones=16, seed=seed,
+                               strategies=["up", "opt"], sca_eps=1e-7,
+                               sca_max_iterations=60))
     grid = _grid(cfg)
     circuit = _circuit(cfg)
     for strategy, tones in zip(cfg["strategies"],

@@ -6,11 +6,12 @@ phases or at zero phase, and `baseline_waveform` builds one by name.  Every
 iterative design maximizes one objective, `_WeightedDC`, a nonnegatively
 weighted sum of z_dc over rectennas on the rectenna's DC kernel.  The
 single- and multi-rectenna designs share one minorize-maximize (MM) ascent
-on it: the first over the real amplitudes on the gains |h| at the aligned
-phases, the second over the complex weights.  The objective is convex in
-the weights, so its linearization at the current point is a global lower
-bound, and maximizing that bound over the power ball gives the closed-form,
-monotone update w <- sqrt(2P) grad / ||grad||.  That map
+on it: the first over the N tone amplitudes on the effective channel
+||h_n||, since at the aligned phases matched beamforming is optimal on
+every tone, the second over the complex weights.  The objective is convex
+in the weights, so its linearization at the current point is a global
+lower bound, and maximizing that bound over the power ball gives the
+closed-form, monotone update w <- sqrt(2P) grad / ||grad||.  That map
 converges only linearly, so the ascent extrapolates it by SQUAREM (Varadhan
 & Roland 2008) and keeps an extrapolated step only when it beats two plain
 steps, which keeps the ascent monotone.  Single-tone corners are fixed
@@ -237,8 +238,9 @@ class _WeightedDC:
     def value_grad_hess(self, w: np.ndarray, want_hess: bool = False):
         """(z, 2 dz/d conj(w), Hessian or None): the gradient is the ascent
         direction in the weights; the Hessian, for real gains and weights,
-        has shape (N, M, N, M), entry (n, m, p, q) = h_nm H_np h_pq with H
-        the kernel's Hessian in the received tones."""
+        is sum_u v_u H_u, the N x N Hessian of the kernel in the received
+        tones.  With one rectenna on the gains g, the amplitude Hessian
+        entry (n, m, p, q) is g_nm H_np g_pq."""
         z, grad, hess = 0.0, 0.0, 0.0
         for v, h in self.terms:
             z_u, g_u, hess_u = self.kernel.value_grad_hess(
@@ -246,8 +248,7 @@ class _WeightedDC:
             z += v * z_u
             grad = grad + v * np.conj(h) * g_u[:, None]
             if want_hess:
-                hess = hess + v * h[:, :, None, None] \
-                    * hess_u[:, None, :, None] * h
+                hess = hess + v * hess_u
         return z, grad, hess if want_hess else None
 
 
@@ -380,15 +381,17 @@ def _kkt_residual_power_only(obj: _WeightedDC, s: np.ndarray,
     at s_j = 0 needs dz/ds_j <= 0 and, since e_j is tangent to the power
     sphere there, d2z/ds_j2 <= nu z / P.  Measured on the amplitude scale
     sqrt(P), as b and c are, the violations are sqrt(P) dz/ds_j / z and
-    P d2z/ds_j2 / z - nu; a saddle corner shows in the second.
+    P d2z/ds_j2 / z - nu; a saddle corner shows in the second.  On the
+    gains g, d2z/ds_nm2 = g_nm^2 H_nn, with H the kernel's Hessian.
     """
     gap, nu = _stationarity_gap(obj, s, power)
     zero = s == 0
     if not np.any(zero):
         return gap
     z, grad, hess = obj.value_grad_hess(s, want_hess=True)
+    [(_, gains)] = obj.terms
     first = np.sqrt(power) * grad[zero] / z
-    second = power * np.diag(hess[zero][:, zero]) / z - nu
+    second = power * (gains * np.diag(hess)[:, None] * gains)[zero] / z - nu
     return max(gap, float(first.max()), float(second.max()))
 
 
@@ -420,19 +423,23 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
     `_POLISH_MIN_SHARE` finish the job.  In the relative steps d = ds / s,
     with row j scaled by s_j, the residual is the log-gradient gap
     b - nu c and the Jacobian diag(s) H diag(s) / z - b b^T - nu diag(c),
-    with H the amplitude Hessian of z.  Newton on the gap itself would have
-    a spurious root at s_j = 0, where its row vanishes, and walks a weak
-    coordinate that starts below its optimum toward it; these rows have no
-    such root.  A coordinate the step takes to zero or below is held at
-    zero, where its bound s_j >= 0 is active.  Falls back to the input
-    point whenever the refinement does not verifiably improve it.
+    with H_np = t_n H'_np t_p the Hessian of z in amplitudes s of shape
+    (N, 1) on one column of gains t, H' the kernel's: a step solves at most
+    an (N + 1)^2 system.  Newton on the gap itself would have a spurious
+    root at s_j = 0, where its row vanishes, and walks a weak coordinate
+    that starts below its optimum toward it; these rows have no such root.
+    A coordinate the step takes to zero or below is held at zero, where its
+    bound s_j >= 0 is active.  Falls back to the input point whenever the
+    refinement does not verifiably improve it.
     """
+    [(_, gains)] = obj.terms
     z_start, grad, _ = obj.value_grad_hess(s)
     free = s * grad > _POLISH_MIN_SHARE * z_start
     s_work = s.copy()
     nu = None
     for _ in range(30):
         z, grad, hess = obj.value_grad_hess(s_work, want_hess=True)
+        hess = (gains * hess * gains.T)[np.ix_(free[:, 0], free[:, 0])]
         s_free = s_work[free]
         n_free = s_free.size
         b = s_free * grad[free] / z
@@ -445,8 +452,7 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
         if np.max(np.abs(res)) <= 1e-13:
             break
         jac = np.zeros((n_free + 1, n_free + 1))
-        jac[:n_free, :n_free] = (np.outer(s_free, s_free)
-                                 * hess[free][:, free] / z
+        jac[:n_free, :n_free] = (np.outer(s_free, s_free) * hess / z
                                  - np.outer(b, b) - np.diag(nu * c))
         jac[:n_free, n_free] = -c
         jac[n_free, :n_free] = c
@@ -474,20 +480,6 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
     return s
 
 
-def _polished(obj: _WeightedDC, s: np.ndarray, history: np.ndarray,
-              stop_reason: str, power: float):
-    """(s, history, stop reason) of an ascent run after the KKT polish.
-
-    The polished point is kept when z stays within rounding of the
-    endpoint, so the history stays monotone.
-    """
-    polished = _kkt_polish_power_only(obj, s, power)
-    z_polished = obj.value(polished)
-    if z_polished >= history[-1] * (1.0 - 1e-12):
-        return polished, np.append(history, z_polished), stop_reason
-    return s, history, stop_reason
-
-
 def _dominant_result(candidates: list[np.ndarray],
                      obj: _WeightedDC) -> tuple[int, float]:
     """(k, z) of the first of the candidate weights with the highest z.
@@ -506,31 +498,39 @@ def _dominant_result(candidates: list[np.ndarray],
 def _aligned_design(h: np.ndarray, baselines: list[tuple], power: float,
                     params: RectennaParams, grid: FrequencyGrid,
                     options: OptimizerOptions) -> SCATrace:
-    """One polished MM run over real amplitudes s on the gains |h|, from
-    `_smf_start`, returned at the aligned phases of h, or as the baseline
-    amplitudes that beat them there.
+    """One polished MM run over the tone amplitudes p on the effective
+    gains ||h_n||, from `_smf_start`, spread as s_nm = p_n |h_nm| / ||h_n||
+    (zero on a tone without gain) and returned at the aligned phases of h,
+    or as the baseline amplitudes that beat it there.
 
     The map keeps the amplitudes nonnegative; an extrapolated step can flip
     the sign of one, which is safe: the magnitudes kept here score no lower.
     A Newton polish of the amplitudes' stationarity conditions finishes the
     run, since an unpolished endpoint can be a saddle corner.  The KKT
-    residual is that of the returned amplitudes.
+    residual is the returned amplitudes' in the N*M problem on |h|.
     """
     gains = np.abs(h)
-    obj = _WeightedDC([gains], [1.0], params)
-    [(w, history, stop_reason)] = _ascents(obj, [_smf_start(gains, power)],
+    norms = np.linalg.norm(gains, axis=1, keepdims=True)
+    obj = _WeightedDC([norms], [1.0], params)
+    [(p, history, stop_reason)] = _ascents(obj, [_smf_start(norms, power)],
                                            power, options)
-    s, history, stop_reason = _polished(obj, np.abs(w), history, stop_reason,
-                                        power)
+    # the polished point is kept when z stays within rounding of the
+    # endpoint, so the history stays monotone
+    polished = _kkt_polish_power_only(obj, np.abs(p), power)
+    z_polished = obj.value(polished)
+    if z_polished >= history[-1] * (1.0 - 1e-12):
+        p, history = polished, np.append(history, z_polished)
+    s = np.abs(p) * np.divide(gains, norms, out=np.zeros_like(gains),
+                              where=norms > 0)
     phases = -np.angle(h)
     rotor = np.exp(1j * phases)
     candidates = [s] + [b for b, _ in baselines]
     k, history[-1] = _dominant_result([c * rotor for c in candidates],
                                       _WeightedDC([h], [1.0], params))
-    return SCATrace(history,
-                    Waveform(candidates[k], phases, grid, power_budget=power),
-                    stop_reason, kkt_residual=_kkt_residual_power_only(
-                        obj, candidates[k], power))
+    return SCATrace(
+        history, Waveform(candidates[k], phases, grid, power_budget=power),
+        stop_reason, kkt_residual=_kkt_residual_power_only(
+            _WeightedDC([gains], [1.0], params), candidates[k], power))
 
 
 def optimize(channel: ChannelRealization, power: float,
@@ -538,15 +538,14 @@ def optimize(channel: ChannelRealization, power: float,
              options: OptimizerOptions = OptimizerOptions()) -> SCATrace:
     """Joint space-frequency amplitude design at the aligned phases.
 
-    At the aligned phases tone n arrives as sum_m |h_nm| s_nm, so the MM
-    ascent runs over the real amplitudes on the gains |h|.  It runs once,
-    from the scaled matched filter SMF(3), which puts the power on the
-    strong tones and still spreads it over several, as the nonlinear model
-    does at its optimum; every closed-form baseline is scored against the
-    endpoint.  For a fixed tone power the received amplitude is largest at
-    s_nm proportional to |h_nm|, and the ascent keeps that ratio from its
-    start, so the design is also the per-tone design on the effective
-    channel ||h_n|| after matched beamforming.
+    At the aligned phases tone n arrives as sum_m |h_nm| s_nm, largest for
+    a fixed tone power p_n^2 at s_nm proportional to |h_nm|, as p_n ||h_n||:
+    matched beamforming is optimal on every tone, and only the N tone
+    amplitudes on the effective channel ||h_n|| are left to design.  The MM
+    ascent runs over those once, from the scaled matched filter SMF(3),
+    which puts the power on the strong tones and still spreads it over
+    several, as the nonlinear model does at its optimum; every closed-form
+    baseline is scored against the endpoint on the complex channel.
     """
     h = channel.require_single_rectenna()
     return _aligned_design(h, _baselines(h, power), power, params, grid,

@@ -208,6 +208,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("input error: "), argv
     assert main(["simulate", missing]) == 2
+    # flag values below their floor, by flag and before any CSV is written
+    for argv, key in [(["papr", wave, "--oversampling", value],
+                       "--oversampling") for value in ("0", "-3", "1")] + [
+            (["preset", "fig9-like", "--trials", value, "--out",
+              str(tmp_path / "f9")], "trials") for value in ("0", "-2")]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error"), argv
+        assert key in err, argv
+    assert not (tmp_path / "f9" / "fig9-like.csv").exists()
     # a design or a rectifier run for one rectenna refuses n_rectennas > 1,
     # by key and before it writes anything
     for strategy in ("opt", "opt-decoupled", "opt-papr"):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import joint_polish_oracle
 from multisine_wpt import cli, optimizer
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
@@ -12,8 +13,8 @@ from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
                                      ass_multi, baseline_waveform,
                                      optimal_phases, optimize,
                                      optimize_multi, optimize_papr, toy_n2)
-from multisine_wpt.rectenna import (DiodeParams, RectennaParams, Waveform,
-                                    antenna_paprs, papr,
+from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
+                                    Waveform, antenna_paprs, papr,
                                     received_tone_coefficients, worst_papr,
                                     zdc_analytic)
 
@@ -134,6 +135,20 @@ def test_weighted_objective_matches_weighted_zdc_sum():
             assert np.isclose(slope, np.real(np.vdot(grad, d)), rtol=1e-6)
 
 
+def test_hessian_is_the_kernels_in_the_received_tones():
+    # one N x N matrix for any antenna count, never an (N, M, N, M) tensor
+    rng = np.random.default_rng(3)
+    gains = np.abs(iid_frequency_channel(5, 3, seed=2).h)
+    s = rng.uniform(0.1, 1.0, (5, 3)) * 1e-3
+    for params in (P4, RectennaParams(DiodeParams(), 6)):
+        _, _, hess = _WeightedDC([gains], [1.0], params).value_grad_hess(
+            s, want_hess=True)
+        assert hess.shape == (5, 5)
+        want = DCKernel(params).value_grad_hess(np.sum(gains * s, axis=1),
+                                                want_hess=True)[2]
+        assert np.allclose(hess, want, rtol=1e-12, atol=0.0)
+
+
 def _slow_mm_case():
     """A 16-tone multipath channel, reduced to its effective channel
     ||h_n|| after matched beamforming, on which the plain MM map needs more
@@ -166,11 +181,11 @@ def test_kkt_polish_deterministic_at_iteration_cap():
 
 
 def test_optimize_runs_one_ascent_from_the_scaled_matched_filter(monkeypatch):
-    # one MM run per design, from s_nm proportional to |h_nm| ||h_n||^2 on
-    # the power sphere: the scaled matched filter with beta = 3
+    # one MM run per design, over the tone amplitudes on the effective
+    # gains ||h_n||, from p_n proportional to ||h_n||^3 on the power sphere:
+    # the scaled matched filter with beta = 3
     h = iid_frequency_channel(6, 2, seed=3)
-    gains = np.abs(h.h)
-    smf = gains * np.sum(gains ** 2, axis=1, keepdims=True)
+    smf = np.linalg.norm(h.h, axis=1, keepdims=True) ** 3
     smf *= np.sqrt(2 * POWER) / np.linalg.norm(smf)
     starts = []
 
@@ -181,12 +196,14 @@ def test_optimize_runs_one_ascent_from_the_scaled_matched_filter(monkeypatch):
     monkeypatch.setattr(optimizer, "_mm_ascent", counting)
     optimize(h, POWER, P4, _grid(6))
     assert len(starts) == 1
+    assert starts[0].shape == (6, 1)
     assert np.allclose(starts[0], smf, rtol=1e-12, atol=0.0)
 
 
 def test_single_start_reaches_the_best_of_the_four_baseline_starts():
-    # the reference is the old multi-start design: one polished run from
-    # each distinct closed-form seed, best endpoint kept
+    # the reference is the old multi-start design: one run from each
+    # distinct closed-form seed over the N*M amplitudes, finished by the
+    # N*M polish, best endpoint kept
     opts = OptimizerOptions(eps=1e-8)
     for params in (P4, RectennaParams(DiodeParams(), 6)):
         for m in (1, 2):
@@ -197,8 +214,8 @@ def test_single_start_reaches_the_best_of_the_four_baseline_starts():
                 obj = _WeightedDC([np.abs(h.h)], [1.0], params)
                 seeds = [w.amplitudes
                          for w in _seed_waveforms(h, power, _grid(n))]
-                best = max(optimizer._polished(obj, np.abs(w), history,
-                                               reason, power)[1][-1]
+                best = max(joint_polish_oracle.polished(
+                               obj, np.abs(w), history, reason, power)[1][-1]
                            for w, history, reason in _ascents(obj, seeds,
                                                               power, opts))
                 z = optimize(h, power, params, _grid(n), opts).zdc
@@ -219,8 +236,52 @@ def test_polish_lifts_a_weak_tone_below_its_optimum():
     obj = _WeightedDC([np.abs(h.h)], [1.0], P4)
     w, history, reason = _mm_ascent(
         obj, baseline_waveform("mf", h, POWER, grid).amplitudes, POWER, opts)
-    want = optimizer._polished(obj, np.abs(w), history, reason, POWER)[1][-1]
+    want = joint_polish_oracle.polished(obj, np.abs(w), history, reason,
+                                        POWER)[1][-1]
     assert optimize(h, POWER, P4, grid, opts).zdc >= want * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_optimize_reaches_the_complex_ascent_over_all_amplitudes(order):
+    # with one rectenna, `optimize_multi` runs the MM ascent over the N*M
+    # complex weights from the four closed-form seeds; `optimize` designs
+    # the N tone amplitudes only, and spreads tone n over the antennas by
+    # matched beamforming, s_nm ||h_n|| = ||s_n|| |h_nm|.  One design here
+    # is known to end lower: on iid(16, 2, seed 507) at order 6 and 1e-5 W
+    # the one SMF(3) start ends at a stationary point 6.7e-4 below the run
+    # from the seeds, as the N*M design from SMF(3) does
+    params = RectennaParams(DiodeParams(), order)
+    opts = OptimizerOptions(eps=1e-8)
+    lower = []
+    for m in (2, 4, 8):
+        for seed in range(10):
+            n = (2, 4, 8, 16)[seed % 4]
+            power = (1e-6, 1e-5, 1e-4)[seed % 3]
+            h = iid_frequency_channel(n, m, seed=500 + seed)
+            trace = optimize(h, power, params, _grid(n), opts)
+            multi = optimize_multi([h], [1.0], power, params, _grid(n), opts)
+            if trace.zdc < multi.zdc * (1.0 - 1e-12):
+                lower.append((m, seed, round(1.0 - trace.zdc / multi.zdc, 5)))
+            s, gains = trace.waveform.amplitudes, np.abs(h.h)
+            assert np.allclose(
+                s * np.linalg.norm(gains, axis=1, keepdims=True),
+                np.linalg.norm(s, axis=1, keepdims=True) * gains,
+                rtol=1e-12, atol=0.0), (m, seed)
+    assert lower == ([(2, 7, 0.00067)] if order == 6 else [])
+
+
+def test_a_tone_without_gain_sends_nothing():
+    # tone 1 reaches no antenna: its effective gain is 0, and the spread
+    # p_n |h_nm| / ||h_n|| must give a zero row without a 0/0 (warnings
+    # are errors in this suite).  z matches the N*M design's
+    h = iid_frequency_channel(4, 2, seed=7).h.copy()
+    h[1] = 0.0
+    opts = OptimizerOptions(eps=1e-8)
+    trace = optimize(ChannelRealization(h), POWER, P4, _grid(4), opts)
+    assert np.all(trace.waveform.amplitudes[1] == 0.0)
+    assert np.all(trace.waveform.amplitudes[[0, 2, 3]] > 0.0)
+    want = joint_polish_oracle.joint_design_zdc(h, POWER, P4, opts)
+    assert abs(trace.zdc - want) <= 1e-12 * want
 
 
 def test_every_ascent_converges_on_slow_channel():
@@ -415,8 +476,10 @@ def test_decoupled_equals_joint_for_single_antenna():
 
 
 def test_decoupled_matches_joint_multi_antenna():
-    # the joint design over N*M amplitudes against the per-tone design on
-    # the effective channel: the decoupling loses nothing at the optimum
+    # the design on h against the design on its effective channel: both
+    # run the per-tone design on ||h_n||, and only the scoring on the
+    # complex channel differs (the N*M check is
+    # test_optimize_reaches_the_complex_ascent_over_all_amplitudes)
     grid = _grid(4)
     for seed in range(6):
         h = iid_frequency_channel(4, 2, seed=200 + seed)
