@@ -30,7 +30,7 @@ solves the GP whose constraints are rows of one stacked term matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +78,14 @@ class SCATrace:
     have lowered z by more than that and was rejected) or `solver_fallback`
     (the GP solver refused a start that was not strictly inside its
     constraints, and the run kept its last accepted iterate).
+
+    The PAPR-constrained design also records its inner work, summed over
+    every run and re-solve: `gp_solves` GP solves that ran, with
+    `gp_iterations` primal-dual iterations between them, the
+    `SolveReport.message` of each solve that stopped unconverged (at its
+    iteration cap, say) in `gp_unconverged`, and `gp_refused` starts the
+    solver refused.  Designs without a GP solve leave them at zero and
+    empty.
     """
 
     zdc_history: np.ndarray
@@ -86,6 +94,10 @@ class SCATrace:
     kkt_residual: float | None = None
     achieved_papr: float | None = None
     papr_certified: bool | None = None
+    gp_solves: int = 0
+    gp_iterations: int = 0
+    gp_unconverged: list[str] = field(default_factory=list)
+    gp_refused: int = 0
 
     @property
     def zdc(self) -> float:
@@ -224,12 +236,16 @@ class _WeightedDC:
     Rectenna u receives tone n as r_un = sum_m h_unm w_nm, so the kernel's
     gradient 2 dz/d conj(r) maps back to the weights through conj(h_u).
     The weights are complex, or real amplitudes on real gains |h|, the
-    aligned-phase view; only the latter has a Hessian.
+    aligned-phase view; only the latter has a Hessian.  The maps v_u
+    conj(h_u) are formed once, at construction, so an evaluation does only
+    the work that depends on its point; z and the gradient do not depend on
+    `want_hess`, so an evaluation with the Hessian also serves one without.
     """
 
     def __init__(self, hs: list[np.ndarray], weights, params: RectennaParams):
         self.terms = list(zip(weights, hs))
         self.kernel = DCKernel(params)
+        self._maps = [v * np.conj(h) for v, h in self.terms]
 
     def value(self, w: np.ndarray) -> float:
         """z(w), the same sum as the weighted sum of `zdc_analytic`."""
@@ -242,11 +258,11 @@ class _WeightedDC:
         tones.  With one rectenna on the gains g, the amplitude Hessian
         entry (n, m, p, q) is g_nm H_np g_pq."""
         z, grad, hess = 0.0, 0.0, 0.0
-        for v, h in self.terms:
+        for (v, h), back in zip(self.terms, self._maps):
             z_u, g_u, hess_u = self.kernel.value_grad_hess(
                 np.einsum("nm,nm->n", h, w), want_hess)
             z += v * z_u
-            grad = grad + v * np.conj(h) * g_u[:, None]
+            grad = grad + back * g_u[:, None]
             if want_hess:
                 hess = hess + v * hess_u
         return z, grad, hess if want_hess else None
@@ -279,6 +295,16 @@ def _monotone(iterate, state, z: float, options: OptimizerOptions):
     return state, np.asarray(history), "max_iter"
 
 
+def _norm(x: np.ndarray) -> float:
+    """`np.linalg.norm(x)` of a float or complex array: the same dot
+    products, without the dispatch that costs more than they do at the
+    ascent's sizes."""
+    x = x.ravel(order="K")
+    if np.iscomplexobj(x):
+        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return np.sqrt(x.dot(x))
+
+
 def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
                options: OptimizerOptions):
     """SQUAREM-accelerated MM ascent from the weights w: (w, z history,
@@ -294,14 +320,17 @@ def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
     w0 - 2 alpha r + alpha^2 v, scaled back onto the power sphere, takes
     one more map step to w3.  The cycle keeps w3 when z(w3) > z(w2) and w2
     otherwise (also when v = 0), so it cannot lower z either; it costs at
-    most four gradient evaluations.
+    most four gradient evaluations, each at a point no other one scores.
 
-    One cycle is one iteration of `_monotone`.
+    One cycle is one iteration of `_monotone`.  The start is scored once,
+    and its z decides whether the run starts at all: None for z(w) = 0, a
+    start that reaches no rectenna, where the gradient vanishes and the map
+    is undefined.
     """
     radius = np.sqrt(2.0 * power)
 
     def step(grad):
-        w_next = radius * grad / np.linalg.norm(grad)
+        w_next = radius * grad / _norm(grad)
         return (w_next, *obj.value_grad_hess(w_next)[:2])
 
     def cycle(state):
@@ -310,18 +339,20 @@ def _mm_ascent(obj: _WeightedDC, w: np.ndarray, power: float,
         w_new, z_new, grad_new = step(grad1)
         r = w1 - w
         v = w_new - 2.0 * w1 + w
-        v_norm = np.linalg.norm(v)
+        v_norm = _norm(v)
         if v_norm > 0:
-            alpha = min(-np.linalg.norm(r) / v_norm, -1.0)
+            alpha = min(-_norm(r) / v_norm, -1.0)
             w_ext = w - 2.0 * alpha * r + alpha ** 2 * v
             _, grad_ext, _ = obj.value_grad_hess(radius * w_ext
-                                                 / np.linalg.norm(w_ext))
+                                                 / _norm(w_ext))
             w3, z3, grad3 = step(grad_ext)
             if z3 > z_new:
                 w_new, z_new, grad_new = w3, z3, grad3
         return (w_new, grad_new), z_new
 
     z, grad, _ = obj.value_grad_hess(w)
+    if not z > 0:
+        return None
     (w, _), history, stop_reason = _monotone(cycle, (w, grad), z, options)
     return w, history, stop_reason
 
@@ -345,12 +376,15 @@ def _ascents(obj: _WeightedDC, seeds: list[np.ndarray], power: float,
     """One MM run from each distinct seed with z > 0.
 
     z(0) = 0 and convexity give Re<grad, w> >= z(w), so a positive start
-    keeps the gradient nonzero for the whole run.
+    keeps the gradient nonzero for the whole run.  `_mm_ascent` scores
+    each seed once, and the z > 0 test reuses that evaluation: a seed at
+    z = 0 returns no run.
     """
-    seeds = [w for w in _distinct(seeds) if obj.value(w) > 0]
-    if not seeds:
+    runs = [run for run in (_mm_ascent(obj, w, power, options)
+                            for w in _distinct(seeds)) if run is not None]
+    if not runs:
         raise ValueError("no seed reaches a rectenna: the channel is zero")
-    return [_mm_ascent(obj, w, power, options) for w in seeds]
+    return runs
 
 
 def _best_run(runs: list):
@@ -358,15 +392,16 @@ def _best_run(runs: list):
     return max(runs, key=lambda run: run[1][-1])
 
 
-def _stationarity_gap(obj: _WeightedDC, s: np.ndarray,
+def _stationarity_gap(s: np.ndarray, z: float, grad: np.ndarray,
                       power: float) -> tuple[float, float]:
     """(max |b - nu c|, nu) for max log z s.t. power <= P, in log variables.
 
     b_j is the gradient of log z in log variables and c_j = s_j^2/P the
     gradient of the active power constraint; at a KKT point they are
-    parallel, b = nu c.  Both vanish at a zero amplitude.
+    parallel, b = nu c.  Both vanish at a zero amplitude.  z and its
+    gradient are those of the amplitudes s, from an evaluation the caller
+    already holds, so the gap costs no evaluation of its own.
     """
-    z, grad, _ = obj.value_grad_hess(s)
     b = s * grad / z
     c = s ** 2 / power
     nu = float(np.vdot(b, c)) / float(np.vdot(c, c))
@@ -382,13 +417,14 @@ def _kkt_residual_power_only(obj: _WeightedDC, s: np.ndarray,
     sphere there, d2z/ds_j2 <= nu z / P.  Measured on the amplitude scale
     sqrt(P), as b and c are, the violations are sqrt(P) dz/ds_j / z and
     P d2z/ds_j2 / z - nu; a saddle corner shows in the second.  On the
-    gains g, d2z/ds_nm2 = g_nm^2 H_nn, with H the kernel's Hessian.
+    gains g, d2z/ds_nm2 = g_nm^2 H_nn, with H the kernel's Hessian.  One
+    evaluation serves both, with the Hessian only when an amplitude is zero.
     """
-    gap, nu = _stationarity_gap(obj, s, power)
     zero = s == 0
-    if not np.any(zero):
+    z, grad, hess = obj.value_grad_hess(s, want_hess=bool(np.any(zero)))
+    gap, nu = _stationarity_gap(s, z, grad, power)
+    if hess is None:
         return gap
-    z, grad, hess = obj.value_grad_hess(s, want_hess=True)
     [(_, gains)] = obj.terms
     first = np.sqrt(power) * grad[zero] / z
     second = power * (gains * np.diag(hess)[:, None] * gains)[zero] / z - nu
@@ -431,15 +467,24 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
     A coordinate the step takes to zero or below is held at zero, where its
     bound s_j >= 0 is active.  Falls back to the input point whenever the
     refinement does not verifiably improve it.
+
+    Returns (s, z) of the point kept, and scores each point once: the
+    input's one evaluation, with the Hessian, serves its share test, the
+    first Newton step and the acceptance test, and the acceptance test
+    scores the final point only when it is not the last one scored.
     """
     [(_, gains)] = obj.terms
-    z_start, grad, _ = obj.value_grad_hess(s)
+    z_start, grad_start, hess = obj.value_grad_hess(s, want_hess=True)
+    z, grad, s_scored = z_start, grad_start, s
     free = s * grad > _POLISH_MIN_SHARE * z_start
-    s_work = s.copy()
+    s_work = s
     nu = None
     for _ in range(30):
-        z, grad, hess = obj.value_grad_hess(s_work, want_hess=True)
-        hess = (gains * hess * gains.T)[np.ix_(free[:, 0], free[:, 0])]
+        if s_work is not s_scored:
+            z, grad, hess = obj.value_grad_hess(s_work, want_hess=True)
+            s_scored = s_work
+        keep = free[:, 0]
+        hess = (gains * hess * gains.T)[keep][:, keep]
         s_free = s_work[free]
         n_free = s_free.size
         b = s_free * grad[free] / z
@@ -447,13 +492,17 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
         if nu is None:
             nu = float(b @ c) / float(c @ c)
         res = np.concatenate([b - nu * c,
-                              [(np.sum(s_work ** 2) - 2.0 * power)
+                              [((s_work ** 2).sum() - 2.0 * power)
                                / (2.0 * power)]])
-        if np.max(np.abs(res)) <= 1e-13:
+        if np.abs(res).max() <= 1e-13:
             break
+        # the outer products and the diagonal term, written out: numpy's
+        # helpers cost more than the arithmetic at these sizes
         jac = np.zeros((n_free + 1, n_free + 1))
-        jac[:n_free, :n_free] = (np.outer(s_free, s_free) * hess / z
-                                 - np.outer(b, b) - np.diag(nu * c))
+        jac[:n_free, :n_free] = (s_free[:, None] * s_free * hess / z
+                                 - b[:, None] * b)
+        diagonal = np.arange(n_free)
+        jac[diagonal, diagonal] -= nu * c
         jac[:n_free, n_free] = -c
         jac[n_free, :n_free] = c
         try:
@@ -468,16 +517,20 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
         s_work[free] = s_next
         free &= s_work > 0
     # exact power projection, then accept only a verified improvement
-    fixed_power = np.sum(s_work[~free] ** 2)
-    scale_sq = (2.0 * power - fixed_power) / np.sum(s_work[free] ** 2)
+    fixed_power = (s_work[~free] ** 2).sum()
+    scale_sq = (2.0 * power - fixed_power) / (s_work[free] ** 2).sum()
     if scale_sq > 0:
+        s_work = s_work.copy()
         s_work[free] *= np.sqrt(scale_sq)
-    if np.all(np.isfinite(s_work)) \
-            and _stationarity_gap(obj, s_work, power)[0] \
-            < _stationarity_gap(obj, s, power)[0] \
-            and obj.value(s_work) >= z_start * (1.0 - 1e-9):
-        return s_work
-    return s
+    if not np.isfinite(s_work).all():
+        return s, z_start
+    if not (s_work == s_scored).all():
+        z, grad, _ = obj.value_grad_hess(s_work)
+    if _stationarity_gap(s_work, z, grad, power)[0] \
+            < _stationarity_gap(s, z_start, grad_start, power)[0] \
+            and z >= z_start * (1.0 - 1e-9):
+        return s_work, z
+    return s, z_start
 
 
 def _dominant_result(candidates: list[np.ndarray],
@@ -516,8 +569,7 @@ def _aligned_design(h: np.ndarray, baselines: list[tuple], power: float,
                                            power, options)
     # the polished point is kept when z stays within rounding of the
     # endpoint, so the history stays monotone
-    polished = _kkt_polish_power_only(obj, np.abs(p), power)
-    z_polished = obj.value(polished)
+    polished, z_polished = _kkt_polish_power_only(obj, np.abs(p), power)
     if z_polished >= history[-1] * (1.0 - 1e-12):
         p, history = polished, np.append(history, z_polished)
     s = np.abs(p) * np.divide(gains, norms, out=np.zeros_like(gains),
@@ -675,6 +727,9 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                     break
         return seeds
 
+    # every run's GP reports and refused starts, for the trace's counts
+    reports, refused = [], []
+
     def run(anchor: np.ndarray, limit: float):
         def solve(anchor):
             # the best monomial lower bound of z at the anchor has the
@@ -701,7 +756,9 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                 # the start is not strictly inside its peak rows, e.g. the
                 # single-tone corner at eta = 2, which touches them; the
                 # run keeps its last accepted iterate
+                refused.append(anchor)
                 return None
+            reports.append(report)
             x = report.x.reshape(n, m)
             return x, obj.value(x)
 
@@ -726,7 +783,11 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         limit *= 0.999 * eta / fine
     return SCATrace(history, Waveform(s, phi_star, grid, power_budget=power),
                     stop_reason, achieved_papr=fine,
-                    papr_certified=fine <= ceiling)
+                    papr_certified=fine <= ceiling, gp_solves=len(reports),
+                    gp_iterations=sum(r.iterations for r in reports),
+                    gp_unconverged=[r.message for r in reports
+                                    if not r.converged],
+                    gp_refused=len(refused))
 
 
 # ---------------------------------------------------------------------------

@@ -175,8 +175,9 @@ class DCKernel:
         self._w = {i: k * _DC_PREFACTOR[i] for i, k in self._k.items()}
 
     def _term(self, order: int, conv: np.ndarray) -> float:
+        # `np.sum`'s reduction, without its dispatch wrapper
         return self._k[order] * (_DC_PREFACTOR[order]
-                                 * float(np.sum(np.abs(conv) ** 2)))
+                                 * float(np.add.reduce(np.abs(conv) ** 2)))
 
     def value(self, r: np.ndarray) -> float | np.ndarray:
         """z_dc for complex (or real) tone coefficients r.

@@ -69,8 +69,9 @@ def kkt_polish(obj: _WeightedDC, s: np.ndarray, power: float) -> np.ndarray:
     if scale_sq > 0:
         s_work[free] *= np.sqrt(scale_sq)
     if np.all(np.isfinite(s_work)) \
-            and _stationarity_gap(obj, s_work, power)[0] \
-            < _stationarity_gap(obj, s, power)[0] \
+            and _stationarity_gap(s_work, *obj.value_grad_hess(s_work)[:2],
+                                  power)[0] \
+            < _stationarity_gap(s, *obj.value_grad_hess(s)[:2], power)[0] \
             and obj.value(s_work) >= z_start * (1.0 - 1e-9):
         return s_work
     return s

@@ -1,15 +1,18 @@
+import collections
+
 import numpy as np
 import pytest
 
 import joint_polish_oracle
-from multisine_wpt import cli, optimizer
+from multisine_wpt import cli, gp, optimizer
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
 from multisine_wpt.gp import GPSolverError, positivity_floor
 from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
                                      _kkt_polish_power_only,
                                      _kkt_residual_power_only, _mm_ascent,
-                                     _PeakConstraints, _WeightedDC,
+                                     _PeakConstraints, _smf_start,
+                                     _WeightedDC,
                                      ass_multi, baseline_waveform,
                                      optimal_phases, optimize,
                                      optimize_multi, optimize_papr, toy_n2)
@@ -173,11 +176,43 @@ def test_kkt_polish_deterministic_at_iteration_cap():
     for w, _, _ in _ascents(_WeightedDC([eff.h], [1.0], P4), seeds, POWER,
                             opts):
         s = np.abs(w)
-        z = obj.value(_kkt_polish_power_only(obj, s, POWER))
+        z = _kkt_polish_power_only(obj, s, POWER)[1]
         for _ in range(5):
             s_pert = s * (1 + 1e-15 * rng.standard_normal(s.shape))
-            z_pert = obj.value(_kkt_polish_power_only(obj, s_pert, POWER))
+            z_pert = _kkt_polish_power_only(obj, s_pert, POWER)[1]
             assert abs(z_pert - z) <= 1e-12 * z
+
+
+def test_optimize_scores_each_point_once(monkeypatch):
+    # on the effective-channel objective of one design, the SMF(3) seed and
+    # the polished point are scored once each, and the polish start twice:
+    # as the ascent's endpoint and once in the polish, whose evaluation
+    # also gives the Hessian of its first Newton step
+    h = iid_frequency_channel(8, 2, seed=3)
+    scored = collections.Counter()
+    polishes = []
+    value_grad_hess = _WeightedDC.value_grad_hess
+
+    def counting(obj, w, want_hess=False):
+        if obj.terms[0][1].shape[1] == 1:
+            scored[w.tobytes()] += 1
+        return value_grad_hess(obj, w, want_hess)
+
+    def polish(obj, s, power):
+        result = _kkt_polish_power_only(obj, s, power)
+        polishes.append((s, result))
+        return result
+
+    monkeypatch.setattr(_WeightedDC, "value_grad_hess", counting)
+    monkeypatch.setattr(optimizer, "_kkt_polish_power_only", polish)
+    optimize(h, 1e-4, P4, _grid(8))
+    norms = np.linalg.norm(np.abs(h.h), axis=1, keepdims=True)
+    [(start, result)] = polishes
+    assert scored[_smf_start(norms, 1e-4).tobytes()] == 1
+    assert scored[start.tobytes()] <= 2
+    polished, _ = result
+    assert not np.array_equal(polished, start)
+    assert scored[polished.tobytes()] == 1
 
 
 def test_optimize_runs_one_ascent_from_the_scaled_matched_filter(monkeypatch):
@@ -592,6 +627,33 @@ def test_papr_solver_fallback_reports_unconverged():
     assert tr.n_iterations == 0
     assert not tr.converged
     assert tr.stop_reason == "solver_fallback"
+
+
+def test_papr_trace_counts_capped_and_refused_solves(monkeypatch):
+    # with the primal-dual loop capped at 3 iterations every GP solve stops
+    # unconverged, and the design still reports `tol` and a certificate:
+    # only the trace's counts show the capped solves
+    grid = _grid(4)
+    flat = flat_channel(1.0, 0.0, 4, 1)
+    full = optimize_papr(flat, 1e-4, 3.0, P4, grid)
+    assert full.gp_solves > 0 and full.gp_iterations > 3 * full.gp_solves
+    assert full.gp_unconverged == [] and full.gp_refused == 0
+    monkeypatch.setattr(gp, "_MAX_NEWTON", 3)
+    capped = optimize_papr(flat, 1e-4, 3.0, P4, grid)
+    assert capped.stop_reason == "tol" and capped.papr_certified
+    assert capped.gp_solves > 0
+    assert capped.gp_iterations == 3 * capped.gp_solves
+    assert capped.gp_unconverged == ["iteration cap reached"] \
+        * capped.gp_solves
+    # at eta = 2 the solver refuses the single-tone corner's start
+    refused = optimize_papr(flat_channel(1.0, 0.0, 2, 1), POWER, 2.0, P4,
+                            _grid(2), OptimizerOptions(eps=1e-8,
+                                                       max_iterations=40))
+    assert refused.stop_reason == "solver_fallback"
+    assert (refused.gp_solves, refused.gp_refused) == (0, 1)
+    # a design that meets the limit unconstrained solves no GP
+    unconstrained = optimize_papr(flat, 1e-4, 8.0, P4, grid)
+    assert (unconstrained.gp_solves, unconstrained.gp_refused) == (0, 0)
 
 
 def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
