@@ -8,6 +8,7 @@ multipath model or drawn i.i.d. per tone ("frequencies far apart" regime).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,67 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# fl(1/sqrt(2)).  numpy divides a complex array by the real sqrt(2) by
+# multiplying both parts with this rounded reciprocal, so scaling each part
+# by it gives the numbers `(re + 1j * im) / np.sqrt(2.0)` gives.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+class _NormalStream:
+    """The standard normals of one generator, drawn in stream order only as
+    far as a window needs, and kept only while a window may still read
+    them.
+
+    Position p is the p-th normal the generator draws after the stream
+    takes it.  A generator's normals do not depend on how its draws split
+    the stream, so every window reads the numbers one draw of the whole
+    stream would give.  Each draw is kept as its own piece, and a piece is
+    dropped whole, so no slice pins a freed front.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._pieces = []  # (position of the first normal, normals)
+        self._end = 0      # position after the last normal drawn
+
+    def complex_window(self, start: int, shape, keep: float) -> np.ndarray:
+        """Unit-variance circular complex Gaussian draws of `shape` from the
+        2 * size normals at position `start`: the real parts first, then
+        the imaginary parts, each scaled by fl(1/sqrt(2)).
+
+        No later window reads before position `keep`, so the real parts'
+        normals are dropped before the imaginary parts' are drawn unless a
+        later window reads them.
+        """
+        size = math.prod(shape)
+        out = np.empty(shape, dtype=complex)
+        flat = out.reshape(-1).view(float)  # re, im, re, im, ...
+        self._scaled_into(flat[0::2], start, keep)
+        self._scaled_into(flat[1::2], start + size, keep)
+        return out
+
+    def _scaled_into(self, part: np.ndarray, first: int, keep: float):
+        """Write the normals from position `first` on, times fl(1/sqrt(2)),
+        into `part`, then drop the pieces that end at or before both `keep`
+        and the last normal written."""
+        last = first + part.size
+        if last > self._end:
+            self._pieces.append(
+                (self._end, self._rng.standard_normal(last - self._end)))
+            self._end = last
+        for at, normals in self._pieces:
+            lo, hi = max(first, at), min(last, at + normals.size)
+            if lo < hi:
+                np.multiply(normals[lo - at:hi - at], _INV_SQRT2,
+                            out=part[lo - first:hi - first])
+        self._pieces = [(at, normals) for at, normals in self._pieces
+                        if at + normals.size > min(keep, last)]
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circular complex Gaussian draws of the given shape,
-    real parts first, written into one complex array scaled in place."""
-    out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
-    out /= np.sqrt(2.0)
-    return out
+    """Unit-variance circular complex Gaussian draws of the given shape from
+    the generator's next 2 * size normals, real parts first."""
+    return _NormalStream(rng).complex_window(0, shape, keep=math.inf)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,11 @@ class SCATrace:
     (the GP solver refused a start that was not strictly inside its
     constraints, and the run kept its last accepted iterate).
 
+    `kkt_residual` is the returned design's stationarity number: the KKT
+    gap of its amplitudes for `optimize`'s design, and the MM fixed-point
+    residual ||g/||g|| - w/||w|||| of its weights w and gradient g for
+    `optimize_multi`; a GP design of `optimize_papr` leaves it None.
+
     The PAPR-constrained design also records its inner work, summed over
     every run and re-solve: `gp_solves` GP solves that ran, with
     `gp_iterations` primal-dual iterations between them, the
@@ -534,18 +539,20 @@ def _kkt_polish_power_only(obj: _WeightedDC, s: np.ndarray,
 
 
 def _dominant_result(candidates: list[np.ndarray],
-                     obj: _WeightedDC) -> tuple[int, float]:
-    """(k, z) of the first of the candidate weights with the highest z.
+                     obj: _WeightedDC) -> tuple[int, float, np.ndarray]:
+    """(k, z, gradient) of the first of the candidate weights with the
+    highest z.
 
     Candidate 0 is a design's endpoint and the others its closed-form
     seeds.  z is `obj.value` of the complex weights on the complex
-    channels, the weighted `zdc_analytic` sum that external checks use.
-    Rounding can place a refined endpoint an ulp below an exact seed;
-    keeping the seed then makes the design dominate every seed exactly.
+    channels, the weighted `zdc_analytic` sum that external checks use,
+    and the gradient comes from the same evaluation.  Rounding can place a
+    refined endpoint an ulp below an exact seed; keeping the seed then
+    makes the design dominate every seed exactly.
     """
-    zs = [obj.value(w) for w in candidates]
-    k = int(np.argmax(zs))
-    return k, zs[k]
+    scored = [obj.value_grad_hess(w)[:2] for w in candidates]
+    k = int(np.argmax([z for z, _ in scored]))
+    return k, *scored[k]
 
 
 def _aligned_design(h: np.ndarray, baselines: list[tuple], power: float,
@@ -577,8 +584,8 @@ def _aligned_design(h: np.ndarray, baselines: list[tuple], power: float,
     phases = -np.angle(h)
     rotor = np.exp(1j * phases)
     candidates = [s] + [b for b, _ in baselines]
-    k, history[-1] = _dominant_result([c * rotor for c in candidates],
-                                      _WeightedDC([h], [1.0], params))
+    k, history[-1], _ = _dominant_result([c * rotor for c in candidates],
+                                         _WeightedDC([h], [1.0], params))
     return SCATrace(
         history, Waveform(candidates[k], phases, grid, power_budget=power),
         stop_reason, kkt_residual=_kkt_residual_power_only(
@@ -702,10 +709,22 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     base_A = np.vstack([2.0 * np.eye(n_vars), -np.eye(n_vars)])
     base_sizes = np.concatenate([[n_vars], np.ones(n_vars, dtype=int)])
 
+    # z and its gradient at each point the SCA reaches, by the point's
+    # bytes: a GP solution is scored once as an iterate and serves as the
+    # next anchor, and a seed is scored once as a baseline (equal baselines,
+    # `mf`, `upmf` and `up` on a flat channel, are one point)
+    scores = {}
+
+    def score(s: np.ndarray) -> tuple[float, np.ndarray]:
+        key = s.tobytes()
+        if key not in scores:
+            scores[key] = obj.value_grad_hess(s)[:2]
+        return scores[key]
+
     # the baselines' z and PAPR do not depend on the limit: score them once
     baselines = [np.maximum(s, floor) for s, _ in baselines]
     paprs = [worst_papr(s, phi_star, basis) for s in baselines]
-    zs = [obj.value(s) for s in baselines]
+    zs = [score(s)[0] for s in baselines]
     best = int(np.argmax(zs))
     s_best, p_best = baselines[best], paprs[best]
     safe = baselines[2]  # `ass`: the channel is nonzero, so all four seeds
@@ -736,7 +755,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             # exponents s dz/ds / z, the AM-GM condensation of z without
             # enumerating its posynomial; its coefficient does not move
             # the optimum
-            z, grad, _ = obj.value_grad_hess(anchor)
+            z, grad = score(anchor)
             log_c, A, sizes = peaks.rows(np.log(anchor).ravel(), limit)
             # solve_gp needs a strictly feasible start.  The anchor may sit
             # on its floor rows (a clipped amplitude) and within rounding of
@@ -760,9 +779,9 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                 return None
             reports.append(report)
             x = report.x.reshape(n, m)
-            return x, obj.value(x)
+            return x, score(x)[0]
 
-        return _monotone(solve, anchor, obj.value(anchor), options)
+        return _monotone(solve, anchor, score(anchor)[0], options)
 
     limit = eta
     for _ in range(3):
@@ -858,7 +877,9 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
     seeds, and keeps the best endpoint.  With U = 1 these are the four
     baselines, not the SMF(3) start of the single-rectenna design.  The
     seeds are scored at their own strategies' phases, and a `Waveform` is
-    built only for the design returned.
+    built only for the design returned.  Its `kkt_residual` is the MM
+    fixed-point residual of the returned weights, from the gradient of the
+    evaluation that picks them.
     """
     hs = _as_channel_list(channels)
     weights = np.asarray(weights, dtype=float)
@@ -874,10 +895,13 @@ def optimize_multi(channels, weights, power: float, params: RectennaParams,
     w, history, stop_reason = _best_run(_ascents(
         obj, [s * np.exp(1j * phi) for s, phi in seeds], power, options))
     candidates = [(np.abs(w), np.angle(w))] + seeds
-    k, history[-1] = _dominant_result(
-        [s * np.exp(1j * phi) for s, phi in candidates], obj)
+    ws = [s * np.exp(1j * phi) for s, phi in candidates]
+    k, history[-1], grad = _dominant_result(ws, obj)
+    # the MM map F(w) = sqrt(2P) grad / ||grad|| fixes w exactly when the
+    # gradient points along w
+    residual = _norm(grad / _norm(grad) - ws[k] / _norm(ws[k]))
     return SCATrace(history, Waveform(*candidates[k], grid, power_budget=power),
-                    stop_reason)
+                    stop_reason, kkt_residual=float(residual))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .channel import ChannelRealization, FrequencyGrid
 
 _POWER_FEAS_RTOL = 1e-9
 _ORACLE_OVERSAMPLE = 16  # samples per top harmonic of y^i in the oracle
+_BATCH_BINS = 1 << 16  # spectrum bins per row block of `DCKernel.value`
 
 # combinatorial prefactors of the DC component of y^i for i = 2, 4, 6
 _DC_PREFACTOR = {2: 0.5, 4: 3.0 / 8.0, 6: 5.0 / 16.0}
@@ -190,12 +191,26 @@ class DCKernel:
         real row's spectrum is conjugate-symmetric, so its `rfft` holds
         every |R_f|: bin 0 counts once, the inner bins twice and, for an
         even L, the Nyquist bin once.
+
+        The rows go through in blocks of about `_BATCH_BINS` spectrum bins,
+        which bounds the temporaries.  Each row's z is the same however the
+        rows are blocked: the FFT and the mean work row by row, and blocks
+        of a multiple of 64 rows start on a row group of the BLAS product
+        with `counts` (OpenBLAS's Haswell gemv groups 4 rows), so each
+        row's dot product is summed as it is over the whole batch.
         """
         r = np.asarray(r)
         if r.ndim <= 1:
             return self.value_grad_hess(r)[0]
         n_fft = _five_smooth(self.truncation_order // 2 * (r.shape[-1] - 1)
                              + 1)
+        step = 64 * max(1, _BATCH_BINS // (64 * n_fft))
+        z = np.empty(len(r))
+        for i in range(0, len(r), step):
+            z[i:i + step] = self._batch_value(r[i:i + step], n_fft)
+        return z
+
+    def _batch_value(self, r: np.ndarray, n_fft: int) -> np.ndarray:
         if np.iscomplexobj(r):
             power = np.abs(np.fft.fft(r, n=n_fft, axis=-1)) ** 2
             return sum(w * np.mean(power ** (i // 2), axis=-1)

@@ -6,8 +6,11 @@ fading (one common gain for all tones) or frequency-selective fading
 (independent unit-variance gains per tone and antenna).  `monte_carlo_many`
 re-derives the same averages by drawing channels, building the strategy's
 closed-form waveform and evaluating the DC surrogate of each trial with
-`rectenna.DCKernel`, the same kernel the designs use; the scenarios whose
-draws coincide share them.
+`rectenna.DCKernel`, the same kernel the designs use.  All scenarios read
+one Philox stream (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC 2011), and each of its normals is drawn once: a narrower draw
+shape reads a prefix of what the widest one reads, and the scenarios of
+one shape share its channels.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import _complex_normal, _rng
+from .channel import _complex_normal, _NormalStream, _rng
 from .rectenna import DCKernel, RectennaParams
 
 EULER_GAMMA = float(np.euler_gamma)
@@ -28,7 +31,12 @@ STIELTJES_GAMMA1 = -0.0728158454836767
 
 _STRATEGIES = ("ss", "up", "ass", "upmf")
 _REGIMES = ("flat", "selective")
-_MC_CHUNK = 20000  # Monte Carlo trials per channel draw
+# Monte Carlo trials per chunk.  Chunk c of a draw shape with d entries per
+# trial reads the stream's normals [2dKc, 2dKc + 2d * size), K = _MC_CHUNK,
+# and each scenario's per-chunk sums fix its bits, so the chunk boundaries
+# are part of every result.
+_MC_CHUNK = 20000
+_GAIN_BLOCK = 1 << 16  # channel entries per block of `_gains`
 
 
 @lru_cache(maxsize=None)
@@ -135,16 +143,32 @@ def monte_carlo(sc: ScalingScenario, trials: int,
     return monte_carlo_many([sc], trials, seed)[0]
 
 
-def _tone_rows(sc: ScalingScenario, h: np.ndarray,
+def _tone_rows(sc: ScalingScenario, h: np.ndarray | None,
                gains: np.ndarray) -> np.ndarray:
     """Received tone rows of the scenario's closed-form waveform over the
-    drawn channels h, whose per-tone gains over the antennas are `gains`."""
+    drawn channels h, whose per-tone gains over the antennas are `gains`;
+    only `up` reads h."""
     n, p = sc.n_tones, sc.power
     if sc.strategy in ("ss", "ass"):  # all power on the strongest tone
         return np.sqrt(2.0 * p) * np.max(gains, axis=1, keepdims=True)
     # up keeps the channel phases (r_n = s_n h_n); upmf matches them
     return np.sqrt(2.0 * p / n) * np.broadcast_to(
-        h[:, :, 0] if sc.strategy == "up" else gains, (len(h), n))
+        h[:, :, 0] if sc.strategy == "up" else gains, (len(gains), n))
+
+
+def _gains(h: np.ndarray) -> np.ndarray:
+    """||h_n|| over the antennas of every drawn tone: the arithmetic of
+    `np.linalg.norm(h, axis=2)`, sqrt(sum((conj(h) h).real)), a block of
+    rows at a time, so its conjugate product needs no temporary the size
+    of h."""
+    gains = np.empty(h.shape[:2])
+    step = max(1, _GAIN_BLOCK // (h.shape[1] * h.shape[2]))
+    for i in range(0, len(h), step):
+        block = h[i:i + step]
+        power = np.conjugate(block)
+        power *= block
+        np.add.reduce(power.real, axis=2, out=gains[i:i + step])
+    return np.sqrt(gains, out=gains)
 
 
 def monte_carlo_many(scenarios, trials: int,
@@ -155,9 +179,15 @@ def monte_carlo_many(scenarios, trials: int,
     Channels are drawn per the scenario's regime, the strategy's
     closed-form waveform is applied, and the fourth-order surrogate of each
     realization is evaluated by `DCKernel`, one batch of tone rows per
-    chunk.  Every scenario draws from the same Philox stream, so scenarios
-    of one draw shape see the same channels: each such group shares one
-    draw per chunk, and each mean is the one its scenario gets alone.
+    chunk of `_MC_CHUNK` trials.  Every scenario reads the same Philox
+    stream: chunk c of a draw shape with d entries per trial is the stream
+    window of normals [2dKc, 2dKc + 2d * size), K = `_MC_CHUNK`, so each
+    mean is the one its scenario gets alone.  Scenarios of one shape share
+    each chunk's draw, and every shape reads its windows from one
+    `channel._NormalStream`, which draws each normal once: the stream's
+    first 2 * trials * max(d) normals.  The chunk whose window ends first
+    runs next (the widest on a tie), and the stream keeps only the normals
+    from the earliest window still pending.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -167,19 +197,36 @@ def monte_carlo_many(scenarios, trials: int,
         n_draw = 1 if sc.regime == "flat" or sc.strategy == "ss" \
             else sc.n_tones
         groups.setdefault((n_draw, sc.n_antennas), []).append(k)
+    kernels = [DCKernel(sc.params) for sc in scenarios]
     sums = np.zeros((len(scenarios), 2))
-    for shape, members in groups.items():
-        rng = _rng(seed, 0)
-        kernels = {k: DCKernel(scenarios[k].params) for k in members}
-        done = 0
-        while done < trials:
-            size = min(_MC_CHUNK, trials - done)
-            h = _complex_normal(rng, (size, *shape))
-            gains = np.linalg.norm(h, axis=2)
-            for k in members:
-                z = kernels[k].value(_tone_rows(scenarios[k], h, gains))
-                sums[k] += np.sum(z), np.sum(z ** 2)
-            done += size
+    stream = _NormalStream(_rng(seed, 0))
+    width = {shape: math.prod(shape) for shape in groups}
+    done = dict.fromkeys(groups, 0)  # trials drawn, per pending shape
+    while done:
+        # the pending chunk whose window ends first, the widest on a tie
+        shape = min(done, key=lambda s: (
+            width[s] * min(done[s] + _MC_CHUNK, trials), -width[s]))
+        members, first = groups[shape], done[shape]
+        size = min(_MC_CHUNK, trials - first)
+        if first + size < trials:
+            done[shape] += size
+        else:
+            del done[shape]
+        # no later window starts before the earliest pending chunk
+        h = stream.complex_window(
+            2 * width[shape] * first, (size, *shape),
+            keep=min((2 * width[s] * t for s, t in done.items()),
+                     default=math.inf))
+        gains = _gains(h)
+        # only `up` reads the channel phases; without it, h is freed
+        # before the kernels run
+        phased = h if any(scenarios[k].strategy == "up"
+                          for k in members) else None
+        del h
+        for k in members:
+            z = kernels[k].value(_tone_rows(scenarios[k], phased, gains))
+            sums[k] += np.sum(z), np.sum(z ** 2)
+        del phased, gains, z
     results = []
     for total, total_sq in sums:
         mean = total / trials
@@ -206,7 +253,7 @@ def hardening_curve(antenna_counts, n_tones: int, power: float,
     for idx, m in enumerate(counts):
         rng = _rng(seed, idx)
         h = _complex_normal(rng, (trials, n, m))
-        norms = np.linalg.norm(h, axis=2)
+        norms = _gains(h)
         gain_dev = np.sqrt(np.mean((norms / np.sqrt(m) - 1.0) ** 2, axis=1))
         r = np.sqrt(2.0 * power / n) * norms
         z = kernel.value(r)

@@ -89,6 +89,18 @@ def test_only_rectenna_uses_fft():
     assert not users, users
 
 
+def test_only_channel_draws_normals():
+    # `channel` lays complex draws out of a stream of normals, real parts
+    # first and scaled by fl(1/sqrt(2)), and the Monte Carlo's shared
+    # stream is one; another module drawing normals is a second layout
+    users = [str(path.relative_to(ROOT))
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "channel.py"
+             and any("standard_normal" in _name_parts(node)
+                     for node in ast.walk(ast.parse(path.read_text())))]
+    assert not users, users
+
+
 def test_only_rectenna_samples_the_carrier():
     # `rectenna.period_basis` is where the carrier enters sampling; another
     # module reading the tone frequencies in rad/s or the carrier multiple

@@ -656,6 +656,33 @@ def test_papr_trace_counts_capped_and_refused_solves(monkeypatch):
     assert (unconstrained.gp_solves, unconstrained.gp_refused) == (0, 0)
 
 
+def test_papr_sca_scores_each_point_once(monkeypatch):
+    # after the unconstrained design, every point the PAPR SCA reaches (the
+    # baselines, the seeds, each GP solution and the next anchor it is) is
+    # scored once; equal baselines are one point
+    scored = collections.Counter()
+    after = []
+    value_grad_hess = _WeightedDC.value_grad_hess
+    aligned_design = optimizer._aligned_design
+
+    def counting(obj, w, want_hess=False):
+        if after:
+            scored[w.tobytes()] += 1
+        return value_grad_hess(obj, w, want_hess)
+
+    def unconstrained(*args):
+        trace = aligned_design(*args)
+        after.append(trace)
+        return trace
+
+    monkeypatch.setattr(_WeightedDC, "value_grad_hess", counting)
+    monkeypatch.setattr(optimizer, "_aligned_design", unconstrained)
+    trace = optimize_papr(flat_channel(1.0, 0.0, 4, 1), 1e-4, 3.0, P4,
+                          _grid(4))
+    assert trace.gp_solves > 0 and len(scored) > trace.gp_solves
+    assert set(scored.values()) == {1}
+
+
 def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
     # the unconstrained design fails the 4x check, so the SCA runs; its first
     # round's design meets eta on the design grid but not on the 4x grid, and
@@ -965,6 +992,20 @@ def test_multi_dominates_every_seed_exactly():
             for name in ("up", "ass", "mf", "upmf"):
                 base = baseline_waveform(name, c, POWER, grid)
                 assert trace.zdc >= weighted(base), (seed, name)
+
+
+def test_multi_reports_the_mm_fixed_point_residual():
+    # the returned weights w are a fixed point of the MM map
+    # sqrt(2P) g / ||g|| exactly when the gradient g points along w, so
+    # ||g/||g|| - w/||w|||| is small at a tight `tol` stop and larger after
+    # one capped iteration
+    ch = iid_frequency_channel(4, 2, n_rectennas=2, seed=2)
+    tight = optimize_multi(ch, [1.0, 1.0], 1e-4, P4, _grid(4), TIGHT)
+    assert tight.stop_reason == "tol" and tight.kkt_residual is not None
+    assert tight.kkt_residual <= 1e-7
+    capped = optimize_multi(ch, [1.0, 1.0], 1e-4, P4, _grid(4),
+                            OptimizerOptions(max_iterations=1))
+    assert capped.stop_reason == "max_iter" and capped.kkt_residual > 1e-3
 
 
 def test_multi_single_rectenna_runs_ass_once(monkeypatch):

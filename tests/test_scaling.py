@@ -112,22 +112,34 @@ TABLE1 = [ScalingScenario("ss", "flat", 1), ScalingScenario("up", "flat", 8),
     (TABLE1, {(1, 1), (8, 1), (1, 2), (8, 2)}),
     # one tone count of fig-scalinglaws: all three draw (16, 1)
     ([ScalingScenario(s, "selective", 16) for s in ("up", "ass", "upmf")],
-     {(16, 1)})])
+     {(16, 1)}),
+    # draw widths 3, 16 and 10 do not divide each other, so chunk windows
+    # of one shape straddle the draws made for another
+    ([ScalingScenario("up", "selective", 3),
+      ScalingScenario("upmf", "selective", 16),
+      ScalingScenario("upmf", "selective", 5, 2)],
+     {(3, 1), (16, 1), (5, 2)})])
 def test_shared_draws_match_per_scenario_runs(scenarios, shapes, monkeypatch):
     # two full chunks and a partial one; every mean and stderr is the one
-    # the scenario gets alone, bit for bit, from one draw per shape and chunk
+    # the scenario gets alone, bit for bit, and each normal of the shared
+    # stream is drawn once: 2 * trials * n * m of the widest shape
     trials = 2 * scaling._MC_CHUNK + 300
     alone = [monte_carlo(sc, trials, seed=5) for sc in scenarios]
-    draw = scaling._complex_normal
     drawn = []
 
-    def counting(rng, shape):
-        drawn.append(shape[1:])
-        return draw(rng, shape)
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
 
-    monkeypatch.setattr(scaling, "_complex_normal", counting)
+        def standard_normal(self, size):
+            drawn.append(size)
+            return self.rng.standard_normal(size)
+
+    rng = scaling._rng
+    monkeypatch.setattr(scaling, "_rng",
+                        lambda seed, stream: Counting(rng(seed, stream)))
     assert monte_carlo_many(scenarios, trials, seed=5) == alone
-    assert len(drawn) == 3 * len(shapes) and set(drawn) == shapes
+    assert sum(drawn) == 2 * trials * max(n * m for n, m in shapes)
 
 
 def test_monte_carlo_requires_enough_trials():
