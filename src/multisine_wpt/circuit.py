@@ -234,11 +234,13 @@ def harvested_dc_power(trace: SimTrace) -> float:
 
 def export_trace_csv(trace: SimTrace, path,
                      header_comment: str | None = None) -> None:
-    """CSV dump of the trace's (t, v_in, v_out, i_d) rows."""
+    """CSV dump of the trace's (t, v_in, v_out, i_d) rows, formatted from
+    Python floats and written as one string."""
+    lines = [f"# {header_comment}\n"] if header_comment else []
+    lines.append("t_s,v_in_v,v_out_v,i_d_a\n")
+    lines += [f"{t:.17g},{v_in:.17g},{v_out:.17g},{i_d:.17g}\n"
+              for t, v_in, v_out, i_d in zip(
+                  trace.time.tolist(), trace.v_in.tolist(),
+                  trace.v_out.tolist(), trace.i_d.tolist())]
     with open(path, "w") as f:
-        if header_comment:
-            f.write(f"# {header_comment}\n")
-        f.write("t_s,v_in_v,v_out_v,i_d_a\n")
-        for k in range(trace.time.size):
-            f.write(f"{trace.time[k]:.17g},{trace.v_in[k]:.17g},"
-                    f"{trace.v_out[k]:.17g},{trace.i_d[k]:.17g}\n")
+        f.write("".join(lines))

@@ -164,8 +164,8 @@ class DCKernel:
     enumeration kept in the posynomial view.  The gradient, and for real r
     (aligned phases) the Hessian, follow from correlations of the same
     convolutions.  `value` also takes a (rows, N) batch, as the Monte Carlo
-    scaling checks draw it.  The Taylor constants are computed once, at
-    construction.
+    scaling checks draw it, and `order_terms` gives a batch's term of each
+    order.  The Taylor constants are computed once, at construction.
     """
 
     def __init__(self, params: RectennaParams):
@@ -184,44 +184,58 @@ class DCKernel:
         """z_dc for complex (or real) tone coefficients r.
 
         A 1-D r gives the float of `value_grad_hess`.  A (rows, N) batch
-        gives one z_dc per row from one zero-padded FFT R of each row, of
-        a 5-smooth length L >= (order/2)(N-1)+1: no self-convolution up to
-        the truncation order wraps around at such a length, so by Parseval
-        the order-i sum is mean_f |R_f|^i, with no inverse transform.  A
-        real row's spectrum is conjugate-symmetric, so its `rfft` holds
-        every |R_f|: bin 0 counts once, the inner bins twice and, for an
-        even L, the Nyquist bin once.
-
-        The rows go through in blocks of about `_BATCH_BINS` spectrum bins,
-        which bounds the temporaries.  Each row's z is the same however the
-        rows are blocked: the FFT and the mean work row by row, and blocks
-        of a multiple of 64 rows start on a row group of the BLAS product
-        with `counts` (OpenBLAS's Haswell gemv groups 4 rows), so each
-        row's dot product is summed as it is over the whole batch.
+        gives one z_dc per row, the sum of its `order_terms`.
         """
         r = np.asarray(r)
         if r.ndim <= 1:
             return self.value_grad_hess(r)[0]
+        return sum(self.order_terms(r))
+
+    def order_terms(self, r: np.ndarray) -> np.ndarray:
+        """The (orders, rows) terms of z_dc of each even order i up to the
+        truncation order, for a (rows, N) batch r.  Term i is homogeneous
+        of degree i, so the row c r has the terms |c|^i times those of r.
+
+        Each row takes one zero-padded FFT R, of a 5-smooth length
+        L >= (order/2)(N-1)+1: no self-convolution up to the truncation
+        order wraps around at such a length, so by Parseval the order-i sum
+        is mean_f |R_f|^i, with no inverse transform.  A real row's
+        spectrum is conjugate-symmetric, so its `rfft` holds every |R_f|:
+        the sum over all L bins is twice the sum over the `rfft` bins less
+        bin 0 and, for an even L, the Nyquist bin.
+
+        The rows go through in blocks of about `_BATCH_BINS` spectrum bins,
+        which bounds the temporaries.  Every step works row by row and no
+        sum goes through BLAS, so a row's terms do not depend on its block.
+        """
+        r = np.asarray(r)
         n_fft = _five_smooth(self.truncation_order // 2 * (r.shape[-1] - 1)
                              + 1)
-        step = 64 * max(1, _BATCH_BINS // (64 * n_fft))
-        z = np.empty(len(r))
+        step = max(1, _BATCH_BINS // n_fft)
+        terms = np.empty((len(self._w), len(r)))
         for i in range(0, len(r), step):
-            z[i:i + step] = self._batch_value(r[i:i + step], n_fft)
-        return z
+            self._batch_terms(r[i:i + step], n_fft, terms[:, i:i + step])
+        return terms
 
-    def _batch_value(self, r: np.ndarray, n_fft: int) -> np.ndarray:
-        if np.iscomplexobj(r):
-            power = np.abs(np.fft.fft(r, n=n_fft, axis=-1)) ** 2
-            return sum(w * np.mean(power ** (i // 2), axis=-1)
-                       for i, w in self._w.items())
-        power = np.abs(np.fft.rfft(r, n=n_fft, axis=-1)) ** 2
-        counts = np.full(power.shape[-1], 2.0)
-        counts[0] = 1.0
-        if n_fft % 2 == 0:
-            counts[-1] = 1.0
-        return sum(w * ((power ** (i // 2)) @ counts / n_fft)
-                   for i, w in self._w.items())
+    def _batch_terms(self, r: np.ndarray, n_fft: int,
+                     out: np.ndarray) -> None:
+        """Write the (orders, rows) terms of one row block into `out`."""
+        real = not np.iscomplexobj(r)
+        spectrum = (np.fft.rfft if real else np.fft.fft)(r, n=n_fft, axis=-1)
+        power = np.square(spectrum.real)
+        power += np.square(spectrum.imag)
+        level = power
+        for row, (order, w) in enumerate(self._w.items()):
+            if order > 2:
+                level = level * power
+            total = np.add.reduce(level, axis=-1)
+            if real:
+                total *= 2.0
+                total -= level[:, 0]
+                if n_fft % 2 == 0:
+                    total -= level[:, -1]
+            total /= n_fft
+            np.multiply(w, total, out=out[row])
 
     def value_grad_hess(self, r: np.ndarray, want_hess: bool = False):
         """(z, gradient, Hessian or None) of z_dc in the tone coefficients r.

@@ -4,13 +4,14 @@ Each closed form is the channel-ensemble average of the fourth-order DC
 surrogate for one waveform strategy, either over frequency-flat Rayleigh
 fading (one common gain for all tones) or frequency-selective fading
 (independent unit-variance gains per tone and antenna).  `monte_carlo_many`
-re-derives the same averages by drawing channels, building the strategy's
-closed-form waveform and evaluating the DC surrogate of each trial with
-`rectenna.DCKernel`, the same kernel the designs use.  All scenarios read
-one Philox stream (Salmon et al., "Parallel random numbers: as easy as 1,
-2, 3", SC 2011), and each of its normals is drawn once: a narrower draw
-shape reads a prefix of what the widest one reads, and the scenarios of
-one shape share its channels.
+re-derives the same averages by drawing channels and scoring the DC
+surrogate of the strategy's closed-form waveform over each trial with
+`rectenna.DCKernel`, the same kernel the designs use; a trial whose tone
+row is one channel gain times a fixed row is a polynomial in its channel
+power, with no FFT.  All scenarios read one Philox stream (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011), and each of its
+normals is drawn once: a narrower draw shape reads a prefix of what the
+widest one reads, and the scenarios of one shape share its channels.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ _REGIMES = ("flat", "selective")
 # and each scenario's per-chunk sums fix its bits, so the chunk boundaries
 # are part of every result.
 _MC_CHUNK = 20000
-_GAIN_BLOCK = 1 << 16  # channel entries per block of `_gains`
+_GAIN_BLOCK = 1 << 16  # channel entries per block of `_powers`
 
 
 @lru_cache(maxsize=None)
@@ -143,32 +144,33 @@ def monte_carlo(sc: ScalingScenario, trials: int,
     return monte_carlo_many([sc], trials, seed)[0]
 
 
-def _tone_rows(sc: ScalingScenario, h: np.ndarray | None,
-               gains: np.ndarray) -> np.ndarray:
-    """Received tone rows of the scenario's closed-form waveform over the
-    drawn channels h, whose per-tone gains over the antennas are `gains`;
-    only `up` reads h."""
-    n, p = sc.n_tones, sc.power
+def _unit_row(sc: ScalingScenario) -> np.ndarray:
+    """The scenario's tone row at unit channel gain, a one-row batch."""
     if sc.strategy in ("ss", "ass"):  # all power on the strongest tone
-        return np.sqrt(2.0 * p) * np.max(gains, axis=1, keepdims=True)
-    # up keeps the channel phases (r_n = s_n h_n); upmf matches them
-    return np.sqrt(2.0 * p / n) * np.broadcast_to(
-        h[:, :, 0] if sc.strategy == "up" else gains, (len(gains), n))
+        return np.array([[math.sqrt(2.0 * sc.power)]])
+    return np.full((1, sc.n_tones), math.sqrt(2.0 * sc.power / sc.n_tones))
 
 
-def _gains(h: np.ndarray) -> np.ndarray:
-    """||h_n|| over the antennas of every drawn tone: the arithmetic of
-    `np.linalg.norm(h, axis=2)`, sqrt(sum((conj(h) h).real)), a block of
-    rows at a time, so its conjugate product needs no temporary the size
-    of h."""
-    gains = np.empty(h.shape[:2])
+def _powers(h: np.ndarray) -> np.ndarray:
+    """||h_n||^2 over the antennas of every drawn tone: the real part of
+    conj(h) h, summed over the antennas a block of rows at a time, so the
+    conjugate product needs no temporary the size of h.  Fewer than 8
+    antennas are added one column at a time, which is `np.add.reduce`'s
+    order there and spares its short inner loops."""
+    powers = np.empty(h.shape[:2])
     step = max(1, _GAIN_BLOCK // (h.shape[1] * h.shape[2]))
     for i in range(0, len(h), step):
         block = h[i:i + step]
-        power = np.conjugate(block)
-        power *= block
-        np.add.reduce(power.real, axis=2, out=gains[i:i + step])
-    return np.sqrt(gains, out=gains)
+        product = np.conjugate(block)
+        product *= block
+        out = powers[i:i + step]
+        if h.shape[2] >= 8:
+            np.add.reduce(product.real, axis=2, out=out)
+            continue
+        np.copyto(out, product.real[:, :, 0])
+        for m in range(1, h.shape[2]):
+            out += product.real[:, :, m]
+    return powers
 
 
 def monte_carlo_many(scenarios, trials: int,
@@ -176,14 +178,23 @@ def monte_carlo_many(scenarios, trials: int,
     """(sample mean, standard error) of the per-realization DC surrogate of
     each scenario, in order.
 
-    Channels are drawn per the scenario's regime, the strategy's
-    closed-form waveform is applied, and the fourth-order surrogate of each
-    realization is evaluated by `DCKernel`, one batch of tone rows per
-    chunk of `_MC_CHUNK` trials.  Every scenario reads the same Philox
-    stream: chunk c of a draw shape with d entries per trial is the stream
-    window of normals [2dKc, 2dKc + 2d * size), K = `_MC_CHUNK`, so each
-    mean is the one its scenario gets alone.  Scenarios of one shape share
-    each chunk's draw, and every shape reads its windows from one
+    Channels are drawn per the scenario's regime, and the fourth-order
+    surrogate of the strategy's closed-form waveform over each realization
+    comes from `DCKernel`'s per-order terms, one chunk of `_MC_CHUNK`
+    trials at a time.  Where a trial's tone row is c v, one channel gain c
+    times the scenario's unit-gain row v (`ss`, `ass`, and every strategy
+    on one gain per trial), z = sum_i z_i(v) g^(i/2) with g = |c|^2: the
+    terms z_i(v) are computed once, and each trial evaluates the
+    polynomial in its channel power g (the strongest tone's for `ass`).
+    The other rows, `up` over the channels and `upmf` over the gains
+    ||h_n||, go through the kernel's batch unscaled, and the term of order
+    i is scaled by (2P/N)^(i/2).
+
+    Every scenario reads the same Philox stream: chunk c of a draw shape
+    with d entries per trial is the stream window of normals
+    [2dKc, 2dKc + 2d * size), K = `_MC_CHUNK`, so each mean is the one
+    its scenario gets alone.  Scenarios of one shape share each chunk's
+    draw, and every shape reads its windows from one
     `channel._NormalStream`, which draws each normal once: the stream's
     first 2 * trials * max(d) normals.  The chunk whose window ends first
     runs next (the widest on a tie), and the stream keeps only the normals
@@ -192,12 +203,21 @@ def monte_carlo_many(scenarios, trials: int,
     if trials < 100:
         raise ValueError("trials must be >= 100")
     groups = {}
+    kernels, coefficients, rank_one = [], [], set()
     for k, sc in enumerate(scenarios):
         # a flat channel and the single sinewave need one gain per trial
         n_draw = 1 if sc.regime == "flat" or sc.strategy == "ss" \
             else sc.n_tones
         groups.setdefault((n_draw, sc.n_antennas), []).append(k)
-    kernels = [DCKernel(sc.params) for sc in scenarios]
+        kernels.append(DCKernel(sc.params))
+        # the terms of the unit-gain row of a rank-one row, else the scale
+        # of each order's term
+        if sc.strategy in ("ss", "ass") or n_draw == 1:
+            rank_one.add(k)
+            coefficients.append(kernels[k].order_terms(_unit_row(sc))[:, 0])
+        else:
+            scale = 2.0 * sc.power / sc.n_tones
+            coefficients.append([scale ** (i // 2) for i in sc.params.orders])
     sums = np.zeros((len(scenarios), 2))
     stream = _NormalStream(_rng(seed, 0))
     width = {shape: math.prod(shape) for shape in groups}
@@ -217,16 +237,31 @@ def monte_carlo_many(scenarios, trials: int,
             2 * width[shape] * first, (size, *shape),
             keep=min((2 * width[s] * t for s, t in done.items()),
                      default=math.inf))
-        gains = _gains(h)
-        # only `up` reads the channel phases; without it, h is freed
-        # before the kernels run
-        phased = h if any(scenarios[k].strategy == "up"
-                          for k in members) else None
+        powers = _powers(h)
+        batch = {scenarios[k].strategy for k in members if k not in rank_one}
+        # only `up` over many tones reads the channel phases; without it, h
+        # is freed here
+        phased = h if "up" in batch else None
         del h
+        # a rank-one row reads the one gain's power or the strongest tone's
+        peak = (np.max(powers, axis=1) if rank_one.intersection(members)
+                else None)
+        if "upmf" in batch:
+            np.sqrt(powers, out=powers)  # the gains ||h_n||
         for k in members:
-            z = kernels[k].value(_tone_rows(scenarios[k], phased, gains))
+            coef = coefficients[k]
+            if k in rank_one:  # Horner's rule in the channel power
+                z = coef[-1] * peak
+                for c in coef[-2::-1]:
+                    z += c
+                    z *= peak
+            else:  # no name keeps the terms past the sum
+                z = sum(c * term for c, term in zip(
+                    coef, kernels[k].order_terms(
+                        phased[:, :, 0] if scenarios[k].strategy == "up"
+                        else powers)))
             sums[k] += np.sum(z), np.sum(z ** 2)
-        del phased, gains, z
+        del phased, powers, peak, z
     results = []
     for total, total_sq in sums:
         mean = total / trials
@@ -253,7 +288,7 @@ def hardening_curve(antenna_counts, n_tones: int, power: float,
     for idx, m in enumerate(counts):
         rng = _rng(seed, idx)
         h = _complex_normal(rng, (trials, n, m))
-        norms = _gains(h)
+        norms = np.sqrt(_powers(h))
         gain_dev = np.sqrt(np.mean((norms / np.sqrt(m) - 1.0) ** 2, axis=1))
         r = np.sqrt(2.0 * power / n) * norms
         z = kernel.value(r)

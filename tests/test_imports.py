@@ -89,6 +89,25 @@ def test_only_rectenna_uses_fft():
     assert not users, users
 
 
+def test_dc_kernel_batch_has_no_matrix_product():
+    # a BLAS product sums a row in an order that depends on the row's place
+    # in its block; the batch path sums each row's spectrum by itself
+    tree = ast.parse((ROOT / "src" / "multisine_wpt" / "rectenna.py")
+                     .read_text())
+    kernel = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "DCKernel")
+    methods = {node.name: node for node in kernel.body
+               if isinstance(node, ast.FunctionDef)}
+    products = [(name, node.lineno)
+                for name in ("value", "order_terms", "_batch_terms")
+                for node in ast.walk(methods[name])
+                if isinstance(getattr(node, "op", None), ast.MatMult)
+                or {"dot", "matmul", "vdot", "inner", "tensordot",
+                    "einsum"} & _name_parts(node)]
+    assert not products, products
+
+
 def test_only_channel_draws_normals():
     # `channel` lays complex draws out of a stream of normals, real parts
     # first and scaled by fl(1/sqrt(2)), and the Monte Carlo's shared

@@ -351,6 +351,24 @@ def test_batch_rfft_of_real_rows_matches_complex_fft():
     assert _five_smooth(7 * 11) == 80
 
 
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_batch_value_does_not_depend_on_row_blocks(order):
+    # each row's z is summed by itself: the same real and complex rows give
+    # the same bits scored whole (in the kernel's own blocks at N = 64,
+    # order 6) and in blocks of 1, 2, 3 and 7 rows
+    rng = np.random.default_rng(30)
+    kernel = DCKernel(RectennaParams(DIODE, order))
+    for n in (1, 8, 16, 64):
+        real = rng.uniform(0.0, 4e-3, (360, n))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (360, n)))
+        for rows in (real, real * phases):
+            whole = kernel.value(rows)
+            for size in (1, 2, 3, 7):
+                blocked = np.concatenate([kernel.value(rows[i:i + size])
+                                          for i in range(0, 360, size)])
+                assert np.array_equal(blocked, whole), (n, size, rows.dtype)
+
+
 def test_dc_kernel_complex_gradient_matches_central_differences():
     """For complex r the kernel's gradient is dz/d Re r + j dz/d Im r."""
     rng = np.random.default_rng(18)

@@ -12,6 +12,7 @@ from multisine_wpt.scaling import (EULER_GAMMA, ScalingScenario,
                                    hardening_curve, harmonic_h,
                                    harmonic_s, monte_carlo, monte_carlo_many)
 from harmonic_oracle import harmonic_h_alternating, harmonic_s_alternating
+import mc_oracle
 
 PARAMS = RectennaParams()
 
@@ -140,6 +141,21 @@ def test_shared_draws_match_per_scenario_runs(scenarios, shapes, monkeypatch):
                         lambda seed, stream: Counting(rng(seed, stream)))
     assert monte_carlo_many(scenarios, trials, seed=5) == alone
     assert sum(drawn) == 2 * trials * max(n * m for n, m in shapes)
+
+
+@pytest.mark.parametrize("scenarios", [
+    TABLE1,
+    [ScalingScenario(s, "selective", 16) for s in ("up", "ass", "upmf")]],
+    ids=["table1", "fig-scalinglaws-16"])
+def test_monte_carlo_matches_broadcast_rows_oracle(scenarios):
+    # rank-one rows scored from their channel power and the other rows'
+    # scaled terms give the means and errors of full tone rows
+    trials = 2 * scaling._MC_CHUNK + 300
+    got = monte_carlo_many(scenarios, trials, seed=5)
+    for sc, (mean, err) in zip(scenarios, got):
+        want_mean, want_err = mc_oracle.monte_carlo(sc, trials, seed=5)
+        assert abs(mean - want_mean) <= 1e-13 * want_mean, sc
+        assert abs(err - want_err) <= 1e-13 * want_err, sc
 
 
 def test_monte_carlo_requires_enough_trials():
