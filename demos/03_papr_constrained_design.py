@@ -5,7 +5,8 @@ Power amplifiers dislike peaky signals, so the designer can cap each
 antenna's PAPR.  On a flat channel the unconstrained optimum is close to
 the uniform in-phase multisine, whose PAPR grows like twice the tone
 count; tightening the cap squeezes power toward fewer tones and gives up
-DC output gracefully.
+DC output gracefully.  Each peak-constrained step is a convex QCQP in the
+tone amplitudes.
 """
 
 import numpy as np
@@ -36,5 +37,5 @@ for eta in (2.0, 3.0, 4.0, 6.0, 10.0, 16.0):
           f"{papr(trace.waveform, 0):8.3f} | {profile}")
 
 print("\nA cap the unconstrained design already meets returns that design")
-print("without any GP solve (always so at a cap of 2N = 16); a cap of 2")
-print("(a single sinewave's PAPR) forces all power onto one tone.")
+print("without any peak-constrained step (always so at a cap of 2N = 16); a")
+print("cap of 2 (a single sinewave's PAPR) forces all power onto one tone.")

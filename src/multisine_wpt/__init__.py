@@ -8,10 +8,9 @@ The package splits into:
   for aligned real tones) the designers ascend, and the one sampler of a
   multisine over a period, which the z_dc oracle, PAPR, the PAPR
   design's peak rows and the rectifier's drive share
-- `gp`: a geometric-program solver over one stacked constraint format
-  (log coefficients, exponent rows, term counts) and a vectorized AM-GM
-  condensation, used by the PAPR-constrained design when the unconstrained
-  design exceeds the limit
+- `interior`: a primal-dual interior-point loop for a linear objective
+  under smooth convex rows, the step of the PAPR-constrained design when
+  the unconstrained design exceeds the limit
 - `optimizer`: one table of closed-form strategies, which also seeds and
   bounds every design, one minorize-maximize ascent for the single- and
   multi-rectenna designs, and the PAPR-constrained design, which starts
@@ -28,7 +27,6 @@ from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
 from .circuit import (CircuitParams, SimTrace, SteadyStateError,
                       dc_operating_point, export_trace_csv,
                       harvested_dc_power, simulate, simulate_ensemble)
-from .gp import GPSolverError, stack_constraints
 from .optimizer import (OptimizerOptions, SCATrace, ass_multi,
                         baseline_waveform, optimal_phases, optimize,
                         optimize_multi, optimize_papr, toy_n2)

@@ -22,10 +22,12 @@ best endpoint.  Each design scores every closed-form baseline against its
 endpoint and returns one that still beats it, so every design dominates
 them by construction.  The PAPR-constrained design first runs that
 unconstrained ascent and returns its design when it already meets the
-limit; only otherwise does it need the geometric-program solver.  Per SCA
-iteration it condenses the same objective into a monomial, condenses each
-antenna's sampled peak-constraint denominators by AM-GM in one call, and
-solves the GP whose constraints are rows of one stacked term matrix.
+limit.  Otherwise it runs the same MM argument under the sampled peak
+rows (a convex-concave procedure): each step maximizes the linearization
+of z over the power ball and the amplitude floors, with each peak row's
+concave side replaced by its tangent at the current point, a convex QCQP
+in the amplitudes.  A step whose MM map meets every peak row is that map;
+any other runs the primal-dual loop of `interior`.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, FrequencyGrid
-from .gp import (GPSolverError, condense, positivity_floor, solve_gp,
-                 stack_constraints)
+from .interior import InfeasibleStartError, minimize_linear
 from .rectenna import (DCKernel, RectennaParams, Waveform, papr_basis,
                        worst_papr)
 
@@ -51,7 +52,8 @@ class OptimizerOptions:
     cycle of the MM ascent (up to four gradient evaluations).  The
     PAPR-constrained design returns `optimize`'s design when it meets the
     limit, with that design's iterations; otherwise one of its iterations
-    is one GP solve.  `eps` and `max_iterations` apply per iteration.
+    is one step, a QCQP in the amplitudes.  `eps` and `max_iterations`
+    apply per iteration.
     """
 
     eps: float = 1e-6                # relative z_dc change declaring convergence
@@ -72,25 +74,29 @@ class SCATrace:
     """Per-iteration objective values, the final waveform and why the run
     stopped.
 
-    An iteration is an MM cycle or a GP solve (see `OptimizerOptions`).
+    An iteration is an MM cycle or a PAPR step (see `OptimizerOptions`).
     `stop_reason` is `tol` (the last iteration changed z by less than
     eps*z), `max_iter` (the iteration cap), `stall` (an iteration would
     have lowered z by more than that and was rejected) or `solver_fallback`
-    (the GP solver refused a start that was not strictly inside its
-    constraints, and the run kept its last accepted iterate).
+    (the primal-dual loop refused a start that was not strictly inside its
+    rows, and the run kept its last accepted iterate).
 
     `kkt_residual` is the returned design's stationarity number: the KKT
-    gap of its amplitudes for `optimize`'s design, and the MM fixed-point
+    gap of its amplitudes for `optimize`'s design, the MM fixed-point
     residual ||g/||g|| - w/||w|||| of its weights w and gradient g for
-    `optimize_multi`; a GP design of `optimize_papr` leaves it None.
+    `optimize_multi`, and for a design of `optimize_papr`'s steps the dual
+    residual max |c + J^T lambda| of the last step's multipliers lambda on
+    the rows rebuilt at the design, where each tangent row has its peak
+    row's gradient (c is the scaled objective gradient, as in the step).
+    A PAPR design that keeps a seed or a baseline leaves it None.
 
     The PAPR-constrained design also records its inner work, summed over
-    every run and re-solve: `gp_solves` GP solves that ran, with
-    `gp_iterations` primal-dual iterations between them, the
-    `SolveReport.message` of each solve that stopped unconverged (at its
-    iteration cap, say) in `gp_unconverged`, and `gp_refused` starts the
-    solver refused.  Designs without a GP solve leave them at zero and
-    empty.
+    every run and re-solve: `step_solves` steps that ran the primal-dual
+    loop, with `step_iterations` loop iterations between them, the
+    `SolveReport.message` of each loop that stopped unconverged (at its
+    iteration cap, say) in `step_unconverged`, and `step_refused` starts
+    the loop refused.  A step whose MM map meets its peak rows runs no
+    loop; designs without one leave them at zero and empty.
     """
 
     zdc_history: np.ndarray
@@ -99,10 +105,10 @@ class SCATrace:
     kkt_residual: float | None = None
     achieved_papr: float | None = None
     papr_certified: bool | None = None
-    gp_solves: int = 0
-    gp_iterations: int = 0
-    gp_unconverged: list[str] = field(default_factory=list)
-    gp_refused: int = 0
+    step_solves: int = 0
+    step_iterations: int = 0
+    step_unconverged: list[str] = field(default_factory=list)
+    step_refused: int = 0
 
     @property
     def zdc(self) -> float:
@@ -615,48 +621,74 @@ def optimize(channel: ChannelRealization, power: float,
 # PAPR-constrained design
 # ---------------------------------------------------------------------------
 
-class _PeakConstraints:
-    """Every antenna's sampled peak constraints as stacked GP rows.
+def positivity_floor(power_budget: float) -> float:
+    """Amplitude floor of the PAPR design's step: its rows keep every
+    amplitude at or above it, and its seeds are lifted onto it."""
+    return 1e-12 * np.sqrt(2.0 * power_budget)
 
-    `cos[m, q, n]` holds cos(w_n t_q + phi*_{n,m}); the squared sample
-    x_m(t_q)^2 is sum_{n0<=n1} c_q s_{n0,m} s_{n1,m}, one monomial per tone
-    pair, with c_q = cos_{n0} cos_{n1} doubled off the diagonal.  Sample q
-    must stay below limit * ||s_m||^2 / 2: its positive pairs form the
-    numerator, and the negated negative pairs plus the mean-power terms (on
-    the diagonal, which is never negative) the denominator.  Zero pairs join
-    neither side, and a sample without a positive pair is no constraint.
-    The tables are split once per design; `rows` condenses each antenna's
-    denominators over its own pairs in one call and stacks antenna-major.
+
+def _peak_matrix(cos: np.ndarray) -> np.ndarray:
+    """The sampled peak rows as one (M*Q, N*M) matrix.
+
+    `cos[m, q, n]` holds cos(w_n t_q + phi*_{n,m}), so antenna m's sample q
+    is x_m(t_q) = a_mq . s_m.  Row m*Q + q holds a_mq on antenna m's
+    amplitudes, the columns n*M + m of the flattened (N, M) amplitudes, and
+    zeros elsewhere, so one product gives every sample of every antenna.
     """
+    n_ant, n_samples, n_tones = cos.shape
+    rows = np.zeros((n_ant, n_samples, n_tones, n_ant))
+    ant = np.arange(n_ant)
+    rows[ant, :, :, ant] = cos
+    return rows.reshape(n_ant * n_samples, n_tones * n_ant)
 
-    def __init__(self, cos: np.ndarray):
-        n_ant, _, n_tones = cos.shape
-        n0, n1 = np.triu_indices(n_tones)
-        self.diagonal = n0 == n1
-        # pairs[a, k] is the exponent row of pair k's product on antenna a
-        tone = np.eye(n_tones * n_ant).reshape(n_tones, n_ant, -1)
-        pairs = (tone[n0] + tone[n1]).swapaxes(0, 1)
-        prods = np.where(self.diagonal, 1.0, 2.0) * cos[..., n0] * cos[..., n1]
-        live = np.any(prods > 0, axis=2)  # (antenna, sample)
-        ant, _ = np.nonzero(live)
-        prods = prods[live]  # (row, pair), antenna-major
-        self.owner, k = np.nonzero(prods > 0)
-        self.sizes = np.count_nonzero(prods > 0, axis=1)
-        self.num_log_c = np.log(prods[prods > 0])
-        self.num_A = pairs[ant[self.owner], k]
-        neg_log_c = np.log(-prods, out=np.full(prods.shape, -np.inf),
-                           where=prods < 0)
-        self.denominators = [(neg_log_c[ant == a], pairs[a])
-                             for a in range(n_ant)]
 
-    def rows(self, log_anchor: np.ndarray, limit: float):
-        """(log_c, A, sizes) of the constraints condensed at the anchor."""
-        log_d, expo_d = map(np.concatenate, zip(*[
-            condense(np.where(self.diagonal, np.log(0.5 * limit), neg_log_c),
-                     pairs, log_anchor)
-            for neg_log_c, pairs in self.denominators]))
-        return (self.num_log_c - log_d[self.owner],
-                self.num_A - expo_d[self.owner], self.sizes)
+def _step_rows(peaks: np.ndarray, anchor: np.ndarray, limit: float,
+               floor: float):
+    """(values, evaluate) of the PAPR step's rows at the anchor, in the
+    scaled amplitudes u = s / sqrt(2P) of shape (N, M), flattened.
+
+    The rows are the power ||u|| - 1 <= 0, the floors floor - u_j <= 0
+    and, for each antenna m and sample q, the peak row
+    (a_mq . u_m)^2 <= (limit/2) ||u_m||^2 with its concave right side
+    replaced by its tangent at the anchor u',
+    (limit/2) (2 u'_m . u_m - ||u'_m||^2), which lies below it everywhere
+    and equals it at u'.  Divided by (limit/2) ||u'_m||^2, row i of `peaks`
+    reads sigma_i (p_i . u)^2 - c_i . u + 1 <= 0, with
+    sigma_i = 2 / (limit ||u'_m||^2) and c_i = 2 u'_m / ||u'_m||^2 on
+    antenna m's amplitudes.  Its gradient is 2 sigma_i (p_i . u) p_i - c_i,
+    and the weighted sum of the rows' Hessians is
+    w_0 (I - u u^T / ||u||^2) / ||u|| + P^T diag(2 sigma w) P, one matrix
+    product.  The power row ||u||^2 - 1 bounds the same ball and gives the
+    same step; over 831 PAPR designs the loop reached its iteration cap on
+    11 steps with it and on 8 with the norm.
+    """
+    n_ant = anchor.shape[1]
+    owner = np.repeat(np.arange(n_ant), peaks.shape[0] // n_ant)
+    column = np.tile(np.arange(n_ant), anchor.shape[0])  # antenna of u_j
+    norms_sq = np.sum(anchor ** 2, axis=0)
+    sigma = 2.0 / (limit * norms_sq[owner])
+    tangent = 2.0 * anchor.ravel() / norms_sq[column]
+    lin = np.where(owner[:, None] == column, tangent, 0.0)
+
+    def values(u):
+        return np.concatenate([[_norm(u) - 1.0], floor - u,
+                               sigma * (peaks @ u) ** 2 - lin @ u + 1.0])
+
+    def evaluate(u):
+        x = peaks @ u
+        length = _norm(u)
+        J = np.vstack([u / length, -np.eye(u.size),
+                       (2.0 * sigma * x)[:, None] * peaks - lin])
+
+        def hess(w):
+            h = peaks.T @ ((2.0 * sigma * w[1 + u.size:])[:, None] * peaks)
+            h -= (w[0] / length ** 3) * np.outer(u, u)
+            h[np.diag_indices_from(h)] += w[0] / length
+            return h
+
+        return values(u), J, hess
+
+    return values, evaluate
 
 
 def optimize_papr(channel: ChannelRealization, power: float, eta: float,
@@ -667,18 +699,25 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     The peak rows only add constraints to `optimize`'s problem, so its
     design, exactly as returned, is checked first on a 4x finer grid than
     the design grid.  When it meets eta there it is returned certified with
-    no GP solve: a maximizer of the relaxation that meets the added rows
+    no step: a maximizer of the relaxation that meets the added rows
     maximizes the constrained problem, and `optimize`'s design dominates
     every baseline.  Any N-tone waveform has PAPR <= 2N, so at eta >= 2N
     this is always the path.
 
-    Otherwise the sampled peak constraint is a signomial inequality; a
-    single condensation of its denominator turns each sample into a
-    posynomial constraint, and the resulting GP is solved per SCA
-    iteration.  A post-hoc check on the 4x grid triggers a re-solve with a
-    tightened limit when sampling missed a peak.  A closed-form baseline
-    that passes the same check and scores higher replaces a certified
-    design.
+    Otherwise each sampled peak row x_m(t_q)^2 <= (eta/2) ||s_m||^2 is a
+    difference of convex quadratics in the amplitudes, and the SCA runs the
+    convex-concave procedure (Yuille & Rangarajan, Neural Computation 2003;
+    Lipp & Boyd, Optim. Eng. 2016) from each feasible seed: a step at the
+    anchor s' maximizes grad z(s') . s over the power ball and the floors,
+    with ||s_m||^2 replaced by its tangent 2 s'_m . s_m - ||s'_m||^2
+    (`_step_rows`).  The step is tight at s' and an inner approximation, so
+    its solution is feasible and z cannot fall, the argument of
+    `_mm_ascent`.  When the MM map sqrt(2P) grad / ||grad||, floored,
+    meets every peak row it is the step's solution; otherwise
+    `interior.minimize_linear` solves the QCQP from the anchor.  A
+    post-hoc check on the 4x grid triggers a re-solve with a tightened
+    limit when sampling missed a peak.  A closed-form baseline that passes
+    the same check and scores higher replaces a certified design.
     """
     if eta < 2.0:
         raise ValueError("eta below 2 is infeasible (single-tone PAPR is 2)")
@@ -694,25 +733,20 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         unconstrained.achieved_papr, unconstrained.papr_certified = fine, True
         return unconstrained
     n, m = h.shape
-    n_vars = n * m
+    radius = np.sqrt(2.0 * power)
     obj = _WeightedDC([np.abs(h)], [1.0], params)
     floor = positivity_floor(power)
     phi_star = optimal_phases(channel)
     basis = papr_basis(grid, options.papr_oversampling)
     # cos(w_n t_q + phi) from the basis rows cos(w_n t_q), -sin(w_n t_q)
-    peaks = _PeakConstraints(np.einsum(
+    peaks = _peak_matrix(np.einsum(
         "inq,inm->mqn", basis.reshape(2, n, -1),
         np.stack([np.cos(phi_star), np.sin(phi_star)])))
-    # (1/2P) sum_j s_j^2 <= 1, then floor/s_j <= 1 for every j
-    base_log_c = np.concatenate([np.full(n_vars, np.log(1.0 / (2.0 * power))),
-                                 np.full(n_vars, np.log(floor))])
-    base_A = np.vstack([2.0 * np.eye(n_vars), -np.eye(n_vars)])
-    base_sizes = np.concatenate([[n_vars], np.ones(n_vars, dtype=int)])
 
     # z and its gradient at each point the SCA reaches, by the point's
-    # bytes: a GP solution is scored once as an iterate and serves as the
-    # next anchor, and a seed is scored once as a baseline (equal baselines,
-    # `mf`, `upmf` and `up` on a flat channel, are one point)
+    # bytes: a step's solution is scored once as an iterate and serves as
+    # the next anchor, and a seed is scored once as a baseline (equal
+    # baselines, `mf`, `upmf` and `up` on a flat channel, are one point)
     scores = {}
 
     def score(s: np.ndarray) -> tuple[float, np.ndarray]:
@@ -746,46 +780,72 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                     break
         return seeds
 
-    # every run's GP reports and refused starts, for the trace's counts
+    # every run's step reports and refused starts, for the trace's counts
     reports, refused = [], []
 
     def run(anchor: np.ndarray, limit: float):
-        def solve(anchor):
-            # the best monomial lower bound of z at the anchor has the
-            # exponents s dz/ds / z, the AM-GM condensation of z without
-            # enumerating its posynomial; its coefficient does not move
-            # the optimum
+        """(s, z history, stop reason, KKT residual or None) of one SCA run
+        from the anchor."""
+        multipliers = []  # the duals of each step the run takes
+
+        def step(anchor):
+            # the step maximizes the linearization of z at the anchor,
+            # grad . s, scaled by sqrt(2P) / z in the amplitudes u
             z, grad = score(anchor)
-            log_c, A, sizes = peaks.rows(np.log(anchor).ravel(), limit)
-            # solve_gp needs a strictly feasible start.  The anchor may sit
+            objective = -(radius * grad / z).ravel()
+            values, evaluate = _step_rows(peaks, anchor / radius, limit,
+                                          floor / radius)
+            # the MM map, the maximizer over the power ball and the floors,
+            # is the step's solution when it meets every peak row; its
+            # multipliers are ||c|| on the ball and c_j + ||c|| u_j on a
+            # floor it holds
+            lam_power = _norm(objective)
+            mm_map = -objective / lam_power
+            u = np.maximum(mm_map, floor / radius)
+            if np.all(values(u)[1 + u.size:] < 0):
+                multipliers.append(np.concatenate([
+                    [lam_power],
+                    np.where(u > mm_map, objective + lam_power * u, 0.0),
+                    np.zeros(peaks.shape[0])]))
+                x = radius * u.reshape(n, m)
+                return x, score(x)[0]
+            # the loop needs a strictly feasible start.  The anchor may sit
             # on its floor rows (a clipped amplitude) and within rounding of
             # the power row, and a start about 1e-12 inside a row can crawl;
             # lifting to twice the floor and shrinking the power by 1e-6
-            # puts it well inside both.  PAPR is scale-invariant, so the
-            # shrink leaves the peak rows as they are.
-            start = np.maximum(anchor, 2.0 * floor) * np.sqrt(1.0 - 1e-6)
+            # puts it well inside both.  The tangent rows are left strictly
+            # inside only by the anchor's own margin under the limit.
+            start = np.maximum(anchor, 2.0 * floor) / radius \
+                * np.sqrt(1.0 - 1e-6)
             try:
-                report = solve_gp(-(anchor * grad / z).ravel(),
-                                  stack_constraints(
-                                      np.concatenate([base_log_c, log_c]),
-                                      np.vstack([base_A, A]),
-                                      np.concatenate([base_sizes, sizes])),
-                                  start.ravel())
-            except GPSolverError:
+                report = minimize_linear(objective, values, evaluate,
+                                         start.ravel())
+            except InfeasibleStartError:
                 # the start is not strictly inside its peak rows, e.g. the
                 # single-tone corner at eta = 2, which touches them; the
                 # run keeps its last accepted iterate
                 refused.append(anchor)
                 return None
             reports.append(report)
-            x = report.x.reshape(n, m)
+            multipliers.append(report.multipliers)
+            x = radius * report.x.reshape(n, m)
             return x, score(x)[0]
 
-        return _monotone(solve, anchor, score(anchor)[0], options)
+        s, history, stop_reason = _monotone(step, anchor, score(anchor)[0],
+                                            options)
+        if history.size == 1:
+            return s, history, stop_reason, None  # the seed
+        # the last step's multipliers on the rows rebuilt at the design,
+        # where each tangent row has its peak row's gradient
+        z, grad = score(s)
+        _, evaluate = _step_rows(peaks, s / radius, limit, floor / radius)
+        _, J, _ = evaluate(s.ravel() / radius)
+        residual = -(radius * grad / z).ravel() + J.T @ multipliers[-1]
+        return s, history, stop_reason, float(np.abs(residual).max())
 
     limit = eta
     for _ in range(3):
-        s, history, stop_reason = _best_run(
+        s, history, stop_reason, kkt = _best_run(
             [run(seed, limit) for seed in feasible_seeds(limit)])
         fine = worst_papr(s, phi_star, fine_basis)
         if fine <= ceiling:
@@ -797,16 +857,18 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                     fine_k = worst_papr(baselines[k], phi_star, fine_basis)
                     if fine_k <= ceiling:
                         s, history[-1], fine = baselines[k], zs[k], fine_k
+                        kkt = None
                         break
             break
         limit *= 0.999 * eta / fine
     return SCATrace(history, Waveform(s, phi_star, grid, power_budget=power),
-                    stop_reason, achieved_papr=fine,
-                    papr_certified=fine <= ceiling, gp_solves=len(reports),
-                    gp_iterations=sum(r.iterations for r in reports),
-                    gp_unconverged=[r.message for r in reports
-                                    if not r.converged],
-                    gp_refused=len(refused))
+                    stop_reason, kkt_residual=kkt, achieved_papr=fine,
+                    papr_certified=fine <= ceiling,
+                    step_solves=len(reports),
+                    step_iterations=sum(r.iterations for r in reports),
+                    step_unconverged=[r.message for r in reports
+                                      if not r.converged],
+                    step_refused=len(refused))
 
 
 # ---------------------------------------------------------------------------

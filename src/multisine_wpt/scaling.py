@@ -199,6 +199,11 @@ def monte_carlo_many(scenarios, trials: int,
     first 2 * trials * max(d) normals.  The chunk whose window ends first
     runs next (the widest on a tie), and the stream keeps only the normals
     from the earliest window still pending.
+
+    The standard error sums each chunk's squares about that chunk's mean
+    and combines the chunks in order by the pairwise update of Chan, Golub
+    & LeVeque (The American Statistician, 1983), so it keeps the digits of
+    the mean where the spread is small next to it.
     """
     if trials < 100:
         raise ValueError("trials must be >= 100")
@@ -218,6 +223,7 @@ def monte_carlo_many(scenarios, trials: int,
         else:
             scale = 2.0 * sc.power / sc.n_tones
             coefficients.append([scale ** (i // 2) for i in sc.params.orders])
+    # per scenario: the sum of z and the sum of squares about the mean
     sums = np.zeros((len(scenarios), 2))
     stream = _NormalStream(_rng(seed, 0))
     width = {shape: math.prod(shape) for shape in groups}
@@ -260,13 +266,18 @@ def monte_carlo_many(scenarios, trials: int,
                     coef, kernels[k].order_terms(
                         phased[:, :, 0] if scenarios[k].strategy == "up"
                         else powers)))
-            sums[k] += np.sum(z), np.sum(z ** 2)
+            # the chunk's squares about its own mean, combined with the
+            # earlier chunks' by Chan, Golub & LeVeque's pairwise update
+            total = np.sum(z)
+            z -= total / size
+            delta = total / size - sums[k, 0] / first if first else 0.0
+            sums[k] += total, (np.sum(z * z)
+                               + delta * delta * first * size / (first + size))
         del phased, powers, peak, z
     results = []
-    for total, total_sq in sums:
-        mean = total / trials
-        var = max(total_sq / trials - mean ** 2, 0.0) * trials / (trials - 1)
-        results.append((mean, math.sqrt(var / trials)))
+    for total, squares in sums:
+        results.append((total / trials,
+                        math.sqrt(squares / (trials - 1) / trials)))
     return results
 
 

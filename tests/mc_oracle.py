@@ -29,22 +29,36 @@ def tone_rows(sc, h: np.ndarray) -> np.ndarray:
         h[:, :, 0] if sc.strategy == "up" else gains, (len(gains), n))
 
 
-def monte_carlo(sc, trials: int, seed: int) -> tuple[float, float]:
-    """(sample mean, standard error) of the scenario's DC surrogate."""
+def trial_values(sc, trials: int, seed: int):
+    """The scenario's DC surrogate of each trial, one chunk at a time."""
     n_draw = 1 if sc.regime == "flat" or sc.strategy == "ss" \
         else sc.n_tones
     d = n_draw * sc.n_antennas
     kernel = DCKernel(sc.params)
     stream = _NormalStream(_rng(seed, 0))
-    total = total_sq = 0.0
     for first in range(0, trials, _MC_CHUNK):
         size = min(_MC_CHUNK, trials - first)
         h = stream.complex_window(2 * d * first,
                                   (size, n_draw, sc.n_antennas),
                                   keep=2 * d * (first + size))
-        z = kernel.value(tone_rows(sc, h))
+        yield kernel.value(tone_rows(sc, h))
+
+
+def monte_carlo(sc, trials: int, seed: int) -> tuple[float, float]:
+    """(sample mean, standard error) of the scenario's DC surrogate, the
+    error from one-pass sums."""
+    total = total_sq = 0.0
+    for z in trial_values(sc, trials, seed):
         total += np.sum(z)
         total_sq += np.sum(z ** 2)
     mean = total / trials
     var = max(total_sq / trials - mean ** 2, 0.0) * trials / (trials - 1)
     return mean, math.sqrt(var / trials)
+
+
+def two_pass_stderr(sc, trials: int, seed: int) -> float:
+    """The standard error of the same trials in two exactly rounded passes:
+    the mean by `math.fsum`, then the squares about it by `math.fsum`."""
+    z = np.concatenate(list(trial_values(sc, trials, seed)))
+    mean = math.fsum(z) / trials
+    return math.sqrt(math.fsum((z - mean) ** 2) / (trials - 1) / trials)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from multisine_wpt import gp
-from multisine_wpt.gp import (GPSolverError, _evaluate, _log_sums, condense,
-                              positivity_floor, solve_gp, stack_constraints)
+import gp_oracle
+from gp_oracle import (_evaluate, _log_sums, condense, solve_gp,
+                       stack_constraints)
+from multisine_wpt import interior
+from multisine_wpt.interior import InfeasibleStartError
+from multisine_wpt.optimizer import positivity_floor
 
 
 def _random_posynomial(rng, n_terms, n_vars, max_exp=3):
@@ -120,19 +123,19 @@ def test_solve_gp_with_floor_constraints_and_infeasible_start():
     assert np.isclose(report.x[0], np.sqrt(2 * p), rtol=1e-6)
     # a start that is not strictly inside is refused, and the error names
     # the worst row
-    with pytest.raises(GPSolverError):
+    with pytest.raises(InfeasibleStartError):
         solve_gp(objective, stack, np.array([-1.0, 1.0]))
-    with pytest.raises(GPSolverError, match="constraint 0 has g = 2.2"):
+    with pytest.raises(InfeasibleStartError, match="constraint 0 has g = 2.2"):
         solve_gp(objective, stack, np.array([3.0, 3.0]))
     # an amplitude clipped to the floor sits exactly on its row
     on_floor = np.array([1.0, floor])
     assert _log_sums(stack, np.log(on_floor))[0][2] == 0.0
-    with pytest.raises(GPSolverError, match="constraint 2 has g = 0"):
+    with pytest.raises(InfeasibleStartError, match="constraint 2 has g = 0"):
         solve_gp(objective, stack, on_floor)
     # full power, whose row reads a rounding error above 0
     full = np.sqrt(2 * p) * np.array([0.6, 0.8])
     assert 0.0 < _log_sums(stack, np.log(full))[0][0] <= 1e-15
-    with pytest.raises(GPSolverError, match="constraint 0 has g = "):
+    with pytest.raises(InfeasibleStartError, match="constraint 0 has g = "):
         solve_gp(objective, stack, full)
 
 
@@ -211,13 +214,13 @@ def test_line_search_builds_derivatives_only_at_feasible_points(monkeypatch):
     # a trial outside the constraints is rejected on its values alone
     seen = []
 
-    def feasible_only(stack, y, *args):
+    def feasible_only(stack, y):
         g = _log_sums(stack, y)[0]
         assert np.all(g < 0), g.max()
         seen.append(g.max())
-        return _evaluate(stack, y, *args)
+        return _evaluate(stack, y)
 
-    monkeypatch.setattr(gp, "_evaluate", feasible_only)
+    monkeypatch.setattr(gp_oracle, "_evaluate", feasible_only)
     rng = np.random.default_rng(3)
     for _ in range(5):
         b = rng.uniform(0.5, 4.0, 4)
@@ -263,22 +266,22 @@ def test_solve_report_names_why_the_primal_dual_loop_stopped(monkeypatch):
     x0 = np.array([0.3, 1.9])  # strictly feasible
     assert solve_gp(objective, stack, x0).message == ""
     with monkeypatch.context() as patch:
-        patch.setattr(gp, "_MAX_NEWTON", 2)
+        patch.setattr(interior, "_MAX_NEWTON", 2)
         capped = solve_gp(objective, stack, x0)
     assert not capped.converged and capped.iterations == 2
     assert capped.message == "iteration cap reached"
     # at a cap of 13 steps the last iterate's gap, 3.5e-9, is within ten
     # times the gap tolerance but fails the loop's own test: still capped
     with monkeypatch.context() as patch:
-        patch.setattr(gp, "_MAX_NEWTON", 13)
+        patch.setattr(interior, "_MAX_NEWTON", 13)
         capped = solve_gp(objective, stack, x0)
     assert not capped.converged and capped.iterations == 13
     assert capped.message == "iteration cap reached"
-    assert gp._GAP_TOL < capped.duality_gap <= 10 * gp._GAP_TOL
+    assert interior._GAP_TOL < capped.duality_gap <= 10 * interior._GAP_TOL
     # the loop's own test passes, but the point misses the feasibility
     # tolerance
     with monkeypatch.context() as patch:
-        patch.setattr(gp, "_FEAS_TOL", -0.5)
+        patch.setattr(interior, "_FEAS_TOL", -0.5)
         strict = solve_gp(objective, stack, x0)
     assert not strict.converged and strict.message == "tolerances not met"
     # zero tolerances cannot be met; this problem's residual stops falling
@@ -288,8 +291,8 @@ def test_solve_report_names_why_the_primal_dual_loop_stopped(monkeypatch):
     cons = [_power(3, 1.0)] + _floors(3, positivity_floor(1.0))
     cons.append((rng.uniform(0.1, 2.0, 4),
                  rng.integers(0, 3, (4, 3)).astype(float)))
-    monkeypatch.setattr(gp, "_GAP_TOL", 0.0)
-    monkeypatch.setattr(gp, "_KKT_TOL", 0.0)
+    monkeypatch.setattr(interior, "_GAP_TOL", 0.0)
+    monkeypatch.setattr(interior, "_KKT_TOL", 0.0)
     stalled = solve_gp(-b, _stack(cons), np.full(3, 0.1))
     assert stalled.iterations < 200
     assert stalled.message == "line search stalled"

@@ -41,17 +41,25 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
-def test_rectenna_does_not_import_gp():
-    # the DC kernel and the PAPR metric need nothing from the GP solver;
-    # the enumerated posynomial oracle lives in tests/posynomial_oracle.py
-    tree = ast.parse((ROOT / "src" / "multisine_wpt" / "rectenna.py")
-                     .read_text())
-    modules = [node.module for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom)]
-    modules += [alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names]
-    assert not [mod for mod in modules
-                if mod and (mod == "gp" or mod.endswith(".gp"))], modules
+def test_src_does_not_import_the_gp_oracle():
+    # the geometric program and its AM-GM condensation are a test oracle in
+    # tests/gp_oracle.py, as the enumerated posynomial is in
+    # tests/posynomial_oracle.py; no package module imports either or
+    # defines its own condensation
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = [node.module or "" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)]
+        modules += [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        found += [(path.name, mod) for mod in modules
+                  if mod.split(".")[-1] in ("gp", "gp_oracle",
+                                            "posynomial_oracle")]
+        found += [(path.name, node.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name in ("condense", "solve_gp")]
+    assert not found, found
 
 
 def test_circuit_takes_received_tones():
@@ -132,18 +140,17 @@ def test_only_rectenna_samples_the_carrier():
     assert not users, users
 
 
-def test_only_optimizer_calls_solve_gp():
-    # solve_gp refuses a start that is not strictly inside; the PAPR design
-    # builds its starts to be, and a new caller must read that contract.
-    # The PAPR rows are also the one user of the AM-GM condensation.
-    caller = ROOT / "src" / "multisine_wpt" / "optimizer.py"
-    users = [(str(path.relative_to(ROOT)), name)
+def test_only_optimizer_calls_the_primal_dual_loop():
+    # minimize_linear refuses a start that is not strictly inside; the PAPR
+    # design builds its starts to be, and a new caller must read that
+    # contract
+    home = ROOT / "src" / "multisine_wpt"
+    users = [str(path.relative_to(ROOT))
              for folder in ("src", "demos", "bench")
              for path in sorted((ROOT / folder).rglob("*.py"))
-             if path != caller
-             for name in ("solve_gp", "condense")
-             if any(name in _name_parts(node)
-                    for node in ast.walk(ast.parse(path.read_text())))]
+             if path not in (home / "optimizer.py", home / "interior.py")
+             and any("minimize_linear" in _name_parts(node)
+                     for node in ast.walk(ast.parse(path.read_text())))]
     assert not users, users
 
 

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 import joint_polish_oracle
-from multisine_wpt import cli, gp, optimizer
+from multisine_wpt import cli, interior, optimizer
 from multisine_wpt.channel import (ChannelRealization, FrequencyGrid,
                                    flat_channel, iid_frequency_channel)
-from multisine_wpt.gp import GPSolverError, positivity_floor
+from multisine_wpt.interior import InfeasibleStartError, minimize_linear
 from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
                                      _kkt_polish_power_only,
                                      _kkt_residual_power_only, _mm_ascent,
-                                     _PeakConstraints, _smf_start,
+                                     _peak_matrix, _smf_start, _step_rows,
                                      _WeightedDC,
                                      ass_multi, baseline_waveform,
                                      optimal_phases, optimize,
-                                     optimize_multi, optimize_papr, toy_n2)
+                                     optimize_multi, optimize_papr,
+                                     positivity_floor, toy_n2)
 from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
                                     Waveform, antenna_paprs, papr,
                                     received_tone_coefficients, worst_papr,
@@ -551,76 +552,123 @@ def test_papr_eta_two_concentrates_power():
     assert s[0] ** 2 >= 0.99 * 2 * POWER  # essentially single tone
 
 
-def test_papr_pieces_match_pairwise_loop():
-    # each peak constraint is sum_+ c s_n0 s_n1 over its denominator
-    # (limit/2) ||s_m||^2 + sum_- |c| s_n0 s_n1, condensed at the anchor
+def test_papr_step_rows_are_tangent_inner_rows_on_one_antenna():
+    # row (m, q) of the step is (a_mq . u_m)^2 <= (limit/2) ||u_m||^2 with
+    # ||u_m||^2 replaced by its tangent at the anchor, divided by
+    # (limit/2) ||u'_m||^2; u is the (N, M) amplitudes, flattened
     rng = np.random.default_rng(8)
-    n, m, limit = 3, 2, 2.7
-    tables = [rng.uniform(-1.0, 1.0, (6, n)) for _ in range(m)]
-    tables[1][0, 1] = 0.0  # zero products join neither part
-    tables[1][1] = np.abs(tables[1][1])  # no negative part
-    tables[0][2] = 0.0  # no positive part: no constraint
-    anchor = rng.uniform(0.2, 1.5, n * m)
-    log_c, A, sizes = _PeakConstraints(np.array(tables)).rows(
-        np.log(anchor), limit)
-    want = []
-    for ant, cos in enumerate(tables):
-        for cq in cos:
-            pos, den = [], []
-            for n0 in range(n):
-                e = np.zeros(n * m)
-                e[n0 * m + ant] = 2.0
-                den.append((limit / 2.0, e))
-            for n0 in range(n):
-                for n1 in range(n):
-                    c = cq[n0] * cq[n1]
-                    if c != 0.0:
-                        e = np.zeros(n * m)
-                        e[n0 * m + ant] += 1.0
-                        e[n1 * m + ant] += 1.0
-                        (pos if c > 0 else den).append((abs(c), e))
-            if pos:
-                want.append((pos, den))
-    assert len(sizes) == len(want) == 2 * 6 - 1
+    n, m, n_samples, limit, floor = 3, 2, 6, 2.7, 1e-12
+    cos = rng.uniform(-1.0, 1.0, (m, n_samples, n))
+    anchor = rng.uniform(0.2, 1.5, (n, m))
+    anchor /= np.linalg.norm(anchor)
+    peaks = _peak_matrix(cos)
+    values, evaluate = _step_rows(peaks, anchor, limit, floor)
+    n_rows = 1 + n * m + m * n_samples
 
-    def posy(terms, x):
-        return sum(c * np.prod(x ** e) for c, e in terms)
+    def loop_rows(u):
+        rows = [np.sqrt(u @ u) - 1.0] + [floor - v for v in u]
+        s, s_bar = u.reshape(n, m), anchor
+        for ant in range(m):
+            scale = 0.5 * limit * np.sum(s_bar[:, ant] ** 2)
+            for q in range(n_samples):
+                x = sum(cos[ant, q, k] * s[k, ant] for k in range(n))
+                tangent = 0.5 * limit * (2.0 * s_bar[:, ant] @ s[:, ant]
+                                         - s_bar[:, ant] @ s_bar[:, ant])
+                rows.append((x ** 2 - tangent) / scale)
+        return np.array(rows)
 
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    points = [anchor] + [rng.uniform(0.1, 2.0, n * m) for _ in range(5)]
-    for i, (pos, den) in enumerate(want):
-        # the oracle's ordered pairs n0 != n1 repeat each product's monomial
-        assert sizes[i] == len({tuple(e) for _, e in pos})
-        rows = slice(starts[i], starts[i + 1])
-        gamma = [c * np.prod(anchor ** e) / posy(den, anchor) for c, e in den]
-        for x in points:
-            condensed = np.prod([(c * np.prod(x ** e) / g) ** g
-                                 for (c, e), g in zip(den, gamma)])
-            got = np.sum(np.exp(log_c[rows]) * np.prod(x ** A[rows], axis=1))
-            assert np.isclose(got, posy(pos, x) / condensed, rtol=1e-12)
-        # tight at the anchor: the condensed denominator is exact there
-        got = np.sum(np.exp(log_c[rows]) * np.prod(anchor ** A[rows], axis=1))
-        assert np.isclose(got, posy(pos, anchor) / posy(den, anchor),
-                          rtol=1e-12)
+    def true_rows(u):
+        s = u.reshape(n, m)
+        return np.array([(cos[ant, q] @ s[:, ant]) ** 2
+                         - 0.5 * limit * np.sum(s[:, ant] ** 2)
+                         for ant in range(m) for q in range(n_samples)])
+
+    scales = np.repeat(0.5 * limit * np.sum(anchor ** 2, axis=0), n_samples)
+    # tight at the anchor: each peak row reads the true row there
+    at_anchor = values(anchor.ravel())[1 + n * m:]
+    assert np.allclose(at_anchor * scales, true_rows(anchor.ravel()),
+                       rtol=1e-12, atol=1e-15)
+    points = [anchor.ravel()] + [rng.uniform(0.0, 1.0, n * m)
+                                 for _ in range(200)]
+    for u in points:
+        g, J, hess = evaluate(u)
+        assert g.size == n_rows
+        assert np.array_equal(g, values(u))
+        assert np.allclose(g, loop_rows(u), rtol=1e-12, atol=1e-14)
+        # an inner approximation: never below the true row, so a point
+        # that meets a tangent row meets its peak row
+        assert np.all(g[1 + n * m:] * scales
+                      >= true_rows(u) - 1e-14 * np.abs(true_rows(u)).max())
+        # the Jacobian and the weighted Hessian sum, by central differences
+        w = rng.uniform(0.1, 2.0, n_rows)
+        step = 1e-6
+        for j in range(n * m):
+            e = np.zeros(n * m)
+            e[j] = step
+            g_plus, J_plus, _ = evaluate(u + e)
+            g_minus, J_minus, _ = evaluate(u - e)
+            assert np.allclose(J[:, j], (g_plus - g_minus) / (2 * step),
+                               rtol=1e-6, atol=1e-6)
+            assert np.allclose(hess(w)[:, j],
+                               w @ (J_plus - J_minus) / (2 * step),
+                               rtol=1e-6, atol=1e-6)
+    # each peak row touches only its own antenna's amplitudes: variable
+    # k * m + a is tone k on antenna a
+    _, J, _ = evaluate(rng.uniform(0.1, 1.0, n * m))
+    for row, ant in zip(J[1 + n * m:], np.repeat(np.arange(m), n_samples)):
+        assert np.all(row[np.arange(n * m) % m != ant] == 0.0)
 
 
-def test_papr_rows_carry_each_pair_once_on_one_antenna():
-    rng = np.random.default_rng(21)
-    n, m = 4, 3
-    _, A, sizes = _PeakConstraints(rng.uniform(-1.0, 1.0, (m, 7, n))).rows(
-        np.log(rng.uniform(0.2, 1.5, n * m)), 3.0)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    for i in range(sizes.size):
-        rows = A[starts[i]:starts[i + 1]]
-        assert len(np.unique(rows, axis=0)) == len(rows)
-        # variable n * m + a is tone n on antenna a
-        antennas = np.nonzero(np.any(rows != 0.0, axis=0))[0] % m
-        assert np.all(antennas == antennas[0])
+def test_papr_step_is_the_mm_map_when_no_peak_row_binds():
+    # a limit no row meets binds nothing: the step's QCQP, solved by the
+    # primal-dual loop, is the MM map sqrt(2P) g / ||g||, the point the
+    # design takes without a solve
+    h = iid_frequency_channel(4, 2, seed=3)
+    power = 1e-4
+    n, m = h.h.shape
+    radius = np.sqrt(2.0 * power)
+    obj = _WeightedDC([np.abs(h.h)], [1.0], P4)
+    anchor = np.maximum(baseline_waveform("mf", h, power, _grid(n)).amplitudes,
+                        positivity_floor(power))
+    z, grad = obj.value_grad_hess(anchor)[:2]
+    phases = optimal_phases(h)
+    basis = optimizer.papr_basis(_grid(n), 8)
+    peaks = _peak_matrix(np.einsum(
+        "inq,inm->mqn", basis.reshape(2, n, -1),
+        np.stack([np.cos(phases), np.sin(phases)])))
+    values, evaluate = _step_rows(peaks, anchor / radius, 1e6,
+                                  positivity_floor(power) / radius)
+    report = minimize_linear(-(radius * grad / z).ravel(), values, evaluate,
+                             anchor.ravel() / radius * np.sqrt(1.0 - 1e-6))
+    assert report.converged
+    # within the loop's own tolerance: its iterates stay strictly inside
+    # the power row
+    want = (grad / np.linalg.norm(grad)).ravel()
+    assert np.allclose(report.x, want, rtol=1e-9, atol=0.0)
+
+
+def test_papr_design_built_by_steps_reports_its_kkt_residual():
+    # the last step's multipliers on the rows rebuilt at the design: a run
+    # that stops at `tol` is stationary for the peak-constrained problem,
+    # one stopped after two steps is not, and a design that keeps its seed
+    # reports no residual
+    flat, grid = flat_channel(1.0, 0.0, 4, 1), _grid(4)
+    tr = optimize_papr(flat, 1e-4, 3.0, P4, grid)
+    assert tr.stop_reason == "tol" and tr.step_solves > 0
+    assert tr.kkt_residual <= 1e-9
+    early = optimize_papr(flat, 1e-4, 3.0, P4, grid,
+                          OptimizerOptions(max_iterations=2))
+    assert early.stop_reason == "max_iter"
+    assert early.kkt_residual > 1e3 * tr.kkt_residual
+    seed = optimize_papr(flat_channel(1.0, 0.0, 2, 1), POWER, 2.0, P4,
+                         _grid(2), OptimizerOptions(eps=1e-8,
+                                                    max_iterations=40))
+    assert seed.n_iterations == 0 and seed.kkt_residual is None
 
 
 def test_papr_solver_fallback_reports_unconverged():
     # at eta = 2 the only feasible seed is the single-tone corner, whose
-    # peak constraints leave the GP no interior: the run keeps its seed
+    # peak rows leave the step no interior: the run keeps its seed
     grid = _grid(2)
     tr = optimize_papr(flat_channel(1.0, 0.0, 2, 1), POWER, 2.0, P4, grid,
                        OptimizerOptions(eps=1e-8, max_iterations=40))
@@ -630,35 +678,35 @@ def test_papr_solver_fallback_reports_unconverged():
 
 
 def test_papr_trace_counts_capped_and_refused_solves(monkeypatch):
-    # with the primal-dual loop capped at 3 iterations every GP solve stops
+    # with the primal-dual loop capped at 3 iterations every loop solve stops
     # unconverged, and the design still reports `tol` and a certificate:
     # only the trace's counts show the capped solves
     grid = _grid(4)
     flat = flat_channel(1.0, 0.0, 4, 1)
     full = optimize_papr(flat, 1e-4, 3.0, P4, grid)
-    assert full.gp_solves > 0 and full.gp_iterations > 3 * full.gp_solves
-    assert full.gp_unconverged == [] and full.gp_refused == 0
-    monkeypatch.setattr(gp, "_MAX_NEWTON", 3)
+    assert full.step_solves > 0 and full.step_iterations > 3 * full.step_solves
+    assert full.step_unconverged == [] and full.step_refused == 0
+    monkeypatch.setattr(interior, "_MAX_NEWTON", 3)
     capped = optimize_papr(flat, 1e-4, 3.0, P4, grid)
     assert capped.stop_reason == "tol" and capped.papr_certified
-    assert capped.gp_solves > 0
-    assert capped.gp_iterations == 3 * capped.gp_solves
-    assert capped.gp_unconverged == ["iteration cap reached"] \
-        * capped.gp_solves
+    assert capped.step_solves > 0
+    assert capped.step_iterations == 3 * capped.step_solves
+    assert capped.step_unconverged == ["iteration cap reached"] \
+        * capped.step_solves
     # at eta = 2 the solver refuses the single-tone corner's start
     refused = optimize_papr(flat_channel(1.0, 0.0, 2, 1), POWER, 2.0, P4,
                             _grid(2), OptimizerOptions(eps=1e-8,
                                                        max_iterations=40))
     assert refused.stop_reason == "solver_fallback"
-    assert (refused.gp_solves, refused.gp_refused) == (0, 1)
-    # a design that meets the limit unconstrained solves no GP
+    assert (refused.step_solves, refused.step_refused) == (0, 1)
+    # a design that meets the limit unconstrained runs no step
     unconstrained = optimize_papr(flat, 1e-4, 8.0, P4, grid)
-    assert (unconstrained.gp_solves, unconstrained.gp_refused) == (0, 0)
+    assert (unconstrained.step_solves, unconstrained.step_refused) == (0, 0)
 
 
 def test_papr_sca_scores_each_point_once(monkeypatch):
     # after the unconstrained design, every point the PAPR SCA reaches (the
-    # baselines, the seeds, each GP solution and the next anchor it is) is
+    # baselines, the seeds, each step's solution and the next anchor it is) is
     # scored once; equal baselines are one point
     scored = collections.Counter()
     after = []
@@ -679,7 +727,7 @@ def test_papr_sca_scores_each_point_once(monkeypatch):
     monkeypatch.setattr(optimizer, "_aligned_design", unconstrained)
     trace = optimize_papr(flat_channel(1.0, 0.0, 4, 1), 1e-4, 3.0, P4,
                           _grid(4))
-    assert trace.gp_solves > 0 and len(scored) > trace.gp_solves
+    assert trace.step_solves > 0 and len(scored) > trace.step_solves
     assert set(scored.values()) == {1}
 
 
@@ -714,7 +762,7 @@ def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
 def test_papr_baseline_at_the_limit_replaces_a_refused_design(monkeypatch):
     # a real, positive channel: the aligned phases are 0, so every grid
     # samples each antenna's peak at t = 0.  At eta = `mf`'s own PAPR, `mf`
-    # falls outside the seeds' 1e-9 margin.  With every GP start refused,
+    # falls outside the seeds' 1e-9 margin.  With every loop start refused,
     # each run ends at its seed, and the baseline re-check returns `mf`,
     # which scores higher, certified and with its z
     h = ChannelRealization(np.array([[0.4, 1.0], [1.0, 0.7]], dtype=complex))
@@ -730,9 +778,9 @@ def test_papr_baseline_at_the_limit_replaces_a_refused_design(monkeypatch):
 
     def refusing(*args):
         refused.append(args)
-        raise GPSolverError("start not strictly feasible")
+        raise InfeasibleStartError("start not strictly feasible")
 
-    monkeypatch.setattr(optimizer, "solve_gp", refusing)
+    monkeypatch.setattr(optimizer, "minimize_linear", refusing)
     tr = optimize_papr(h, power, eta, P4, grid, opts)
     assert refused
     assert tr.waveform.amplitudes.tobytes() == s_mf.tobytes()
@@ -790,10 +838,12 @@ def test_papr_runs_each_distinct_seed_once(monkeypatch):
 
 
 def test_papr_run_refused_mid_way_keeps_its_last_iterate(monkeypatch):
-    # flat N = 4 at eta = 3: the `ass` run stops after one solve, and the
-    # blend run climbs for its 40 iterations.  A GP that refuses the blend
-    # run's third start ends that run at its second iterate, not its seed.
-    solve_gp, monotone = optimizer.solve_gp, optimizer._monotone
+    # flat N = 4 at eta = 3: the `ass` run stops after one step, and the
+    # blend run climbs.  The blend run's first step is the MM map, which
+    # meets its peak rows, and its next steps run the primal-dual loop.  A
+    # loop that refuses the run's second start ends that run at its second
+    # iterate, the first loop solution, not its seed.
+    minimize, monotone = optimizer.minimize_linear, optimizer._monotone
     runs, solves = [], []
 
     def per_run(*args):
@@ -802,20 +852,22 @@ def test_papr_run_refused_mid_way_keeps_its_last_iterate(monkeypatch):
         return runs[-1]
 
     def refusing(*args):
-        if len(solves[-1]) == 2:
-            raise GPSolverError("start not strictly feasible")
-        solves[-1].append(solve_gp(*args))
+        if len(solves[-1]) == 1:
+            raise InfeasibleStartError("start not strictly feasible")
+        solves[-1].append(minimize(*args))
         return solves[-1][-1]
 
     monkeypatch.setattr(optimizer, "_monotone", per_run)
-    monkeypatch.setattr(optimizer, "solve_gp", refusing)
+    monkeypatch.setattr(optimizer, "minimize_linear", refusing)
     tr = optimize_papr(flat_channel(1.0, 0.0, 4, 1), POWER, 3.0, P4,
                        _grid(4), OptimizerOptions(eps=1e-8, max_iterations=40))
     refused = [k for k, run in enumerate(runs) if run[2] == "solver_fallback"]
     assert len(refused) == 1
     state, history, _ = runs[refused[0]]
     assert len(history) == 3 and history[2] > history[0]
-    assert np.array_equal(state.ravel(), solves[refused[0]][1].x)
+    # the loop works in the amplitudes scaled by 1/sqrt(2P)
+    assert np.array_equal(state.ravel(),
+                          np.sqrt(2.0 * POWER) * solves[refused[0]][0].x)
     assert tr.stop_reason == "solver_fallback" and tr.n_iterations == 2
     assert np.array_equal(tr.waveform.amplitudes, state)
     assert tr.papr_certified
@@ -824,15 +876,15 @@ def test_papr_run_refused_mid_way_keeps_its_last_iterate(monkeypatch):
 def test_papr_limit_that_cannot_bind_returns_the_unconstrained_design(
         monkeypatch):
     # any N-tone waveform has PAPR <= 2N, so eta >= 2N cannot bind: the
-    # design is `optimize`'s, byte for byte and certified, with no GP solve
-    solve_gp = optimizer.solve_gp
+    # design is `optimize`'s, byte for byte and certified, with no step
+    minimize = optimizer.minimize_linear
     solves = []
 
     def counting(*args):
         solves.append(args)
-        return solve_gp(*args)
+        return minimize(*args)
 
-    monkeypatch.setattr(optimizer, "solve_gp", counting)
+    monkeypatch.setattr(optimizer, "minimize_linear", counting)
     opts = OptimizerOptions(eps=1e-8, max_iterations=40)
     cases = [(flat_channel(1.0, 0.0, 2, 1), 4.0)] + [
         (h, 1e6) for h in (flat_channel(1.0, 0.0, 8, 1),
@@ -879,7 +931,7 @@ def _fig3_middle_problem():
 @pytest.mark.parametrize("problem", ["criterion 7", "fig3-middle"])
 def test_papr_eta_two_returns_the_floored_ass_waveform(problem):
     # at eta = 2 the one seed's start is not strictly inside its peak rows;
-    # solve_gp refuses it, and the design keeps the `ass` seed, floored,
+    # the loop refuses it, and the design keeps the `ass` seed, floored,
     # bit for bit
     h, power, params, grid, opts = (
         _fig3_middle_problem() if problem == "fig3-middle"
@@ -897,25 +949,25 @@ def test_papr_eta_two_returns_the_floored_ass_waveform(problem):
 def test_papr_solves_are_never_refused_away_from_eta_two(eta, monkeypatch):
     # criterion 7's iid designs: every start the design builds is strictly
     # inside, so no solve raises and every one converges
-    solve_gp = optimizer.solve_gp
+    minimize = optimizer.minimize_linear
     reports, refused = [], []
 
     def checked(*args):
         try:
-            reports.append(solve_gp(*args))
-        except GPSolverError as e:  # the design would fall back silently
+            reports.append(minimize(*args))
+        except InfeasibleStartError as e:  # the design would fall back silently
             refused.append(str(e))
             raise
         return reports[-1]
 
-    monkeypatch.setattr(optimizer, "solve_gp", checked)
+    monkeypatch.setattr(optimizer, "minimize_linear", checked)
     for seed in (1, 2):
         optimize_papr(iid_frequency_channel(8, 1, seed=seed), POWER, eta, P4,
                       _grid(8), OptimizerOptions(eps=1e-8, max_iterations=40))
     assert not refused, refused
     assert all(r.converged for r in reports)
     if eta == 10.0:
-        # both unconstrained designs already meet this limit: no GP runs
+        # both unconstrained designs already meet this limit: no loop runs
         assert not reports
     else:
         assert reports

@@ -158,6 +158,17 @@ def test_monte_carlo_matches_broadcast_rows_oracle(scenarios):
         assert abs(err - want_err) <= 1e-13 * want_err, sc
 
 
+def test_monte_carlo_stderr_matches_two_pass_oracle():
+    # `up` over selective fading at N = 256 has mean^2 / var of about 197,
+    # where one-pass sums of squares cancel about two digits; chunk-centred
+    # squares keep the error to the rounding of the mean
+    sc = ScalingScenario("up", "selective", 256)
+    trials = 2 * scaling._MC_CHUNK + 300
+    [(_, err)] = monte_carlo_many([sc], trials, seed=1)
+    want = mc_oracle.two_pass_stderr(sc, trials, seed=1)
+    assert abs(err - want) <= 2e-15 * want
+
+
 def test_monte_carlo_requires_enough_trials():
     with pytest.raises(ValueError):
         monte_carlo(ScalingScenario("ss", "flat", 1), 10)
