@@ -27,7 +27,9 @@ rows (a convex-concave procedure): each step maximizes the linearization
 of z over the power ball and the amplitude floors, with each peak row's
 concave side replaced by its tangent at the current point, a convex QCQP
 in the amplitudes.  A step whose MM map meets every peak row is that map;
-any other runs the primal-dual loop of `interior`.
+any other runs the primal-dual loop of `interior`.  A design that fails
+the check on a 4x finer grid is designed again at the same limit with its
+peak rows on that grid, which certifies it by construction.
 """
 
 from __future__ import annotations
@@ -53,7 +55,9 @@ class OptimizerOptions:
     PAPR-constrained design returns `optimize`'s design when it meets the
     limit, with that design's iterations; otherwise one of its iterations
     is one step, a QCQP in the amplitudes.  `eps` and `max_iterations`
-    apply per iteration.
+    apply per iteration.  `papr_oversampling` sets the sample grid of that
+    design's first round; 4x of it certifies the design and hosts the
+    second round, run when the first round's design fails that check.
     """
 
     eps: float = 1e-6                # relative z_dc change declaring convergence
@@ -91,8 +95,8 @@ class SCATrace:
     A PAPR design that keeps a seed or a baseline leaves it None.
 
     The PAPR-constrained design also records its inner work, summed over
-    every run and re-solve: `step_solves` steps that ran the primal-dual
-    loop, with `step_iterations` loop iterations between them, the
+    both rounds: `step_solves` steps that ran the primal-dual loop, with
+    `step_iterations` loop iterations between them, the
     `SolveReport.message` of each loop that stopped unconverged (at its
     iteration cap, say) in `step_unconverged`, and `step_refused` starts
     the loop refused.  A step whose MM map meets its peak rows runs no
@@ -715,9 +719,11 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     `_mm_ascent`.  When the MM map sqrt(2P) grad / ||grad||, floored,
     meets every peak row it is the step's solution; otherwise
     `interior.minimize_linear` solves the QCQP from the anchor.  A
-    post-hoc check on the 4x grid triggers a re-solve with a tightened
-    limit when sampling missed a peak.  A closed-form baseline that passes
-    the same check and scores higher replaces a certified design.
+    baseline at the limit is a seed too, and a run whose start the loop
+    refuses keeps it.  The best run's design is checked on the 4x grid;
+    when sampling missed a peak there, a second round runs the same seeds
+    and steps at eta with every peak row, seed PAPR and blend on the 4x
+    grid, so each of its iterates meets every sample the check reads.
     """
     if eta < 2.0:
         raise ValueError("eta below 2 is infeasible (single-tone PAPR is 2)")
@@ -737,11 +743,6 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     obj = _WeightedDC([np.abs(h)], [1.0], params)
     floor = positivity_floor(power)
     phi_star = optimal_phases(channel)
-    basis = papr_basis(grid, options.papr_oversampling)
-    # cos(w_n t_q + phi) from the basis rows cos(w_n t_q), -sin(w_n t_q)
-    peaks = _peak_matrix(np.einsum(
-        "inq,inm->mqn", basis.reshape(2, n, -1),
-        np.stack([np.cos(phi_star), np.sin(phi_star)])))
 
     # z and its gradient at each point the SCA reaches, by the point's
     # bytes: a step's solution is scored once as an iterate and serves as
@@ -755,27 +756,26 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             scores[key] = obj.value_grad_hess(s)[:2]
         return scores[key]
 
-    # the baselines' z and PAPR do not depend on the limit: score them once
     baselines = [np.maximum(s, floor) for s, _ in baselines]
-    paprs = [worst_papr(s, phi_star, basis) for s in baselines]
-    zs = [score(s)[0] for s in baselines]
-    best = int(np.argmax(zs))
-    s_best, p_best = baselines[best], paprs[best]
+    best = int(np.argmax([score(s)[0] for s in baselines]))
     safe = baselines[2]  # `ass`: the channel is nonzero, so all four seeds
 
-    def feasible_seeds(limit: float) -> list[np.ndarray]:
-        """Distinct baselines under the limit, and a blend saving the best.
+    def feasible_seeds(basis: np.ndarray) -> list[np.ndarray]:
+        """Distinct baselines meeting eta on the basis, and a blend saving
+        the best.
 
-        PAPR is scale-invariant, so an over-the-limit candidate cannot be
-        scaled into feasibility; blending it toward a compliant one keeps
-        its allocation shape while meeting the limit.
+        A baseline at the limit is a seed: a run that cannot step from it
+        keeps it.  PAPR is scale-invariant, so an over-the-limit candidate
+        cannot be scaled into feasibility; blending it toward a compliant
+        one, strictly inside the limit, keeps its allocation shape.
         """
+        paprs = [worst_papr(s, phi_star, basis) for s in baselines]
         seeds = _distinct([s for s, p in zip(baselines, paprs)
-                           if p <= limit * (1.0 - 1e-9)]) or [safe]
-        if p_best > limit * (1.0 - 1e-9):
+                           if p <= ceiling]) or [safe]
+        if paprs[best] > eta * (1.0 - 1e-9):
             for t in np.linspace(0.0, 1.0, 33)[1:]:
-                blend = (1.0 - t) * s_best + t * safe
-                if worst_papr(blend, phi_star, basis) <= limit * (1.0 - 1e-9):
+                blend = (1.0 - t) * baselines[best] + t * safe
+                if worst_papr(blend, phi_star, basis) <= eta * (1.0 - 1e-9):
                     seeds.append(blend)
                     break
         return seeds
@@ -783,9 +783,9 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
     # every run's step reports and refused starts, for the trace's counts
     reports, refused = [], []
 
-    def run(anchor: np.ndarray, limit: float):
+    def run(anchor: np.ndarray, peaks: np.ndarray):
         """(s, z history, stop reason, KKT residual or None) of one SCA run
-        from the anchor."""
+        from the anchor under the peak rows."""
         multipliers = []  # the duals of each step the run takes
 
         def step(anchor):
@@ -793,7 +793,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             # grad . s, scaled by sqrt(2P) / z in the amplitudes u
             z, grad = score(anchor)
             objective = -(radius * grad / z).ravel()
-            values, evaluate = _step_rows(peaks, anchor / radius, limit,
+            values, evaluate = _step_rows(peaks, anchor / radius, eta,
                                           floor / radius)
             # the MM map, the maximizer over the power ball and the floors,
             # is the step's solution when it meets every peak row; its
@@ -821,9 +821,9 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
                 report = minimize_linear(objective, values, evaluate,
                                          start.ravel())
             except InfeasibleStartError:
-                # the start is not strictly inside its peak rows, e.g. the
-                # single-tone corner at eta = 2, which touches them; the
-                # run keeps its last accepted iterate
+                # the start is not strictly inside its peak rows, e.g. a
+                # seed at the limit or the single-tone corner at eta = 2,
+                # which touch them; the run keeps its last accepted iterate
                 refused.append(anchor)
                 return None
             reports.append(report)
@@ -838,29 +838,24 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         # the last step's multipliers on the rows rebuilt at the design,
         # where each tangent row has its peak row's gradient
         z, grad = score(s)
-        _, evaluate = _step_rows(peaks, s / radius, limit, floor / radius)
+        _, evaluate = _step_rows(peaks, s / radius, eta, floor / radius)
         _, J, _ = evaluate(s.ravel() / radius)
         residual = -(radius * grad / z).ravel() + J.T @ multipliers[-1]
         return s, history, stop_reason, float(np.abs(residual).max())
 
-    limit = eta
-    for _ in range(3):
+    # round 1 samples the peak rows on the design grid; when its design
+    # fails the 4x check, round 2 samples them on the 4x grid, so every
+    # iterate meets each sample the check reads
+    for basis in (papr_basis(grid, options.papr_oversampling), fine_basis):
+        # cos(w_n t_q + phi) from the basis rows cos(w_n t_q), -sin(w_n t_q)
+        peaks = _peak_matrix(np.einsum(
+            "inq,inm->mqn", basis.reshape(2, n, -1),
+            np.stack([np.cos(phi_star), np.sin(phi_star)])))
         s, history, stop_reason, kkt = _best_run(
-            [run(seed, limit) for seed in feasible_seeds(limit)])
+            [run(seed, peaks) for seed in feasible_seeds(basis)])
         fine = worst_papr(s, phi_star, fine_basis)
         if fine <= ceiling:
-            # the seeds stay 1e-9 inside the limit, so a baseline at the
-            # limit can beat the design; the best one whose fine check
-            # passes takes its place
-            for k in sorted(range(len(zs)), key=lambda k: -zs[k]):
-                if zs[k] > history[-1] and paprs[k] <= ceiling:
-                    fine_k = worst_papr(baselines[k], phi_star, fine_basis)
-                    if fine_k <= ceiling:
-                        s, history[-1], fine = baselines[k], zs[k], fine_k
-                        kkt = None
-                        break
             break
-        limit *= 0.999 * eta / fine
     return SCATrace(history, Waveform(s, phi_star, grid, power_budget=power),
                     stop_reason, kkt_residual=kkt, achieved_papr=fine,
                     papr_certified=fine <= ceiling,

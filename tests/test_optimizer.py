@@ -19,8 +19,7 @@ from multisine_wpt.optimizer import (OptimizerOptions, _ascents,
                                      positivity_floor, toy_n2)
 from multisine_wpt.rectenna import (DCKernel, DiodeParams, RectennaParams,
                                     Waveform, antenna_paprs, papr,
-                                    received_tone_coefficients, worst_papr,
-                                    zdc_analytic)
+                                    received_tone_coefficients, zdc_analytic)
 
 P4 = RectennaParams()
 POWER = 1e-5
@@ -731,40 +730,47 @@ def test_papr_sca_scores_each_point_once(monkeypatch):
     assert set(scored.values()) == {1}
 
 
-def test_papr_resolves_when_the_fine_grid_finds_a_missed_peak(monkeypatch):
-    # the unconstrained design fails the 4x check, so the SCA runs; its first
-    # round's design meets eta on the design grid but not on the 4x grid, and
-    # the re-solve at a tightened limit must certify
+@pytest.mark.parametrize("n, m, seed, eta, power", [
+    (3, 2, 6, 2.5, 1e-5),
+    (8, 1, 14, 3.5, 1e-4),
+])
+def test_papr_designs_again_on_the_4x_grid_after_a_missed_peak(
+        monkeypatch, n, m, seed, eta, power):
+    # the unconstrained design fails the 4x check, so the SCA runs; round 1's
+    # design meets eta on the design grid but not on the 4x grid, so round 2
+    # designs again at eta with its peak rows on the 4x grid, which every
+    # iterate then meets: the design is certified by construction
     opts = OptimizerOptions(eps=1e-8, max_iterations=40)
     fine = 4 * opts.papr_oversampling
-    h = iid_frequency_channel(3, 2, seed=6)
-    checks = []
+    h = iid_frequency_channel(n, m, seed=seed)
+    calls = []
 
-    def counting(amplitudes, phases, basis):
-        # the basis has N * oversampling sample times
-        checks.append((basis.shape[1] // 3, amplitudes))
-        return worst_papr(amplitudes, phases, basis)
+    def recording(peaks, anchor, limit, floor):
+        calls.append((peaks.shape[0], limit))
+        return _step_rows(peaks, anchor, limit, floor)
 
-    monkeypatch.setattr(optimizer, "worst_papr", counting)
-    eta = 2.5
-    tr = optimize_papr(h, POWER, eta, P4, _grid(3), opts)
-    fine_checks = [amps for over, amps in checks if over == fine]
-    assert len(fine_checks) == 3
-    unconstrained = optimize(h, POWER, P4, _grid(3), opts).waveform
-    assert np.array_equal(fine_checks[0], unconstrained.amplitudes)
-    assert max(antenna_paprs(unconstrained, fine).values()) > eta * (1 + 1e-6)
+    monkeypatch.setattr(optimizer, "_step_rows", recording)
+    tr = optimize_papr(h, power, eta, P4, _grid(n), opts)
+    assert calls and all(limit == eta for _, limit in calls)
+    assert calls[-1][0] == m * n * fine
     assert tr.papr_certified
     worst = max(antenna_paprs(tr.waveform, fine).values())
     assert worst == tr.achieved_papr
     assert worst <= eta * (1 + 1e-6)
+    # no limit below eta, so no fallback to the single-tone `ass`
+    floored_ass = np.maximum(
+        baseline_waveform("ass", h, power, _grid(n)).amplitudes,
+        positivity_floor(power))
+    assert tr.zdc > zdc_analytic(
+        Waveform(floored_ass, optimal_phases(h), _grid(n)), h, P4)
 
 
 def test_papr_baseline_at_the_limit_replaces_a_refused_design(monkeypatch):
     # a real, positive channel: the aligned phases are 0, so every grid
     # samples each antenna's peak at t = 0.  At eta = `mf`'s own PAPR, `mf`
-    # falls outside the seeds' 1e-9 margin.  With every loop start refused,
-    # each run ends at its seed, and the baseline re-check returns `mf`,
-    # which scores higher, certified and with its z
+    # sits at the limit and is a seed.  With every loop start refused, each
+    # run keeps its seed, and the best run is `mf`'s, which scores higher,
+    # certified and with its z
     h = ChannelRealization(np.array([[0.4, 1.0], [1.0, 0.7]], dtype=complex))
     grid, power = _grid(2), 1e-4
     opts = OptimizerOptions(eps=1e-8, max_iterations=40)
