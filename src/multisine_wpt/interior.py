@@ -1,18 +1,24 @@
 """A primal-dual interior-point loop: minimize a linear objective c.y
 subject to smooth convex rows g_i(y) < 0.
 
-A problem is its objective vector and two functions of the point:
-`values(y)`, the rows' values, and `evaluate(y)`, which adds their
-Jacobian J (one gradient per row) and hess(w), the weighted sum
-sum_i w_i hess g_i.  The loop needs a strictly feasible start and refuses
-any other: its one caller in the package, the PAPR design's step, knows
-such a point by construction, so there is no phase I (Boyd & Vandenberghe,
-Convex Optimization, section 11.4, need one only when no strictly feasible
-point is known).
+A problem is its objective vector and one function of the point,
+`rows(y) -> (g, derivatives)`: g holds the rows' values, and
+`derivatives() -> (J, hess)` builds their Jacobian J (one gradient per
+row) and hess(w), the weighted sum sum_i w_i hess g_i, from the work
+`rows` already did.  The loop calls `rows` once per point it visits and
+builds the derivatives only at a point strictly inside every row, at most
+once, so a line-search trial outside the rows costs its values alone.
+
+The loop needs a strictly feasible start and refuses any other: its one
+caller in the package, the PAPR design's step, knows such a point by
+construction, so there is no phase I (Boyd & Vandenberghe, Convex
+Optimization, section 11.4, need one only when no strictly feasible point
+is known).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,26 +55,29 @@ class InfeasibleStartError(RuntimeError):
     strictly inside every row."""
 
 
-def minimize_linear(objective: np.ndarray, values, evaluate,
+def minimize_linear(objective: np.ndarray, rows,
                     y0: np.ndarray) -> SolveReport:
-    """Minimize objective . y subject to values(y) < 0, from y0.
+    """Minimize objective . y subject to g(y) < 0, from y0.
 
-    `evaluate(y)` returns (g, J, hess) with g = values(y).  The start must
-    be strictly feasible, every g_i < 0 however close to 0; the caller
+    `rows(y)` returns (g, derivatives), and `derivatives()` returns
+    (J, hess) at the same y.  Each point the loop visits, the start and
+    every line-search trial, costs one `rows` call; `derivatives()` runs
+    only where every g_i < 0, at most once per point.  The start must be
+    strictly feasible, every g_i < 0 however close to 0; the caller
     builds such a point.  Raises InfeasibleStartError for a start with
     some g_i >= 0, naming the worst row and its value.
     """
     b0 = np.asarray(objective, dtype=float)
     n = b0.size
     y = np.asarray(y0, dtype=float)
-    g_vals = values(y)
+    g_vals, derivatives = rows(y)
     m = g_vals.size
-    worst = int(np.argmax(g_vals))
+    worst = int(g_vals.argmax())
     if not g_vals[worst] < 0:
         raise InfeasibleStartError(f"start not strictly feasible: constraint "
                                    f"{worst} has g = {g_vals[worst]:.3g}")
 
-    g_vals, J, hess_of = evaluate(y)
+    J, hess_of = derivatives()
     # a row 5e-12 inside would start at lambda = 2e11, and such a start
     # makes the first Newton systems useless; of the floors 1e-3 to 1,
     # 1e-2 took the fewest iterations on the PAPR designs
@@ -98,20 +107,23 @@ def minimize_linear(objective: np.ndarray, values, evaluate,
 
         step = 1.0
         shrink = dlam < 0
-        if np.any(shrink):
-            step = min(1.0, 0.99 * np.min(-lam[shrink] / dlam[shrink]))
-        res0 = np.linalg.norm(np.concatenate([r_dual, r_cent]))
+        if shrink.any():
+            step = min(1.0, 0.99 * (-lam[shrink] / dlam[shrink]).min())
+        # ||r|| as np.linalg.norm takes it for a 1-D float array
+        r = np.concatenate([r_dual, r_cent])
+        res0 = math.sqrt(r.dot(r))
         accepted = False
         # a trial outside the rows is rejected on its values alone, and
         # the accepted trial's derivatives serve the next iteration
         for _ in range(50):
             y_new = y + step * dy
             lam_new = lam + step * dlam
-            if np.all(values(y_new) < 0):
-                vals_new, grads_new, hess_new = evaluate(y_new)
-                r_new = np.concatenate([b0 + grads_new.T @ lam_new,
-                                        -lam_new * vals_new - 1.0 / t])
-                if np.linalg.norm(r_new) <= (1.0 - 0.01 * step) * res0:
+            vals_new, derivatives = rows(y_new)
+            if (vals_new < 0).all():
+                grads_new, hess_new = derivatives()
+                r = np.concatenate([b0 + grads_new.T @ lam_new,
+                                    -lam_new * vals_new - 1.0 / t])
+                if math.sqrt(r.dot(r)) <= (1.0 - 0.01 * step) * res0:
                     accepted = True
                     break
             step *= 0.5
@@ -122,7 +134,7 @@ def minimize_linear(objective: np.ndarray, values, evaluate,
         y, lam = y_new, lam_new
         g_vals, J, hess_of = vals_new, grads_new, hess_new
 
-    if not np.all(g_vals <= _FEAS_TOL):
+    if not (g_vals <= _FEAS_TOL).all():
         stop = stop or "tolerances not met"
     return SolveReport(x=y, constraint_values=g_vals, iterations=steps,
                        converged=not stop,

@@ -648,8 +648,9 @@ def _peak_matrix(cos: np.ndarray) -> np.ndarray:
 
 def _step_rows(peaks: np.ndarray, anchor: np.ndarray, limit: float,
                floor: float):
-    """(values, evaluate) of the PAPR step's rows at the anchor, in the
-    scaled amplitudes u = s / sqrt(2P) of shape (N, M), flattened.
+    """`rows(u) -> (g, derivatives)` of the PAPR step's rows at the anchor,
+    the form `interior.minimize_linear` takes, in the scaled amplitudes
+    u = s / sqrt(2P) of shape (N, M), flattened.
 
     The rows are the power ||u|| - 1 <= 0, the floors floor - u_j <= 0
     and, for each antenna m and sample q, the peak row
@@ -665,7 +666,14 @@ def _step_rows(peaks: np.ndarray, anchor: np.ndarray, limit: float,
     product.  The power row ||u||^2 - 1 bounds the same ball and gives the
     same step; over 831 PAPR designs the loop reached its iteration cap on
     11 steps with it and on 8 with the norm.
+
+    Each `rows(u)` call takes x = P u and ||u|| once, for the values and
+    for the derivatives.  The Jacobian's blocks that do not depend on u,
+    the floors' -I and the zeros around them, are built once per step;
+    `derivatives()` copies them and writes only the power row and the peak
+    rows.
     """
+    n_var = anchor.size
     n_ant = anchor.shape[1]
     owner = np.repeat(np.arange(n_ant), peaks.shape[0] // n_ant)
     column = np.tile(np.arange(n_ant), anchor.shape[0])  # antenna of u_j
@@ -673,26 +681,31 @@ def _step_rows(peaks: np.ndarray, anchor: np.ndarray, limit: float,
     sigma = 2.0 / (limit * norms_sq[owner])
     tangent = 2.0 * anchor.ravel() / norms_sq[column]
     lin = np.where(owner[:, None] == column, tangent, 0.0)
+    blocks = np.zeros((1 + n_var + peaks.shape[0], n_var))
+    blocks[1:1 + n_var] = -np.eye(n_var)
 
-    def values(u):
-        return np.concatenate([[_norm(u) - 1.0], floor - u,
-                               sigma * (peaks @ u) ** 2 - lin @ u + 1.0])
-
-    def evaluate(u):
+    def rows(u):
         x = peaks @ u
         length = _norm(u)
-        J = np.vstack([u / length, -np.eye(u.size),
-                       (2.0 * sigma * x)[:, None] * peaks - lin])
+        g = np.concatenate([[length - 1.0], floor - u,
+                            sigma * x ** 2 - lin @ u + 1.0])
 
-        def hess(w):
-            h = peaks.T @ ((2.0 * sigma * w[1 + u.size:])[:, None] * peaks)
-            h -= (w[0] / length ** 3) * np.outer(u, u)
-            h[np.diag_indices_from(h)] += w[0] / length
-            return h
+        def derivatives():
+            J = blocks.copy()
+            J[0] = u / length
+            J[1 + n_var:] = (2.0 * sigma * x)[:, None] * peaks - lin
 
-        return values(u), J, hess
+            def hess(w):
+                h = peaks.T @ ((2.0 * sigma * w[1 + n_var:])[:, None] * peaks)
+                h -= (w[0] / length ** 3) * (u[:, None] * u)
+                h.flat[::n_var + 1] += w[0] / length
+                return h
 
-    return values, evaluate
+            return J, hess
+
+        return g, derivatives
+
+    return rows
 
 
 def optimize_papr(channel: ChannelRealization, power: float, eta: float,
@@ -793,8 +806,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             # grad . s, scaled by sqrt(2P) / z in the amplitudes u
             z, grad = score(anchor)
             objective = -(radius * grad / z).ravel()
-            values, evaluate = _step_rows(peaks, anchor / radius, eta,
-                                          floor / radius)
+            rows = _step_rows(peaks, anchor / radius, eta, floor / radius)
             # the MM map, the maximizer over the power ball and the floors,
             # is the step's solution when it meets every peak row; its
             # multipliers are ||c|| on the ball and c_j + ||c|| u_j on a
@@ -802,7 +814,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             lam_power = _norm(objective)
             mm_map = -objective / lam_power
             u = np.maximum(mm_map, floor / radius)
-            if np.all(values(u)[1 + u.size:] < 0):
+            if (rows(u)[0][1 + u.size:] < 0).all():
                 multipliers.append(np.concatenate([
                     [lam_power],
                     np.where(u > mm_map, objective + lam_power * u, 0.0),
@@ -818,8 +830,7 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
             start = np.maximum(anchor, 2.0 * floor) / radius \
                 * np.sqrt(1.0 - 1e-6)
             try:
-                report = minimize_linear(objective, values, evaluate,
-                                         start.ravel())
+                report = minimize_linear(objective, rows, start.ravel())
             except InfeasibleStartError:
                 # the start is not strictly inside its peak rows, e.g. a
                 # seed at the limit or the single-tone corner at eta = 2,
@@ -838,8 +849,8 @@ def optimize_papr(channel: ChannelRealization, power: float, eta: float,
         # the last step's multipliers on the rows rebuilt at the design,
         # where each tangent row has its peak row's gradient
         z, grad = score(s)
-        _, evaluate = _step_rows(peaks, s / radius, eta, floor / radius)
-        _, J, _ = evaluate(s.ravel() / radius)
+        rows = _step_rows(peaks, s / radius, eta, floor / radius)
+        J = rows(s.ravel() / radius)[1]()[0]
         residual = -(radius * grad / z).ravel() + J.T @ multipliers[-1]
         return s, history, stop_reason, float(np.abs(residual).max())
 

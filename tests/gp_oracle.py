@@ -100,8 +100,9 @@ def solve_gp(objective: np.ndarray, stack: tuple, x0: np.ndarray):
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 <= 0):
         raise InfeasibleStartError("starting point must be strictly positive")
-    report = minimize_linear(objective, lambda y: _log_sums(stack, y)[0],
-                             lambda y: _evaluate(stack, y), np.log(x0))
+    report = minimize_linear(
+        objective, lambda y: (_log_sums(stack, y)[0],
+                              lambda: _evaluate(stack, y)[1:]), np.log(x0))
     report.x = np.exp(report.x)
     report.constraint_values = np.exp(report.constraint_values)
     return report

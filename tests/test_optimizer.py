@@ -561,8 +561,15 @@ def test_papr_step_rows_are_tangent_inner_rows_on_one_antenna():
     anchor = rng.uniform(0.2, 1.5, (n, m))
     anchor /= np.linalg.norm(anchor)
     peaks = _peak_matrix(cos)
-    values, evaluate = _step_rows(peaks, anchor, limit, floor)
+    rows = _step_rows(peaks, anchor, limit, floor)
     n_rows = 1 + n * m + m * n_samples
+
+    def values(u):
+        return rows(u)[0]
+
+    def evaluate(u):
+        g, derivatives = rows(u)
+        return (g, *derivatives())
 
     def loop_rows(u):
         rows = [np.sqrt(u @ u) - 1.0] + [floor - v for v in u]
@@ -618,32 +625,122 @@ def test_papr_step_rows_are_tangent_inner_rows_on_one_antenna():
         assert np.all(row[np.arange(n * m) % m != ant] == 0.0)
 
 
-def test_papr_step_is_the_mm_map_when_no_peak_row_binds():
-    # a limit no row meets binds nothing: the step's QCQP, solved by the
-    # primal-dual loop, is the MM map sqrt(2P) g / ||g||, the point the
-    # design takes without a solve
+@pytest.mark.parametrize("m", [1, 2])
+def test_papr_step_derivatives_match_the_stacked_build_bit_for_bit(m):
+    # the Jacobian's constant blocks are built once per step and copied, and
+    # the Hessian's outer product and diagonal are taken in place: no float
+    # moves against the stacked build np.vstack([u / ||u||, -I,
+    # (2 sigma x) p - c]) and np.outer / diag_indices_from, written here
+    # as the oracle.  Every point's derivatives are built before any is
+    # checked, so one point's J cannot share memory with another's
+    rng = np.random.default_rng(10 + m)
+    n, n_samples, limit, floor = 4, 8, 3.0, 1e-12
+    peaks = _peak_matrix(rng.uniform(-1.0, 1.0, (m, n_samples, n)))
+    owner = np.repeat(np.arange(m), n_samples)
+    for _ in range(5):
+        anchor = rng.uniform(0.1, 1.0, (n, m))
+        anchor /= np.linalg.norm(anchor)
+        rows = _step_rows(peaks, anchor, limit, floor)
+        norms_sq = np.sum(anchor ** 2, axis=0)
+        sigma = 2.0 / (limit * norms_sq[owner])
+        lin = np.zeros((m * n_samples, n * m))
+        for i, ant in enumerate(owner):
+            lin[i, ant::m] = 2.0 * anchor[:, ant] / norms_sq[ant]
+        points = [anchor.ravel()] + [rng.uniform(0.0, 1.0, n * m)
+                                     for _ in range(3)]
+        built = [(g, *derivatives()) for g, derivatives in map(rows, points)]
+        for u, (g, J, hess) in zip(points, built):
+            x, length = peaks @ u, np.linalg.norm(u)
+            want_g = np.concatenate([[length - 1.0], floor - u,
+                                     sigma * x ** 2 - lin @ u + 1.0])
+            want_J = np.vstack([u / length, -np.eye(u.size),
+                                (2.0 * sigma * x)[:, None] * peaks - lin])
+            assert np.array_equal(g, want_g) and g.tobytes() == want_g.tobytes()
+            assert np.array_equal(J, want_J) and J.tobytes() == want_J.tobytes()
+            w = rng.uniform(0.1, 2.0, g.size)
+            want_h = peaks.T @ ((2.0 * sigma * w[1 + u.size:])[:, None] * peaks)
+            want_h -= (w[0] / length ** 3) * np.outer(u, u)
+            want_h[np.diag_indices_from(want_h)] += w[0] / length
+            assert hess(w).tobytes() == want_h.tobytes()
+
+
+def _step_problem(limit: float, blend: float = 0.0):
+    """(objective, rows, start, MM map) of a PAPR step on iid(4, 2, seed 3)
+    at 1e-4 W, anchored at `mf` blended toward `ass` by `blend` and
+    floored, as `optimize_papr` builds it: the loop's variables are the
+    amplitudes scaled by 1/sqrt(2P)."""
     h = iid_frequency_channel(4, 2, seed=3)
     power = 1e-4
     n, m = h.h.shape
     radius = np.sqrt(2.0 * power)
+    floor = positivity_floor(power)
     obj = _WeightedDC([np.abs(h.h)], [1.0], P4)
-    anchor = np.maximum(baseline_waveform("mf", h, power, _grid(n)).amplitudes,
-                        positivity_floor(power))
+    mf, ass = (baseline_waveform(name, h, power, _grid(n)).amplitudes
+               for name in ("mf", "ass"))
+    anchor = np.maximum((1.0 - blend) * mf + blend * ass, floor)
     z, grad = obj.value_grad_hess(anchor)[:2]
     phases = optimal_phases(h)
     basis = optimizer.papr_basis(_grid(n), 8)
     peaks = _peak_matrix(np.einsum(
         "inq,inm->mqn", basis.reshape(2, n, -1),
         np.stack([np.cos(phases), np.sin(phases)])))
-    values, evaluate = _step_rows(peaks, anchor / radius, 1e6,
-                                  positivity_floor(power) / radius)
-    report = minimize_linear(-(radius * grad / z).ravel(), values, evaluate,
-                             anchor.ravel() / radius * np.sqrt(1.0 - 1e-6))
+    rows = _step_rows(peaks, anchor / radius, limit, floor / radius)
+    start = np.maximum(anchor, 2.0 * floor) / radius * np.sqrt(1.0 - 1e-6)
+    return (-(radius * grad / z).ravel(), rows, start.ravel(),
+            (grad / np.linalg.norm(grad)).ravel())
+
+
+def test_papr_step_is_the_mm_map_when_no_peak_row_binds():
+    # a limit no row meets binds nothing: the step's QCQP, solved by the
+    # primal-dual loop, is the MM map sqrt(2P) g / ||g||, the point the
+    # design takes without a solve
+    objective, rows, start, want = _step_problem(1e6)
+    report = minimize_linear(objective, rows, start)
     assert report.converged
     # within the loop's own tolerance: its iterates stay strictly inside
     # the power row
-    want = (grad / np.linalg.norm(grad)).ravel()
     assert np.allclose(report.x, want, rtol=1e-9, atol=0.0)
+
+
+def test_primal_dual_loop_evaluates_each_point_once():
+    # the anchor, `mf` blended 3/4 of the way to `ass`, has PAPR 3.291 and
+    # its MM map 3.320, so at eta = 3.3 a peak row binds, and the line
+    # searches try points outside the rows.  Each point costs one `rows`
+    # call; only a point strictly inside every row builds its
+    # derivatives, at most once, and counting changes no bit of the report
+    objective, rows, start, mm_map = _step_problem(3.3, blend=0.75)
+    assert rows(mm_map)[0][1 + start.size:].max() > 0
+    calls = []
+
+    def counting(y):
+        g, derivatives = rows(y)
+        call = {"y": y.tobytes(), "g": g, "derivatives": 0}
+        calls.append(call)
+
+        def counted():
+            call["derivatives"] += 1
+            return derivatives()
+
+        return g, counted
+
+    report = minimize_linear(objective, counting, start)
+    assert report.converged and report.iterations > 5
+    assert calls[0]["y"] == start.tobytes()
+    assert len({call["y"] for call in calls}) == len(calls)
+    built = [call for call in calls if call["derivatives"]]
+    assert all(call["derivatives"] == 1 for call in built)
+    assert all(np.all(call["g"] < 0) for call in built)
+    # the start and each accepted trial build theirs
+    assert len(built) >= report.iterations + 1
+    assert any(call["g"].max() >= 0 for call in calls)
+    want = minimize_linear(objective, rows, start)
+    for field in ("x", "constraint_values", "multipliers"):
+        assert getattr(report, field).tobytes() \
+            == getattr(want, field).tobytes()
+    assert (report.iterations, report.converged, report.kkt_residual,
+            report.duality_gap, report.message) \
+        == (want.iterations, want.converged, want.kkt_residual,
+            want.duality_gap, want.message)
 
 
 def test_papr_design_built_by_steps_reports_its_kkt_residual():
