@@ -25,8 +25,8 @@ from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
                       iid_frequency_channel, load_channel_text,
                       multipath_channel, save_channel_text)
 from .circuit import (CircuitParams, SimTrace, SteadyStateError,
-                      dc_operating_point, export_trace_csv,
-                      harvested_dc_power, simulate, simulate_ensemble)
+                      dc_operating_point, harvested_dc_power, simulate,
+                      simulate_ensemble)
 from .optimizer import (OptimizerOptions, SCATrace, ass_multi,
                         baseline_waveform, optimal_phases, optimize,
                         optimize_multi, optimize_papr, toy_n2)

@@ -299,29 +299,50 @@ def flat_channel(amplitude: float, phase: float, n_tones: int,
     return ChannelRealization(h)
 
 
-def save_channel_text(path, ch: ChannelRealization) -> None:
-    """Plain-text export: one line per tone, (re, im) pair per antenna."""
-    h = ch.require_single_rectenna()
-    n, m = h.shape
+def _save_pairs(path, kind: str, first: np.ndarray, second: np.ndarray,
+                *extra: float) -> None:
+    """Write the one plain-text table format: a `# kind N M [extra...]`
+    header, then one line per tone of the M (first, second) pairs of the
+    (N, M) arrays, each number but N and M in `.17g`."""
+    n, m = first.shape
+    lines = [" ".join(["#", kind, str(n), str(m)]
+                      + [f"{x:.17g}" for x in extra]) + "\n"]
+    lines += [" ".join(f"{a:.17g} {b:.17g}" for a, b in zip(a_row, b_row))
+              + "\n" for a_row, b_row in zip(first.tolist(), second.tolist())]
     with open(path, "w") as f:
-        f.write(f"# channel {n} {m}\n")
-        for row in h:
-            parts = []
-            for v in row:
-                parts.append(f"{v.real:.17g} {v.imag:.17g}")
-            f.write(" ".join(parts) + "\n")
+        f.write("".join(lines))
 
 
-def load_channel_text(path) -> ChannelRealization:
+def _load_pairs(path, kind: str, n_extra: int = 0):
+    """(first, second, extra) of a `_save_pairs` table of `kind`: the two
+    (N, M) arrays and the header's `n_extra` extra numbers.  Raises
+    ValueError for another header, a tone row of another length, or a
+    non-blank line after the N tone rows."""
     with open(path) as f:
         header = f.readline().split()
-        if len(header) != 4 or header[:2] != ["#", "channel"]:
-            raise ValueError("not a channel text file")
+        if len(header) != 4 + n_extra or header[:2] != ["#", kind]:
+            raise ValueError(f"not a {kind} text file")
         n, m = int(header[2]), int(header[3])
-        h = np.empty((n, m), dtype=complex)
+        extra = [float(tok) for tok in header[4:]]
+        first = np.empty((n, m))
+        second = np.empty((n, m))
         for i in range(n):
             vals = [float(tok) for tok in f.readline().split()]
             if len(vals) != 2 * m:
                 raise ValueError(f"tone row {i} must carry {2 * m} numbers")
-            h[i] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-    return ChannelRealization(h)
+            first[i] = vals[0::2]
+            second[i] = vals[1::2]
+        if f.read().strip():
+            raise ValueError(f"text after the header's {n} tone rows")
+    return first, second, extra
+
+
+def save_channel_text(path, ch: ChannelRealization) -> None:
+    """Plain-text export: one line per tone, (re, im) pair per antenna."""
+    h = ch.require_single_rectenna()
+    _save_pairs(path, "channel", h.real, h.imag)
+
+
+def load_channel_text(path) -> ChannelRealization:
+    real, imag, _ = _load_pairs(path, "channel")
+    return ChannelRealization(real + 1j * imag)

@@ -14,7 +14,7 @@ periodic steady state: Aprille & Trick, Proc. IEEE 1972; Kundert, White &
 Sangiovanni-Vincentelli, 1990).  The Newton Jacobian is lower bidiagonal
 plus one corner entry, so every row of a batch goes into one banded solve
 per iteration; the CLI, the presets and the demos put every strategy's
-rows into one batch, and a trace they export solves a row already built.
+rows into one batch, and a trace the CLI writes solves a row already built.
 A row whose solve stops at the iteration cap makes the run not steady.
 """
 
@@ -230,17 +230,3 @@ def harvested_dc_power(trace: SimTrace) -> float:
             "Newton cap")
     mean_v = float(trace.period_mean_vout[-1])
     return mean_v ** 2 / trace.load
-
-
-def export_trace_csv(trace: SimTrace, path,
-                     header_comment: str | None = None) -> None:
-    """CSV dump of the trace's (t, v_in, v_out, i_d) rows, formatted from
-    Python floats and written as one string."""
-    lines = [f"# {header_comment}\n"] if header_comment else []
-    lines.append("t_s,v_in_v,v_out_v,i_d_a\n")
-    lines += [f"{t:.17g},{v_in:.17g},{v_out:.17g},{i_d:.17g}\n"
-              for t, v_in, v_out, i_d in zip(
-                  trace.time.tolist(), trace.v_in.tolist(),
-                  trace.v_out.tolist(), trace.i_d.tolist())]
-    with open(path, "w") as f:
-        f.write("".join(lines))

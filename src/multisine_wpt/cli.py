@@ -21,8 +21,8 @@ import numpy as np
 from .channel import (ArrayConfig, ChannelRealization, FrequencyGrid,
                       PowerDelayProfile, flat_channel, iid_frequency_channel,
                       load_channel_text, multipath_channel, save_channel_text)
-from .circuit import (CircuitParams, SteadyStateError, export_trace_csv,
-                      simulate, simulate_ensemble)
+from .circuit import (CircuitParams, SteadyStateError, simulate,
+                      simulate_ensemble)
 from .optimizer import (CLOSED_FORM, OptimizerOptions, baseline_waveform,
                         optimize, optimize_multi, optimize_papr, toy_n2)
 from .rectenna import (DCKernel, DiodeParams, RectennaParams, Waveform,
@@ -236,14 +236,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header_comment: str, columns: list[str],
-               rows: list[tuple]) -> None:
+def _write_csv(path: str, header_comment: str | None, columns: list[str],
+               rows) -> None:
+    """The one CSV writer: a `# header_comment` line unless it is None, the
+    column names, then one line per row, written as one string."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    lines = [] if header_comment is None else [f"# {header_comment}\n"]
+    lines.append(",".join(columns) + "\n")
+    lines += [",".join(map(_fmt, row)) + "\n" for row in rows]
     with open(path, "w") as f:
-        f.write(f"# {header_comment}\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        f.write("".join(lines))
 
 
 def _report_rows(cfg: dict, waveform: Waveform,
@@ -397,12 +399,18 @@ def _ensemble_p_dc(per_trial: list, cfg: dict, grid: FrequencyGrid,
     return p_dc.reshape(len(cfg["strategies"]), len(per_trial))
 
 
-def _steady_trace(tones: np.ndarray, grid: FrequencyGrid,
-                  circuit: CircuitParams, strategy: str):
+def _write_trace(path: str, header_comment: str | None, tones: np.ndarray,
+                 grid: FrequencyGrid, circuit: CircuitParams,
+                 strategy: str) -> None:
+    """Write the steady-state (t, v_in, v_out, i_d) rows of the rectifier
+    driven by one row of received tones; raises SteadyStateError, before
+    writing, if its Newton cap is hit."""
     trace = simulate(tones, grid, circuit)
     if not trace.steady:
         raise SteadyStateError(f"strategy {strategy} trace: Newton cap hit")
-    return trace
+    _write_csv(path, header_comment, ["t_s", "v_in_v", "v_out_v", "i_d_a"],
+               zip(trace.time.tolist(), trace.v_in.tolist(),
+                   trace.v_out.tolist(), trace.i_d.tolist()))
 
 
 def cmd_simulate(args) -> int:
@@ -427,9 +435,8 @@ def cmd_simulate(args) -> int:
                "rectifier ensemble: mean harvested DC power per strategy",
                ["strategy", "trials", "mean_p_dc_w", "stderr_w"], rows)
     if args.trace:  # the first strategy's row of trial 0
-        trace = _steady_trace(per_trial[0][0], grid, circuit,
-                              cfg["strategies"][0])
-        export_trace_csv(trace, os.path.join(out, "trace.csv"))
+        _write_trace(os.path.join(out, "trace.csv"), None, per_trial[0][0],
+                     grid, circuit, cfg["strategies"][0])
     print(f"wrote simulate.csv to {out}/")
     return 0
 
@@ -561,13 +568,11 @@ def _preset_fig8_trace(out: str, seed: int) -> None:
     circuit = _circuit(cfg)
     for strategy, tones in zip(cfg["strategies"],
                                _simulate_trial((cfg, 0))):
-        trace = _steady_trace(tones, grid, circuit, strategy)
-        export_trace_csv(
-            trace, os.path.join(out, f"fig8-trace-{strategy}.csv"),
-            header_comment=f"preset fig8-trace [{strategy}]: steady-state "
-                           "rectifier voltages over one waveform period, 16 "
-                           "tones over 10 MHz; input peaks repeat every "
-                           "n_tones/bandwidth seconds (parallels: figure 8)")
+        _write_trace(os.path.join(out, f"fig8-trace-{strategy}.csv"),
+                     f"preset fig8-trace [{strategy}]: steady-state rectifier "
+                     "voltages over one waveform period, 16 tones over 10 "
+                     "MHz; input peaks repeat every n_tones/bandwidth seconds "
+                     "(parallels: figure 8)", tones, grid, circuit, strategy)
 
 
 # name -> (function, defaults of the --seed and --trials it reads)

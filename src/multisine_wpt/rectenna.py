@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, FrequencyGrid
+from .channel import (ChannelRealization, FrequencyGrid, _load_pairs,
+                      _save_pairs)
 
 _POWER_FEAS_RTOL = 1e-9
 _ORACLE_OVERSAMPLE = 16  # samples per top harmonic of y^i in the oracle
@@ -429,32 +430,14 @@ def papr(waveform: Waveform, antenna: int, oversampling: int = 8) -> float:
 # ---------------------------------------------------------------------------
 
 def save_waveform_text(path, waveform: Waveform) -> None:
-    """Header (N, M, f0, spacing, power budget) then per-tone (s, phi) pairs."""
-    g = waveform.grid
-    budget = waveform.power_budget
-    budget_txt = "nan" if budget is None else f"{budget:.17g}"
-    with open(path, "w") as f:
-        f.write(f"# waveform {waveform.n_tones} {waveform.n_antennas} "
-                f"{g.f0:.17g} {g.spacing:.17g} {budget_txt}\n")
-        for s_row, p_row in zip(waveform.amplitudes, waveform.phases):
-            f.write(" ".join(f"{s:.17g} {p:.17g}"
-                             for s, p in zip(s_row, p_row)) + "\n")
+    """Header (N, M, f0, spacing, power budget or nan) then per-tone (s, phi)
+    pairs."""
+    g, budget = waveform.grid, waveform.power_budget
+    _save_pairs(path, "waveform", waveform.amplitudes, waveform.phases, g.f0,
+                g.spacing, math.nan if budget is None else budget)
 
 
 def load_waveform_text(path) -> Waveform:
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 7 or header[:2] != ["#", "waveform"]:
-            raise ValueError("not a waveform text file")
-        n, m = int(header[2]), int(header[3])
-        f0, spacing = float(header[4]), float(header[5])
-        budget = None if header[6] == "nan" else float(header[6])
-        s = np.empty((n, m))
-        phi = np.empty((n, m))
-        for i in range(n):
-            vals = [float(tok) for tok in f.readline().split()]
-            if len(vals) != 2 * m:
-                raise ValueError(f"tone row {i} must carry {2 * m} numbers")
-            s[i] = vals[0::2]
-            phi[i] = vals[1::2]
-    return Waveform(s, phi, FrequencyGrid(n, f0, spacing), power_budget=budget)
+    s, phi, (f0, spacing, budget) = _load_pairs(path, "waveform", 3)
+    return Waveform(s, phi, FrequencyGrid(s.shape[0], f0, spacing),
+                    power_budget=None if math.isnan(budget) else budget)

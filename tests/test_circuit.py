@@ -5,8 +5,7 @@ import multisine_wpt.circuit as circuit_module
 from multisine_wpt.channel import FrequencyGrid, flat_channel, \
     iid_frequency_channel
 from multisine_wpt.circuit import (CircuitParams, SteadyStateError,
-                                   dc_operating_point,
-                                   export_trace_csv, harvested_dc_power,
+                                   dc_operating_point, harvested_dc_power,
                                    simulate, simulate_ensemble)
 from multisine_wpt.optimizer import baseline_waveform
 from multisine_wpt.rectenna import Waveform, received_tone_coefficients
@@ -276,21 +275,6 @@ def test_chunk_size_leaves_each_row_unchanged(monkeypatch):
         # the same rounding-level answer: BLAS may order the drive's sums
         # differently for another row count
         np.testing.assert_allclose(p_chunked, p_one, rtol=1e-14, atol=0)
-
-
-def test_trace_export(tmp_path):
-    grid = FrequencyGrid(2, 32e6, 2e6)
-    h = flat_channel(1.0, 0.0, 2, 1)
-    trace = simulate(received_tone_coefficients(
-        baseline_waveform("up", h, 1e-5, grid), h), grid, CIRCUIT)
-    path = tmp_path / "trace.csv"
-    export_trace_csv(trace, path, header_comment="two tones")
-    lines = path.read_text().splitlines()
-    assert lines[:2] == ["# two tones", "t_s,v_in_v,v_out_v,i_d_a"]
-    assert len(lines) == 2 + trace.time.size
-    last = [float(tok) for tok in lines[-1].split(",")]
-    assert last == [trace.time[-1], trace.v_in[-1], trace.v_out[-1],
-                    trace.i_d[-1]]
 
 
 def test_circuit_params_validation():

@@ -9,8 +9,9 @@ from multisine_wpt.cli import (ConfigError, default_config, main,
                                parse_config_file, validate_config)
 from multisine_wpt.optimizer import CLOSED_FORM, baseline_waveform
 from multisine_wpt.rectenna import (RectennaParams, Waveform,
-                                    load_waveform_text, save_waveform_text,
-                                    zdc_analytic)
+                                    load_waveform_text,
+                                    received_tone_coefficients,
+                                    save_waveform_text, zdc_analytic)
 
 
 def _write(tmp_path, name, text):
@@ -207,6 +208,29 @@ def test_cli_exit_codes(tmp_path, capsys):
                  ["papr", missing], ["papr", junk]):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("input error: "), argv
+    # a 4-tone file whose header declares 3 tones: the line after the
+    # declared rows is refused, naming the file; a trailing blank line is not
+    long_wave = str(tmp_path / "w4.txt")
+    save_waveform_text(long_wave, baseline_waveform(
+        "up", flat_channel(1.0, 0.0, 4, 2), 1e-5, FrequencyGrid(4, 64e6, 1e6)))
+    long_chan = str(tmp_path / "c4.txt")
+    save_channel_text(long_chan, flat_channel(1.0, 0.0, 4, 2))
+    for path, kind in ((long_wave, "waveform"), (long_chan, "channel")):
+        file = tmp_path / path
+        file.write_text(file.read_text().replace(f"# {kind} 4 2",
+                                                 f"# {kind} 3 2", 1))
+    for argv, path in ((["papr", long_wave], long_wave),
+                       (["evaluate", long_wave, "--config", two_ant],
+                        long_wave),
+                       (["evaluate", wave, "--channel", long_chan],
+                        long_chan)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and path in err, argv
+    blank_tail = _write(tmp_path, "w-blank.txt",
+                        (tmp_path / wave).read_text() + "\n  \n")
+    assert main(["papr", blank_tail]) == 0
+    capsys.readouterr()
     assert main(["simulate", missing]) == 2
     # flag values below their floor, by flag and before any CSV is written
     for argv, key in [(["papr", wave, "--oversampling", value],
@@ -374,6 +398,23 @@ def test_simulate_command_with_trace(tmp_path):
     assert len(trace) > 100
 
 
+def test_trace_export(tmp_path):
+    grid = FrequencyGrid(2, 32e6, 2e6)
+    h = flat_channel(1.0, 0.0, 2, 1)
+    tones = received_tone_coefficients(
+        baseline_waveform("up", h, 1e-5, grid), h)
+    params = circuit.CircuitParams(c_out=100e-12)
+    trace = circuit.simulate(tones, grid, params)
+    path = tmp_path / "trace.csv"
+    cli._write_trace(path, "two tones", tones, grid, params, "up")
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# two tones", "t_s,v_in_v,v_out_v,i_d_a"]
+    assert len(lines) == 2 + trace.time.size
+    last = [float(tok) for tok in lines[-1].split(",")]
+    assert last == [trace.time[-1], trace.v_in[-1], trace.v_out[-1],
+                    trace.i_d[-1]]
+
+
 SIM = """
 n_tones = 2
 carrier_multiple = 4
@@ -472,3 +513,49 @@ def test_preset_fig3_top(tmp_path):
         assert z_opt >= z_up * (1 - 1e-12)
     # the uniform design rides within a whisker of the optimum on flat fading
     assert all(z_opt <= 1.02 * z_up for _, z_up, z_opt in rows)
+
+
+TRACE_COLUMNS = "t_s,v_in_v,v_out_v,i_d_a"
+
+
+def _trace_rows() -> int:
+    """Rows of a fig8-trace file: its grid's trace samples, which do not
+    depend on the drive."""
+    cfg = validate_config(dict(default_config(), n_tones=16))
+    return circuit.simulate(np.zeros(16, dtype=complex), cli._grid(cfg),
+                            cli._circuit(cfg)).time.size
+
+
+# preset, its reduced flags, and per CSV: the figure its comment names, the
+# column header and the row count (None: a trace file's row count)
+PRESET_SMOKE = [
+    ("fig3-middle", [], {"fig3-middle.csv": (
+        "figure 3, middle", "eta,zdc_opt_papr,achieved_papr", 8)}),
+    ("table1", ["--trials", "200"], {"table1.csv": (
+        "Table I", "strategy,regime,n_tones,n_antennas,closed_form_low,"
+        "closed_form_high,mc_mean,mc_stderr", 7)}),
+    ("fig-scalinglaws", ["--trials", "200"], {"fig-scalinglaws.csv": (
+        "figure 6", "strategy,n_tones,closed_form_low,closed_form_high,"
+        "mc_mean,mc_stderr", 24)}),
+    ("fig9-like", ["--trials", "2"], {"fig9-like.csv": (
+        "figure 9", "n_tones,strategy,trials,mean_p_dc_w", 20)}),
+    ("fig8-trace", [], {
+        f"fig8-trace-{strategy}.csv": ("figure 8", TRACE_COLUMNS, None)
+        for strategy in ("up", "opt")}),
+]
+
+
+@pytest.mark.parametrize("name, flags, files", PRESET_SMOKE,
+                         ids=[case[0] for case in PRESET_SMOKE])
+def test_preset_writes_its_csvs(tmp_path, name, flags, files):
+    # each preset runs end to end through the one CSV writer: a comment
+    # naming the preset and its figure, the column header, one line a row
+    out = tmp_path / name
+    assert main(["preset", name, *flags, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
+    for file, (figure, columns, n_rows) in files.items():
+        lines = (out / file).read_text().splitlines()
+        assert lines[0].startswith(f"# preset {name}"), lines[0]
+        assert lines[0].endswith(f"(parallels: {figure})"), lines[0]
+        assert lines[1] == columns
+        assert len(lines) - 2 == (n_rows or _trace_rows())

@@ -183,6 +183,39 @@ def test_kkt_polish_deterministic_at_iteration_cap():
             assert abs(z_pert - z) <= 1e-12 * z
 
 
+def _solve_failing_once(monkeypatch) -> list:
+    """Make `np.linalg.solve` raise LinAlgError on its first call and
+    delegate after it; returns the list of the shapes it was called on."""
+    solve = np.linalg.solve
+    calls = []
+
+    def failing_once(a, b):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing_once)
+    return calls
+
+
+def test_kkt_polish_keeps_a_finite_point_when_its_system_is_singular(
+        monkeypatch):
+    # a singular Newton system ends the polish loop; what it returns is
+    # still finite and scores no lower than its input, to 1e-9
+    eff, seeds, opts = _slow_mm_case()
+    obj = _WeightedDC([np.abs(eff.h)], [1.0], P4)
+    w = next(iter(_ascents(_WeightedDC([eff.h], [1.0], P4), seeds, POWER,
+                           opts)))[0]
+    s = np.abs(w)
+    z_in = obj.value(s)
+    calls = _solve_failing_once(monkeypatch)
+    polished, z = _kkt_polish_power_only(obj, s, POWER)
+    assert len(calls) == 1
+    assert np.isfinite(polished).all()
+    assert z == obj.value(polished) >= z_in * (1.0 - 1e-9)
+
+
 def test_optimize_scores_each_point_once(monkeypatch):
     # on the effective-channel objective of one design, the SMF(3) seed and
     # the polished point are scored once each, and the polish start twice:
@@ -741,6 +774,19 @@ def test_primal_dual_loop_evaluates_each_point_once():
             report.duality_gap, report.message) \
         == (want.iterations, want.converged, want.kkt_residual,
             want.duality_gap, want.message)
+
+
+def test_primal_dual_loop_regularizes_a_singular_newton_system(monkeypatch):
+    # when np.linalg.solve raises, the loop solves the system again with a
+    # small ridge on its diagonal and goes on to the unpatched run's point
+    objective, rows, start, _ = _step_problem(3.3, blend=0.75)
+    want = minimize_linear(objective, rows, start)
+    calls = _solve_failing_once(monkeypatch)
+    report = minimize_linear(objective, rows, start)
+    assert calls[:2] == [(start.size, start.size)] * 2
+    assert report.converged
+    # within the loop's gap and KKT tolerance
+    assert np.allclose(report.x, want.x, rtol=0.0, atol=1e-9)
 
 
 def test_papr_design_built_by_steps_reports_its_kkt_residual():
